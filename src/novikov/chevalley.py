@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .exact import Matrix, RatFunc, rf_rank
+from .exact import Matrix, RatFunc, rank
 from .exact.ratfunc import ONE, ZERO
 
 
@@ -61,9 +61,8 @@ class InvariantForm:
 
     @staticmethod
     def zero(dim, degree):
-        if degree > dim or degree < 0:
-            return InvariantForm(dim, min(max(degree, 0), dim), ())
-        return InvariantForm(dim, degree, (ZERO,) * comb(dim, degree))
+        size = comb(dim, degree) if 0 <= degree <= dim else 0
+        return InvariantForm(dim, degree, (ZERO,) * size)
 
     @staticmethod
     def from_dict(dim, degree, entries):
@@ -234,45 +233,41 @@ class LieAlgebraModel:
 
 # -- differential and Hodge operators --------------------------------------
 
-def d_covector(model: LieAlgebraModel, i) -> InvariantForm:
-    """d e^i = - sum_{j<k} c^i_{jk} e^j ^ e^k."""
-    n = model.dim
-    entries = {}
-    for (j, k), comps in model.brackets.items():
-        c = comps.get(i)
-        if c is not None and not c.is_zero():
-            entries[(j, k)] = -c
-    return InvariantForm.from_dict(n, 2, entries)
+def _d_sigma(model: LieAlgebraModel, form: InvariantForm, sigma) -> InvariantForm:
+    """(d - sigma theta ^) form for sigma in {0, 1, -1}, straight from the
+    structure constants: d e^i = - sum_{j<k} c^i_{jk} e^j ^ e^k, extended by
+    the Leibniz rule.  Coefficients are summed as sympy expressions and
+    cancelled once each, when the result form is made.  A form of degree
+    k >= dim maps to the form of degree k + 1, which has no coefficients."""
+    n, k = model.dim, form.degree
+    if k >= n:
+        return InvariantForm.zero(n, k + 1)
+    d_cov = {}  # i -> [(pair (j, l), -c^i_{jl}), ...]
+    for pair, comps in model.brackets.items():
+        for i, c in comps.items():
+            d_cov.setdefault(i, []).append((pair, -c.expr))
+    theta = [((l,), -sigma * c.expr) for l, c in enumerate(model.theta)
+             if sigma and not c.is_zero()]
+    acc = {}
+    for s, cs in zip(wedge_basis(n, k), form.coeffs):
+        if cs.is_zero():
+            continue
+        # d(e^s) = sum_t (-1)^t d e^{s_t} ^ e^{s minus s_t}
+        terms = [(pair, -c if t % 2 else c, s[:t] + s[t + 1:])
+                 for t, i in enumerate(s) for pair, c in d_cov.get(i, ())]
+        for head, c, rest in terms + [(head, c, s) for head, c in theta]:
+            sign, merged = merge_sign(head, rest)
+            if sign:
+                acc[merged] = acc.get(merged, 0) + sign * c * cs.expr
+    return InvariantForm.from_dict(n, k + 1, acc)
 
 
 def d_apply(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
-    n = model.dim
-    if form.degree >= n:
-        return InvariantForm.zero(n, n)
-    out = InvariantForm.zero(n, form.degree + 1)
-    for s, cs in zip(wedge_basis(n, form.degree), form.coeffs):
-        if cs.is_zero():
-            continue
-        for t, i in enumerate(s):
-            rest = s[:t] + s[t + 1:]
-            rest_form = InvariantForm.from_dict(n, len(rest), {rest: cs})
-            term = wedge(d_covector(model, i), rest_form)
-            if t % 2 == 1:
-                term = -term
-            out = out + term
-    return out
+    return _d_sigma(model, form, 0)
 
 
 def d_theta_apply(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
-    if form.degree >= model.dim:
-        return InvariantForm.zero(model.dim, model.dim)
-    return d_apply(model, form) - wedge(model.theta_form(), form)
-
-
-def d_minus_theta_apply(model, form):
-    if form.degree >= model.dim:
-        return InvariantForm.zero(model.dim, model.dim)
-    return d_apply(model, form) + wedge(model.theta_form(), form)
+    return _d_sigma(model, form, 1)
 
 
 def hodge_star(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
@@ -281,6 +276,8 @@ def hodge_star(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
         raise LieModelError("no orthonormal coframe declared on this model")
     n = model.dim
     k = form.degree
+    if not 0 <= k <= n:  # Lambda^k is zero outside 0..n
+        return InvariantForm.zero(n, n - k)
     idx = _basis_index(n, n - k)
     out = [ZERO] * comb(n, n - k)
     for s, cs in zip(wedge_basis(n, k), form.coeffs):
@@ -294,7 +291,7 @@ def hodge_star(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
 
 def delta_theta(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
     """delta_theta = - * d_{-theta} *."""
-    return -hodge_star(model, d_minus_theta_apply(model, hodge_star(model, form)))
+    return -hodge_star(model, _d_sigma(model, hodge_star(model, form), -1))
 
 
 def laplacian_theta(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
@@ -341,48 +338,40 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
                 if not (entry - want).is_zero():
                     violations.append(("J_squared", (i + 1, j + 1)))
     for i in range(n):
-        if not d_apply(model, d_covector(model, i)).is_zero():
+        d_ei = d_apply(model, InvariantForm.covector(n, i))
+        if not d_apply(model, d_ei).is_zero():
             violations.append(("d_squared_on_covector", i + 1))
     return ValidationReport(not violations, violations)
 
 
 # -- cohomology --------------------------------------------------------------
 
+def _matrix_of(model: LieAlgebraModel, k, op) -> Matrix:
+    """Matrix of op(model, .) on the degree-k wedge basis.  The row count is
+    the coefficient count of the image degree, so it is zero when that degree
+    (or k itself) lies outside 0..dim."""
+    n = model.dim
+    cols = [op(model, InvariantForm.from_dict(n, k, {s: ONE})).coeffs
+            for s in wedge_basis(n, k)]
+    rows = len(cols[0]) if cols else 0
+    return Matrix(rows, len(cols), [col[r] for r in range(rows) for col in cols])
+
+
 def d_theta_matrix(model: LieAlgebraModel, k) -> Matrix:
     """Matrix of d_theta from degree k to k+1 in the wedge bases."""
-    n = model.dim
-    cols = comb(n, k)
-    rows = comb(n, k + 1) if k + 1 <= n else 0
-    entries = [[ZERO] * cols for _ in range(rows)]
-    for ci, s in enumerate(wedge_basis(n, k)):
-        mono = InvariantForm.from_dict(n, k, {s: ONE})
-        image = d_theta_apply(model, mono)
-        if image.degree == k + 1:
-            for ri, c in enumerate(image.coeffs):
-                entries[ri][ci] = c
-    return Matrix(rows, cols, [x for r in entries for x in r])
+    return _matrix_of(model, k, d_theta_apply)
 
 
 def twisted_ce_cohomology(model: LieAlgebraModel):
     """dim H^k(Lambda g*, d_theta) for k = 0..dim."""
     n = model.dim
-    ranks = [rf_rank(d_theta_matrix(model, k)) for k in range(n)]
+    ranks = [rank(d_theta_matrix(model, k)) for k in range(n)]
     dims = []
     for k in range(n + 1):
         rk_out = ranks[k] if k < n else 0
         rk_in = ranks[k - 1] if k > 0 else 0
         dims.append(comb(n, k) - rk_out - rk_in)
     return dims
-
-
-def _operator_matrix(model, k, op):
-    n = model.dim
-    size = comb(n, k)
-    cols = []
-    for s in wedge_basis(n, k):
-        mono = InvariantForm.from_dict(n, k, {s: ONE})
-        cols.append(op(model, mono).coeffs)
-    return Matrix(size, size, [cols[c][r] for r in range(size) for c in range(size)])
 
 
 def harmonic_dims(model: LieAlgebraModel):
@@ -395,30 +384,16 @@ def harmonic_dims(model: LieAlgebraModel):
     n = model.dim
     dims = []
     for k in range(n + 1):
-        lap = _operator_matrix(model, k, laplacian_theta)
-        dims.append(comb(n, k) - rf_rank(lap))
+        lap = _matrix_of(model, k, laplacian_theta)
+        dims.append(comb(n, k) - rank(lap))
         # ker Delta = ker d_theta  cap  ker delta_theta: compare ranks of the
         # stacked (d_theta; delta_theta) operator with the Laplacian's kernel
         dk = d_theta_matrix(model, k)
-        deltak = _delta_matrix(model, k)
+        deltak = _matrix_of(model, k, delta_theta)
         stacked = Matrix(dk.rows + deltak.rows, comb(n, k), dk.entries + deltak.entries)
-        if comb(n, k) - rf_rank(stacked) != dims[-1]:
+        if comb(n, k) - rank(stacked) != dims[-1]:
             raise LieModelError(f"Hodge kernel mismatch in degree {k}")
     return dims
-
-
-def _delta_matrix(model, k):
-    n = model.dim
-    cols = comb(n, k)
-    rows = comb(n, k - 1) if k >= 1 else 0
-    entries = [[ZERO] * cols for _ in range(rows)]
-    for ci, s in enumerate(wedge_basis(n, k)):
-        mono = InvariantForm.from_dict(n, k, {s: ONE})
-        image = delta_theta(model, mono) if k >= 1 else InvariantForm.zero(n, 0)
-        if k >= 1:
-            for ri, c in enumerate(image.coeffs):
-                entries[ri][ci] = c
-    return Matrix(rows, cols, [x for r in entries for x in r])
 
 
 # -- obstruction search ------------------------------------------------------

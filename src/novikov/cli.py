@@ -40,7 +40,7 @@ from .catalog import (
     splus_coframe_model,
 )
 from .chevalley import LieAlgebraModel, LieModelError, twisted_ce_cohomology, validate
-from .exact import AlgebraicReal, Matrix, RatFunc, alg_reciprocal, char_poly, isolate_real_roots
+from .exact import AlgebraicReal, RatFunc, alg_power, alg_reciprocal
 from .lck_cone import (
     DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
@@ -147,6 +147,9 @@ def _parse_lambda(text) -> AlgebraicReal:
 
 
 _LOG_RE = re.compile(r"^(?:(-?\d+)\s*\*\s*)?(-?)log\(alpha\)$")
+# alpha^k is found through the k-th power of a companion matrix, and its
+# float value is printed: both grow with |k|
+MAX_LOG_MULTIPLE = 100
 
 
 def _parse_lambda_log(text, alpha) -> AlgebraicReal:
@@ -162,52 +165,13 @@ def _parse_lambda_log(text, alpha) -> AlgebraicReal:
     if alpha is None:
         raise CliError("this model has no distinguished alpha for --lambda-log",
                        EXIT_USAGE)
-    k = int(m.group(1) or 1)
-    if m.group(2) == "-":
-        k = -k
+    digits = m.group(1) or "1"
+    # int() refuses thousands of digits, and so many are out of range anyway
+    if len(digits) > 12 or abs(int(digits)) > MAX_LOG_MULTIPLE:
+        raise CliError("--lambda-log multiple is out of range; |k| <= "
+                       f"{MAX_LOG_MULTIPLE} is supported", EXIT_USAGE)
+    k = -int(digits) if m.group(2) == "-" else int(digits)
     return alg_power(alpha, k)
-
-
-def alg_power(alpha: AlgebraicReal, k: int) -> AlgebraicReal:
-    """alpha^k as an exact algebraic number."""
-    if k == 0:
-        return AlgebraicReal.from_rational(1)
-    if k < 0:
-        return alg_reciprocal(alg_power(alpha, -k))
-    if k == 1:
-        return alpha
-    # alpha^k is an eigenvalue of C^k for the companion matrix C of the
-    # minimal polynomial; isolate it against an interval power of alpha.
-    deg = alpha.minpoly.degree
-    lead = Fraction(alpha.minpoly.leading())
-    monic = [Fraction(c) / lead for c in alpha.minpoly.coeffs]
-    comp = [[Fraction(0)] * deg for _ in range(deg)]
-    for i in range(1, deg):
-        comp[i][i - 1] = Fraction(1)
-    for i in range(deg):
-        comp[i][deg - 1] = -monic[i]
-    mat = Matrix.from_rows(comp)
-    power = mat
-    for _ in range(k - 1):
-        power = power.matmul(mat)
-    candidates = [r for r, _ in isolate_real_roots(char_poly(power))]
-    width = Fraction(1, 16)
-    while True:
-        lo, hi = alpha.refined(width).interval
-        if lo <= 0:
-            lo = Fraction(0)
-        plo, phi = lo ** k, hi ** k
-        live = []
-        for cand in candidates:
-            cand = cand.refined(width)
-            clo, chi = cand.interval
-            if chi > plo and clo < phi:
-                live.append(cand)
-        if len(live) == 1:
-            return live[0]
-        if not live:
-            raise CliError("internal error: lost the power of alpha", EXIT_MODEL)
-        candidates, width = live, width / 4
 
 
 def select_lambda(args, resolved) -> AlgebraicReal:
@@ -361,6 +325,8 @@ def _parse_theta(text, model):
 
 
 def cmd_cone(args):
+    if args.restarts < 1 or args.max_iters < 1:
+        raise CliError("--restarts and --max-iters must be at least 1", EXIT_USAGE)
     selectors = sum(bool(x) for x in (args.theta, args.at_alpha, args.at_inverse_alpha))
     if selectors > 1:
         raise CliError("choose at most one of --theta, --at-alpha, "
@@ -405,7 +371,8 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", metavar="SPEC",
                    help="rational:<p>/<q> or poly:<c0,c1,...>@(<lo>,<hi>)")
     p.add_argument("--lambda-log", dest="lambda_log", metavar="T",
-                   help="Lee parameter e^T; T = 0 or <int>*log(alpha)")
+                   help="Lee parameter e^T; T = 0 or <k>*log(alpha), "
+                        f"|k| <= {MAX_LOG_MULTIPLE}")
     p.add_argument("--at-alpha", action="store_true")
     p.set_defaults(func=cmd_cohomology)
 

@@ -10,6 +10,7 @@ from .algebraic import (
     alg_eq,
     alg_cmp,
     alg_neg,
+    alg_power,
     alg_reciprocal,
 )
 from .numberfield import NumberField, NFElem
@@ -22,13 +23,12 @@ from .matrices import (
     nf_rank,
     nullspace,
     rank,
-    rf_rank,
 )
 
 __all__ = [
     "Rat", "IntPoly", "sturm_sequence", "count_roots",
     "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp", "alg_neg",
-    "alg_reciprocal", "NumberField", "NFElem", "RatFunc", "param",
+    "alg_power", "alg_reciprocal", "NumberField", "NFElem", "RatFunc", "param",
     "Matrix", "char_poly", "exterior_power", "exterior_square_cyclic",
-    "nf_rank", "nullspace", "rank", "rf_rank",
+    "nf_rank", "nullspace", "rank",
 ]

@@ -235,3 +235,47 @@ def alg_neg(lam: AlgebraicReal) -> AlgebraicReal:
     p = lam.minpoly.compose_neg().primitive()
     lo, hi = lam.interval
     return AlgebraicReal(p, (-hi, -lo))
+
+
+def alg_power(alpha: AlgebraicReal, k: int) -> AlgebraicReal:
+    """alpha^k as an exact algebraic number."""
+    from .matrices import Matrix, char_poly  # matrices imports this module
+
+    if k == 0:
+        return AlgebraicReal.from_rational(1)
+    if k < 0:
+        return alg_reciprocal(alg_power(alpha, -k))
+    if k == 1:
+        return alpha
+    # alpha^k is an eigenvalue of C^k for the companion matrix C of the
+    # minimal polynomial; isolate it against an interval power of alpha.
+    deg = alpha.minpoly.degree
+    lead = Fraction(alpha.minpoly.leading())
+    monic = [Fraction(c) / lead for c in alpha.minpoly.coeffs]
+    comp = [[Fraction(0)] * deg for _ in range(deg)]
+    for i in range(1, deg):
+        comp[i][i - 1] = Fraction(1)
+    for i in range(deg):
+        comp[i][deg - 1] = -monic[i]
+    mat = Matrix.from_rows(comp)
+    power = mat
+    for _ in range(k - 1):
+        power = power.matmul(mat)
+    candidates = [r for r, _ in isolate_real_roots(char_poly(power))]
+    width = Fraction(1, 16)
+    while True:
+        lo, hi = alpha.refined(width).interval
+        if lo <= 0:
+            lo = Fraction(0)
+        plo, phi = lo ** k, hi ** k
+        live = []
+        for cand in candidates:
+            cand = cand.refined(width)
+            clo, chi = cand.interval
+            if chi > plo and clo < phi:
+                live.append(cand)
+        if len(live) == 1:
+            return live[0]
+        if not live:
+            raise ArithmeticError("no root of the power's polynomial matches alpha^k")
+        candidates, width = live, width / 4

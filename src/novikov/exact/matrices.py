@@ -6,6 +6,7 @@ assume ring arithmetic (+, -, *) plus, where rank is needed, exact division.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -147,35 +148,32 @@ def exterior_square_cyclic(m: Matrix) -> Matrix:
 
 
 def char_poly(m: Matrix) -> IntPoly:
-    """det(xI - M) for a rational matrix, by Faddeev-LeVerrier, with
-    denominators cleared to an integer polynomial."""
+    """det(xI - M) for a rational matrix, by Faddeev-LeVerrier in integer
+    arithmetic on D*M (D clears the entries' denominators), with denominators
+    cleared to an integer polynomial."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.rows
-    a = [[Fraction(m[r, c]) for c in range(n)] for r in range(n)]
-    coeffs = [Fraction(1)]  # c_n = 1, then c_{n-1}, ...
-    mk = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    entries = [Fraction(x) for x in m.entries]
+    d = math.lcm(*(x.denominator for x in entries))
+    a = [[int(entries[r * n + c] * d) for c in range(n)] for r in range(n)]
+    int_coeffs = [1]  # of det(xI - D*M), highest degree first
+    mk = [[int(r == c) for c in range(n)] for r in range(n)]
     for k in range(1, n + 1):
-        mk = _mat_mul_frac(a, mk)
-        ck = -sum(mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
+        mk = _mat_mul(a, mk)
+        # exact: the coefficients of an integer matrix's char poly are integers
+        ck = -sum(mk[i][i] for i in range(n)) // k
+        int_coeffs.append(ck)
         for i in range(n):
             mk[i][i] += ck
-    # coeffs are highest-degree first: x^n + c_{n-1} x^{n-1} + ...
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+    # det(xI - M) = D^-n det(DxI - D*M), so x^(n-k) has coefficient c_k / D^k
+    coeffs = [Fraction(c, d ** k) for k, c in enumerate(int_coeffs)]
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
     return IntPoly(list(reversed(ints)))
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _mat_mul_frac(a, b):
+def _mat_mul(a, b):
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
@@ -219,11 +217,6 @@ def nf_rank(m: Matrix) -> int:
     return rank(m)
 
 
-def rf_rank(m: Matrix) -> int:
-    """Generic rank over the multivariate rational-function field."""
-    return rank(m)
-
-
 def nullspace(m: Matrix):
     """Exact kernel basis (list of column vectors) over a field with exact
     division; returned vectors are lists of entries."""
@@ -248,7 +241,7 @@ def nullspace(m: Matrix):
             break
     free = [c for c in range(ncols) if c not in pivots]
     if not rows:
-        return [[_mk_basis_entry(None, i == f) for i in range(ncols)] for f in free]
+        return [[Fraction(int(i == f)) for i in range(ncols)] for f in free]
     one = _one_like(rows[0][0])
     zero = one - one
     basis = []
@@ -259,7 +252,3 @@ def nullspace(m: Matrix):
             vec[p] = -rows[r][f]
         basis.append(vec)
     return basis
-
-
-def _mk_basis_entry(_, flag):
-    return Fraction(1) if flag else Fraction(0)

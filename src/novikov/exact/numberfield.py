@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import AlgebraicReal
+from .polynomials import _frac_divmod
 
 
 class NumberField:
@@ -101,7 +102,7 @@ class NFElem:
             if len(r1) == 1:
                 inv = 1 / r1[0]
                 return self.field.reduce([c * inv for c in s1])
-            q, r = _polydivmod(r0, r1)
+            q, r = _frac_divmod(r0, r1)
             s = _polysub(s0, _polymul(q, s1))
             r0, r1, s0, s1 = r1, r, s1, s
 
@@ -124,18 +125,6 @@ def _trim(p):
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
-
-
-def _polydivmod(num, den):
-    num, den = list(num), _trim(den)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return q, _trim(num[: len(den) - 1] or [Fraction(0)])
 
 
 def _polymul(a, b):

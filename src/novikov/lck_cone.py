@@ -176,8 +176,11 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
             gn = np.linalg.norm(grad)
             if gn < 1e-14:
                 break
-            x = x + (1.0 / it) * grad / gn
-            x /= np.linalg.norm(x)
+            step = x + (1.0 / it) * grad / gn
+            norm = np.linalg.norm(step)
+            if norm < 1e-14:  # on a 1-D kernel a step from x = -1 lands on 0
+                break
+            x = step / norm
         val, _ = lam_min(x)
         if val > best_val:
             best_val, best_x = val, x

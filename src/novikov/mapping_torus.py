@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb
 
 from .exact import (
@@ -54,9 +55,10 @@ class TorusMonodromy:
         rows = tuple(tuple(int(x) for x in r) for r in self.phi1)
         object.__setattr__(self, "phi1", rows)
         n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ModelError("monodromy matrix must be square")
-        d = _int_det(rows)
+        if not rows or any(len(r) != n for r in rows):
+            raise ModelError("monodromy matrix must be square and nonempty")
+        # char_poly is det(xI - M), so its constant term is (-1)^n det M
+        d = (-1) ** n * char_poly(Matrix.from_rows(rows)).constant()
         if d not in (1, -1):
             raise ModelError(f"monodromy must be invertible over Z, det = {d}")
 
@@ -158,18 +160,6 @@ def lambda_to_jsonable(lam: AlgebraicReal):
     }
 
 
-def _int_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    det = 0
-    for j in range(n):
-        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _int_det(sub)
-        det += term if j % 2 == 0 else -term
-    return det
-
-
 def _phi_matrix(model: FiberModel, k):
     """Phi_k as a Matrix over Fraction."""
     m = model.mode
@@ -241,16 +231,8 @@ def exceptional_lambdas(model: FiberModel):
         lam = alg_reciprocal(ev)
         if not any(alg_eq(lam, x) for x in found):
             found.append(lam)
-    found.sort(key=_SortKey)
+    found.sort(key=cmp_to_key(alg_cmp))
     return found
-
-
-class _SortKey:
-    def __init__(self, lam):
-        self.lam = lam
-
-    def __lt__(self, other):
-        return alg_cmp(self.lam, other.lam) < 0
 
 
 def blow_up(profile: BettiProfile, n: int) -> BettiProfile:

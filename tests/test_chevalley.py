@@ -29,7 +29,12 @@ from novikov.chevalley import (
     wedge,
     wedge_basis,
 )
-from novikov.exact import RatFunc
+from novikov.exact import Matrix, RatFunc
+
+
+def catalog_algebras():
+    return [s0_algebra(), splus_algebra(), splus_coframe_model(), ot_algebra(1),
+            ot_algebra(2), abelian_algebra(4)]
 
 
 def rand_form(rng, dim, degree):
@@ -71,6 +76,12 @@ def test_form_coefficient_count_enforced():
         InvariantForm(4, 2, (RatFunc(1),) * 5)
 
 
+def test_zero_form_outside_degree_range_has_no_coefficients():
+    for degree in (-1, 5):
+        zero = InvariantForm.zero(4, degree)
+        assert zero.degree == degree and zero.coeffs == () and zero.is_zero()
+
+
 def test_covector_and_from_dict():
     e1 = InvariantForm.covector(4, 0)
     e2 = InvariantForm.covector(4, 1)
@@ -83,8 +94,7 @@ def test_covector_and_from_dict():
 
 def test_d_squared_zero_on_random_forms():
     rng = random.Random(12)
-    models = [s0_algebra(), splus_algebra(), splus_coframe_model(), ot_algebra(1)]
-    for model in models:
+    for model in catalog_algebras():
         for deg in (0, 1, 2):
             form = rand_form(rng, model.dim, deg)
             assert d_apply(model, d_apply(model, form)).is_zero(), model.name
@@ -92,14 +102,52 @@ def test_d_squared_zero_on_random_forms():
 
 def test_leibniz_rule():
     rng = random.Random(13)
-    model = splus_coframe_model()
-    for _ in range(8):
-        p = rng.randint(1, 2)
-        a, b = rand_form(rng, 4, p), rand_form(rng, 4, 1)
-        lhs = d_apply(model, wedge(a, b))
-        rhs = wedge(d_apply(model, a), b) + \
-            wedge(a, d_apply(model, b)).scale(Fraction((-1) ** p))
-        assert lhs == rhs
+    for model in catalog_algebras():
+        for _ in range(8):
+            p = rng.randint(1, 2)
+            a, b = rand_form(rng, model.dim, p), rand_form(rng, model.dim, 1)
+            lhs = d_apply(model, wedge(a, b))
+            rhs = wedge(d_apply(model, a), b) + \
+                wedge(a, d_apply(model, b)).scale(Fraction((-1) ** p))
+            assert lhs == rhs, model.name
+
+
+def wedge_oracle_d_theta_matrix(model, k):
+    """d_theta from degree k to k+1 assembled column by column with wedge:
+    d_theta e^s = sum_t (-1)^t d e^{s_t} ^ e^{s minus s_t} - theta ^ e^s, where
+    d e^i = - sum_{j<k} c^i_{jk} e^j ^ e^k is read off the brackets."""
+    n = model.dim
+    d_cov = [InvariantForm.from_dict(n, 2, {pair: -comps[i]
+                                            for pair, comps in model.brackets.items()
+                                            if i in comps})
+             for i in range(n)]
+    rows = comb(n, k + 1) if k < n else 0
+    cols = []
+    for s in wedge_basis(n, k):
+        col = -wedge(model.theta_form(), InvariantForm.from_dict(n, k, {s: 1}))
+        for t, i in enumerate(s):
+            rest = InvariantForm.from_dict(n, k - 1, {s[:t] + s[t + 1:]: 1})
+            term = wedge(d_cov[i], rest)
+            col = col + (-term if t % 2 else term)
+        cols.append(col.coeffs[:rows])
+    return Matrix(rows, len(cols), [col[r] for r in range(rows) for col in cols])
+
+
+def test_d_theta_matrix_matches_wedge_oracle():
+    rng = random.Random(17)
+    for model in catalog_algebras():
+        n = model.dim
+        for k in range(n + 1):
+            oracle = wedge_oracle_d_theta_matrix(model, k)
+            assert d_theta_matrix(model, k) == oracle, (model.name, k)
+            if k < n:
+                form = rand_form(rng, n, k)
+                image = d_theta_apply(model, form)
+                for r in range(oracle.rows):
+                    acc = RatFunc(0)
+                    for c, x in enumerate(form.coeffs):
+                        acc = acc + oracle[r, c] * x
+                    assert (image.coeffs[r] - acc).is_zero(), (model.name, k)
 
 
 def test_d_theta_squared_zero():

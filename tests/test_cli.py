@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from novikov.cli import alg_power, main
+from novikov.cli import main
 from novikov.catalog import default_s0
-from novikov.exact import alg_eq, alg_reciprocal
+from novikov.exact import alg_eq, alg_power, alg_reciprocal
 
 
 def run(capsys, *argv):
@@ -56,6 +56,21 @@ def test_cohomology_lambda_log_rejects_transcendental(capsys):
     code, _, err = run(capsys, "cohomology", "s0:default", "--lambda-log", "0.5")
     assert code == 2
     assert "log(alpha)" in err
+
+
+@pytest.mark.parametrize("multiple", ["101", "-101", "3000", "99999999", "1" * 5000])
+def test_cohomology_lambda_log_bounds_the_multiple(capsys, multiple):
+    code, _, err = run(capsys, "cohomology", "s0:default",
+                       f"--lambda-log={multiple}*log(alpha)")
+    assert code == 2
+    assert "|k| <= 100" in err
+
+
+def test_cohomology_lambda_log_accepts_the_bound(capsys):
+    code, out, _ = run(capsys, "cohomology", "s0:default",
+                       "--lambda-log=-100*log(alpha)")
+    assert code == 0
+    assert last_json(out)["betti"] == [0, 0, 0, 0, 0]
 
 
 def test_cohomology_requires_one_selector(capsys):
@@ -171,6 +186,26 @@ def test_cone_s0_inverse_alpha_infeasible(capsys):
     doc = last_json(out)
     assert "evidence" in doc["verdict"]
     assert doc["lambda_min"] <= 1e-6
+
+
+def test_cone_lck_on_one_dimensional_kernel(capsys):
+    # the J-invariant kernel is spanned by one form whose Sym(omega(., J.))
+    # has eigenvalues [0, 0, 1, 1]; a restart from x = -1 steps onto x = 0
+    code, out, _ = run(capsys, "cone", "s0-algebra", "--at-inverse-alpha",
+                       "--kind", "lck")
+    assert code == 0
+    doc = last_json(out)
+    assert "evidence" in doc["verdict"]
+    assert len(doc["coefficients"]) == 1
+    assert abs(doc["lambda_min"]) <= 1e-6
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cone_rejects_search_sizes_below_one(capsys, flag, value):
+    code, _, err = run(capsys, "cone", "abelian4", flag, value)
+    assert code == 2
+    assert "at least 1" in err
 
 
 def test_cone_abelian_zero_theta(capsys):

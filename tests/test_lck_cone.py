@@ -35,12 +35,12 @@ def test_kernel_contains_tricerri_form():
     assert d_theta_apply(model, omega).is_zero()
     # omega lies in the span of the computed kernel basis: check the span's
     # rank does not grow
-    from novikov.exact import Matrix, rf_rank
+    from novikov.exact import Matrix, rank
     basis = kernel_basis(model)
     rows = [list(b.coeffs) for b in basis]
-    r0 = rf_rank(Matrix(len(rows), 6, [x for r in rows for x in r]))
+    r0 = rank(Matrix(len(rows), 6, [x for r in rows for x in r]))
     rows.append(list(omega.coeffs))
-    r1 = rf_rank(Matrix(len(rows), 6, [x for r in rows for x in r]))
+    r1 = rank(Matrix(len(rows), 6, [x for r in rows for x in r]))
     assert r0 == r1 == 4
 
 

@@ -35,6 +35,8 @@ def test_monodromy_must_be_unimodular():
     TorusMonodromy(((1, 1), (1, 0)))  # det -1 is fine
     with pytest.raises(ModelError):
         TorusMonodromy(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ModelError):
+        TorusMonodromy(())
 
 
 def test_explicit_actions_checks_ends():

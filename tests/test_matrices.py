@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import comb
 
+import sympy as sp
+
 from novikov.exact import (
     IntPoly,
     Matrix,
@@ -12,7 +14,6 @@ from novikov.exact import (
     nullspace,
     param,
     rank,
-    rf_rank,
 )
 
 
@@ -101,6 +102,17 @@ def test_char_poly_known():
     assert char_poly(ident).primitive().coeffs == (1, -2, 1)  # (x-1)^2
 
 
+def test_char_poly_matches_sympy_on_random_rational_matrices():
+    rng = random.Random(21)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+                for _ in range(n)]
+        want = [Fraction(int(c.p), int(c.q)) for c in sp.Matrix(rows).charpoly().all_coeffs()]
+        got = char_poly(Matrix.from_rows(rows))
+        assert [Fraction(c, got.leading()) for c in reversed(got.coeffs)] == want
+
+
 def test_char_poly_clears_denominators():
     m = Matrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     p = char_poly(m)
@@ -119,9 +131,9 @@ def test_rf_rank_with_parameters():
     zero, one = RatFunc(0), RatFunc(1)
     # rows (1, r) and (r, r^2) are proportional over Q(r)
     m = Matrix(2, 2, [one, r, r, r * r])
-    assert rf_rank(m) == 1
+    assert rank(m) == 1
     m2 = Matrix(2, 2, [one, r, zero, one])
-    assert rf_rank(m2) == 2
+    assert rank(m2) == 2
 
 
 def test_nullspace_known():
@@ -147,7 +159,7 @@ def test_nullspace_membership_random():
         m = Matrix(rows, cols,
                    [RatFunc(rng.randint(-3, 3)) for _ in range(rows * cols)])
         basis = nullspace(m)
-        assert len(basis) == cols - rf_rank(m)
+        assert len(basis) == cols - rank(m)
         for vec in basis:
             for r in range(rows):
                 acc = RatFunc(0)
