@@ -123,8 +123,7 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
         raise LieModelError("wedge of forms on different algebras")
     n = a.dim
     deg = a.degree + b.degree
-    if deg > n:
-        return InvariantForm.zero(n, n)  # zero-form tag at top degree
+    # past degree n no s, t below are disjoint: the empty form of degree deg
     idx = _basis_index(n, deg)
     out = [ZERO] * comb(n, deg)
     for s, cs in zip(wedge_basis(n, a.degree), a.coeffs):
@@ -175,14 +174,6 @@ class LieAlgebraModel:
             object.__setattr__(self, "J", rows)
 
     # -- structure ---------------------------------------------------------
-
-    def struct(self, i, j, k):
-        """Component k of [e_i, e_j]."""
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.brackets.get((i, j), {}).get(k, ZERO)
-        return -self.brackets.get((j, i), {}).get(k, ZERO)
 
     def bracket_vec(self, u, v):
         """[u, v] for coefficient vectors of RatFunc."""

@@ -82,6 +82,11 @@ class ResolvedModel:
     def is_fiber(self):
         return isinstance(self.model, FiberModel)
 
+    def profile(self, lam):
+        """Twisted Betti profile at lam, after the transform if there is one."""
+        p = twisted_betti(self.model, lam)
+        return p if self.transform is None else self.transform(p)
+
 
 def _parse_int_rows(text, what):
     try:
@@ -195,9 +200,7 @@ def cmd_cohomology(args):
     resolved = resolve_model(args.model)
     if resolved.is_fiber:
         lam = select_lambda(args, resolved)
-        profile = twisted_betti(resolved.model, lam)
-        if resolved.transform is not None:
-            profile = resolved.transform(profile)
+        profile = resolved.profile(lam)
         print(f"model   {resolved.name}")
         print(f"lambda  {lam.to_float():.6f}")
         print(f"b = {list(profile.betti)}")
@@ -217,12 +220,7 @@ def cmd_scan(args):
     resolved = resolve_model(args.model)
     if not resolved.is_fiber:
         raise CliError("scan applies to fiber models", EXIT_USAGE)
-    rows = []
-    for lam in exceptional_lambdas(resolved.model):
-        profile = twisted_betti(resolved.model, lam)
-        if resolved.transform is not None:
-            profile = resolved.transform(profile)
-        rows.append((lam, profile))
+    rows = [(lam, resolved.profile(lam)) for lam in exceptional_lambdas(resolved.model)]
     print(f"model   {resolved.name}")
     print(f"{'lambda':>12}  betti")
     for lam, profile in rows:
@@ -234,33 +232,23 @@ def cmd_scan(args):
 
 def _verify_fiber(resolved):
     checks = []
-    model = resolved.model
-    lams = list(exceptional_lambdas(model))
-    for q in (Fraction(2), Fraction(1, 3), Fraction(7, 5)):
-        lams.append(AlgebraicReal.from_rational(q))
+    exceptional = exceptional_lambdas(resolved.model)
+    lams = exceptional + [AlgebraicReal.from_rational(q)
+                          for q in (Fraction(2), Fraction(1, 3), Fraction(7, 5))]
+    profiles = [resolved.profile(lam) for lam in lams]
     pairs = []
-    ok_dual = True
-    for lam in lams:
-        p = twisted_betti(model, lam)
-        pr = twisted_betti(model, alg_reciprocal(lam))
-        if resolved.transform is not None:
-            p, pr = resolved.transform(p), resolved.transform(pr)
-        good = tuple(reversed(p.betti)) == pr.betti
-        ok_dual = ok_dual and good
+    for lam, p in zip(lams, profiles):
+        good = tuple(reversed(p.betti)) == resolved.profile(alg_reciprocal(lam)).betti
         pairs.append({"lambda": lam.to_float(), "ok": good})
-    checks.append({"name": "poincare_duality", "ok": ok_dual, "pairs": pairs})
-    chis = set()
-    for lam in lams:
-        p = twisted_betti(model, lam)
-        if resolved.transform is not None:
-            p = resolved.transform(p)
-        chis.add(euler_char(p))
+    checks.append({"name": "poincare_duality", "ok": all(pair["ok"] for pair in pairs),
+                   "pairs": pairs})
+    chis = {euler_char(p) for p in profiles}
     expected = 0 if resolved.transform is None else None
     ok_euler = len(chis) == 1 and (expected is None or chis == {expected})
     checks.append({"name": "euler_constant", "ok": ok_euler,
                    "values": sorted(chis)})
     if resolved.alpha is not None:
-        in_exc = any(resolved.alpha == x for x in exceptional_lambdas(model))
+        in_exc = any(resolved.alpha == x for x in exceptional)
         checks.append({"name": "alpha_exceptional", "ok": in_exc})
     return checks
 

@@ -99,11 +99,16 @@ class AlgebraicReal:
         return 1 if x.interval[0] >= 0 else -1
 
     def to_float(self) -> float:
+        """An approximation for display; +-inf beyond the float range."""
         if self.is_rational():
-            return float(self.as_rational())
-        x = self.refined(Fraction(1, 2**60))
-        lo, hi = x.interval
-        return float((lo + hi) / 2)
+            q = self.as_rational()
+        else:
+            lo, hi = self.refined(Fraction(1, 2**60)).interval
+            q = (lo + hi) / 2
+        try:
+            return float(q)
+        except OverflowError:
+            return float("inf") if q > 0 else float("-inf")
 
     # -- arithmetic-free exact predicates ----------------------------------
 

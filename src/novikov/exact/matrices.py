@@ -1,14 +1,16 @@
 """Dense matrices over the artifact's scalar fields and their exact linear algebra.
 
-Entries may be Fractions, NFElem, or RatFunc; the generic operations below only
-assume ring arithmetic (+, -, *) plus, where rank is needed, exact division.
+Entries may be ints, Fractions, NFElem, or RatFunc; the generic operations below
+only assume ring arithmetic (+, -, *) plus, where rank is needed, exact division
+(``rank`` and ``nullspace`` take int entries as Fractions).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from operator import mul
 
 from .numberfield import NFElem
 from .polynomials import IntPoly
@@ -73,42 +75,11 @@ def _is_zero(x):
     return x == 0
 
 
-def _minor_det(m: Matrix, row_idx, col_idx):
-    """Determinant of the square submatrix by Leibniz expansion (orders <= 6)."""
-    k = len(row_idx)
-    if k == 0:
-        return None
-    acc = None
-    for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        term = m[row_idx[0], col_idx[perm[0]]]
-        for i in range(1, k):
-            term = term * m[row_idx[i], col_idx[perm[i]]]
-        if sign < 0:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def exterior_power(m: Matrix, k: int, one=None) -> Matrix:
     """Matrix of the induced map on the k-th exterior power, wedge basis
-    ordered lexicographically on index subsets."""
+    ordered lexicographically on index subsets.  The entries are the k-minors,
+    built order by order, each by Laplace expansion along its first row from
+    the minors one order lower, so only ring arithmetic (+, -, *) is used."""
     if m.rows != m.cols:
         raise ValueError("exterior power needs a square matrix")
     n = m.rows
@@ -118,12 +89,23 @@ def exterior_power(m: Matrix, k: int, one=None) -> Matrix:
         if one is None:
             one = _one_like(m.entries[0]) if m.entries else 1
         return Matrix(1, 1, [one])
+    # minors[rows, cols] of order j, for the row sets that end some k-subset
+    minors = {((r,), (c,)): m[r, c] for r in range(k - 1, n) for c in range(n)}
+    for j in range(2, k + 1):
+        col_sets = list(combinations(range(n), j))
+        step = {}
+        for rows_s in combinations(range(k - j, n), j):
+            head, tail = rows_s[0], rows_s[1:]
+            for cols_t in col_sets:
+                acc = m[head, cols_t[0]] * minors[tail, cols_t[1:]]
+                for p in range(1, j):
+                    term = m[head, cols_t[p]] * minors[tail, cols_t[:p] + cols_t[p + 1:]]
+                    acc = acc - term if p % 2 else acc + term
+                step[rows_s, cols_t] = acc
+        minors = step
     subsets = list(combinations(range(n), k))
-    entries = []
-    for rows_s in subsets:
-        for cols_t in subsets:
-            entries.append(_minor_det(m, rows_s, cols_t))
-    return Matrix(len(subsets), len(subsets), entries)
+    return Matrix(len(subsets), len(subsets),
+                  [minors[s, t] for s in subsets for t in subsets])
 
 
 def _one_like(x):
@@ -154,9 +136,8 @@ def char_poly(m: Matrix) -> IntPoly:
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.rows
-    entries = [Fraction(x) for x in m.entries]
-    d = math.lcm(*(x.denominator for x in entries))
-    a = [[int(entries[r * n + c] * d) for c in range(n)] for r in range(n)]
+    d = math.lcm(*(x.denominator for x in m.entries))
+    a = [[int(x * d) for x in m.row(r)] for r in range(n)]
     int_coeffs = [1]  # of det(xI - D*M), highest degree first
     mk = [[int(r == c) for c in range(n)] for r in range(n)]
     for k in range(1, n + 1):
@@ -174,15 +155,15 @@ def char_poly(m: Matrix) -> IntPoly:
 
 
 def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def rank(m: Matrix) -> int:
-    """Rank by Gaussian elimination with exact division; works over Fraction,
-    NFElem, and RatFunc entries.  Over rational-function fields the pivot of
+    """Rank by Gaussian elimination with exact division; works over int,
+    Fraction, NFElem, and RatFunc entries.  Over rational-function fields the pivot of
     smallest numerator total degree is chosen to control expression swell."""
-    rows = [list(r) for r in m.to_rows()]
+    rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
     nrows, ncols = m.rows, m.cols
     rk = 0
     for col in range(ncols):
@@ -220,7 +201,7 @@ def nf_rank(m: Matrix) -> int:
 def nullspace(m: Matrix):
     """Exact kernel basis (list of column vectors) over a field with exact
     division; returned vectors are lists of entries."""
-    rows = [list(r) for r in m.to_rows()]
+    rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
     nrows, ncols = m.rows, m.cols
     pivots = []
     rk = 0

@@ -8,6 +8,12 @@ from the kernel dimensions ``kappa_k(lam) = dim ker(lam * Phi_k - I)`` via
 
 a consolidation of the twisted Mayer-Vietoris rank bookkeeping that is pinned
 against golden profiles in the tests rather than trusted abstractly.
+
+``kappa_k`` needs no arithmetic in Q(lam): p, the minimal polynomial of
+1/lam, is irreducible, so ``dim_Q ker p(Phi_k) = deg(p) * kappa_k``, one rank
+over Q.  For deg(p) > 1, kappa_k is the multiplicity of p in the
+characteristic polynomial of Phi_k when that is 0 or 1, with no rank at all.
+Phi_k and its characteristic polynomial are computed once per model.
 """
 
 from __future__ import annotations
@@ -16,20 +22,21 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import comb
+from math import comb, lcm
 
 from .exact import (
     AlgebraicReal,
     Matrix,
-    NumberField,
     alg_cmp,
     alg_eq,
     alg_reciprocal,
     char_poly,
     exterior_power,
     isolate_real_roots,
-    nf_rank,
+    rank,
 )
+from .exact.matrices import _mat_mul
+from .exact.polynomials import _frac_divmod
 
 
 class ModelError(ValueError):
@@ -113,6 +120,8 @@ class FiberModel:
     dim_fiber: int
     mode: object
     name: str = ""
+    # Phi_k and its characteristic polynomial, filled in on first use
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.mode
@@ -160,50 +169,77 @@ def lambda_to_jsonable(lam: AlgebraicReal):
     }
 
 
+def _cached(model: FiberModel, key, make):
+    if key not in model._cache:
+        model._cache[key] = make()
+    return model._cache[key]
+
+
 def _phi_matrix(model: FiberModel, k):
-    """Phi_k as a Matrix over Fraction."""
+    """Phi_k, over int for a torus monodromy and Fraction for explicit actions."""
     m = model.mode
     if isinstance(m, TorusMonodromy):
-        base = Matrix.from_rows([[Fraction(x) for x in r] for r in m.phi1])
-        return exterior_power(base, k, one=Fraction(1))
+        return _cached(model, ("phi", k),
+                       lambda: exterior_power(Matrix.from_rows(m.phi1), k, one=1))
     if isinstance(m, ExplicitActions):
         return m.actions[k]
     raise TypeError("eigen-descriptor mode has no explicit matrices")
 
 
+def _char_poly(model: FiberModel, k):
+    return _cached(model, ("chi", k), lambda: char_poly(_phi_matrix(model, k)))
+
+
+def _multiplicity(p, q):
+    """How many times the integer polynomial p (degree >= 1) divides q != 0."""
+    rest, mult = [Fraction(c) for c in q.coeffs], 0
+    while True:
+        quo, rem = _frac_divmod(rest, p.coeffs)
+        if rem:
+            return mult
+        rest, mult = quo, mult + 1
+
+
+def _poly_at_matrix(p, phi: Matrix):
+    """D^deg(p) * p(phi) by Horner's rule in integers, where D clears the
+    denominators of phi's entries: it has the kernel of p(phi)."""
+    n = phi.rows
+    d = lcm(*(x.denominator for x in phi.entries))
+    a = [[int(x * d) for x in phi.row(r)] for r in range(n)]
+    acc = [[p.coeffs[-1] * x for x in row] for row in a]
+    for i, c in enumerate(reversed(p.coeffs[:-1]), 1):
+        for r in range(n):
+            acc[r][r] += c * d ** i
+        if i < p.degree:
+            acc = _mat_mul(acc, a)
+    return Matrix.from_rows(acc)
+
+
 def kappa(model: FiberModel, lam: AlgebraicReal, k: int) -> int:
-    """dim ker(lam * Phi_k - I) over Q(lam)."""
+    """dim ker(lam * Phi_k - I) over Q(lam), found by ranks over Q."""
     n = model.dim_fiber
     if not 0 <= k <= n:
         raise ModelError(f"degree {k} out of range 0..{n}")
+    if lam.sign() <= 0:
+        raise ModelError("Lee parameter must be positive")
     mode = model.mode
     if isinstance(mode, EigenDescriptor):
         target = alg_reciprocal(lam)
-        total = 0
-        for ev, mult in mode.spectra[k]:
-            if isinstance(ev, ConjugatePair):
-                continue  # conjugate pairs never match a real lambda
-            if alg_eq(ev, target):
-                total += mult
-        return total
+        # conjugate pairs never match a real lambda
+        return sum(mult for ev, mult in mode.spectra[k]
+                   if not isinstance(ev, ConjugatePair) and alg_eq(ev, target))
     phi = _phi_matrix(model, k)
-    nf = NumberField(lam)
-    gen = nf.gen()
-    size = phi.rows
-    entries = []
-    for i in range(size):
-        for j in range(size):
-            e = gen * phi[i, j]
-            if i == j:
-                e = e - nf.one()
-            entries.append(e)
-    return size - nf_rank(Matrix(size, size, entries))
+    p = lam.minpoly.reversed().primitive()
+    if p.degree > 1:
+        # 1 <= geometric <= algebraic multiplicity, so 0 and 1 need no rank
+        mult = _multiplicity(p, _char_poly(model, k))
+        if mult <= 1:
+            return mult
+    return (phi.rows - rank(_poly_at_matrix(p, phi))) // p.degree
 
 
 def twisted_betti(model: FiberModel, lam: AlgebraicReal) -> BettiProfile:
     """Full twisted Betti profile b_0..b_{n+1} of the total space."""
-    if lam.sign() <= 0:
-        raise ModelError("Lee parameter must be positive")
     n = model.dim_fiber
     kappas = [kappa(model, lam, k) for k in range(n + 1)]
     betti = [kappas[0]]
@@ -221,10 +257,8 @@ def exceptional_lambdas(model: FiberModel):
         eigen = [ev for spec in mode.spectra for ev, _ in spec
                  if not isinstance(ev, ConjugatePair)]
     else:
-        eigen = []
-        for k in range(model.dim_fiber + 1):
-            cp = char_poly(_phi_matrix(model, k))
-            eigen.extend(r for r, _ in isolate_real_roots(cp))
+        eigen = [r for k in range(model.dim_fiber + 1)
+                 for r, _ in isolate_real_roots(_char_poly(model, k))]
     for ev in eigen:
         if ev.sign() <= 0:
             continue

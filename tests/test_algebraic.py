@@ -43,6 +43,16 @@ def test_to_float_accuracy():
     assert abs(sqrt2().to_float() - math.sqrt(2)) < 1e-12
 
 
+def test_to_float_saturates_beyond_float_range():
+    big = 10 ** 400
+    assert AlgebraicReal.from_rational(big).to_float() == math.inf
+    assert AlgebraicReal.from_rational(-big).to_float() == -math.inf
+    assert AlgebraicReal.from_rational(Fraction(1, big)).to_float() == 0.0
+    root = AlgebraicReal.from_poly(IntPoly((-2 * big * big, 0, 1)), big, 2 * big)
+    assert root.to_float() == math.inf
+    assert alg_neg(root).to_float() == -math.inf
+
+
 def test_refined_keeps_root():
     a = sqrt2().refined(Fraction(1, 1024))
     lo, hi = a.interval

@@ -82,6 +82,17 @@ def test_zero_form_outside_degree_range_has_no_coefficients():
         assert zero.degree == degree and zero.coeffs == () and zero.is_zero()
 
 
+def test_wedge_degree_is_the_sum_of_degrees():
+    rng = random.Random(19)
+    for p in range(5):
+        for q in range(5):
+            a, b = rand_form(rng, 4, p), rand_form(rng, 4, q)
+            w = wedge(a, b)
+            assert w.degree == p + q, (p, q)
+            if p + q > 4:
+                assert w == InvariantForm.zero(4, p + q)
+
+
 def test_covector_and_from_dict():
     e1 = InvariantForm.covector(4, 0)
     e2 = InvariantForm.covector(4, 1)
@@ -129,7 +140,7 @@ def wedge_oracle_d_theta_matrix(model, k):
             rest = InvariantForm.from_dict(n, k - 1, {s[:t] + s[t + 1:]: 1})
             term = wedge(d_cov[i], rest)
             col = col + (-term if t % 2 else term)
-        cols.append(col.coeffs[:rows])
+        cols.append(col.coeffs)
     return Matrix(rows, len(cols), [col[r] for r in range(rows) for col in cols])
 
 

@@ -95,6 +95,16 @@ def test_cohomology_kato(capsys):
     assert last_json(out)["betti"] == [0, 0, 7, 0, 0]
 
 
+def test_cohomology_lambda_beyond_float_range(capsys):
+    # exact answer; the printed approximation saturates instead of raising
+    code, out, _ = run(capsys, "cohomology", "hopf", "--lambda", "rational:1" + "0" * 400)
+    assert code == 0
+    assert "lambda  inf" in out
+    doc = last_json(out)
+    assert doc["betti"] == [0, 0, 0, 0, 0]
+    assert doc["lambda"]["approx"] == float("inf")
+
+
 def test_bad_lambda_spec(capsys):
     code, _, err = run(capsys, "cohomology", "hopf", "--lambda", "sqrt:2")
     assert code == 2

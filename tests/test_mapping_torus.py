@@ -4,8 +4,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+import sympy as sp
 
-from novikov.exact import AlgebraicReal, Matrix, alg_reciprocal, char_poly, isolate_real_roots
+from novikov.exact import (
+    AlgebraicReal,
+    Matrix,
+    NumberField,
+    alg_reciprocal,
+    char_poly,
+    exterior_power,
+    isolate_real_roots,
+    nf_rank,
+)
 from novikov.mapping_torus import (
     BettiProfile,
     ConjugatePair,
@@ -226,3 +236,154 @@ def test_profile_json_roundtrip():
     lo = Fraction(doc["lambda"]["interval"][0])
     hi = Fraction(doc["lambda"]["interval"][1])
     assert lo < Fraction(doc["lambda"]["approx"]).limit_denominator(10**9) < hi
+
+
+# -- kappa over Q against the Q(lambda) oracle --------------------------------
+
+HYPERBOLIC = ((2, 1), (1, 1))
+CUBIC = ((0, 0, 1), (1, 0, 1), (0, 1, 0))  # companion of x^3 - x - 1
+_X = sp.Symbol("x")
+
+
+def nf_kappa(phi, lam):
+    """Oracle: dim ker(lam * Phi - I) by elimination over Q(lam)."""
+    nf = NumberField(lam)
+    gen = nf.gen()
+    size = phi.rows
+    entries = [gen * phi[i, j] - (nf.one() if i == j else nf.zero())
+               for i in range(size) for j in range(size)]
+    return size - nf_rank(Matrix(size, size, entries))
+
+
+def block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(row)] = row
+        at += len(b)
+    return rows
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def elementary_product(rng, n, steps):
+    """A random element of SL_n(Z): a product of elementary matrices."""
+    rows = identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def unimodular_conjugate(rows, rng, steps):
+    """E M E^-1 for `steps` random elementary E = I + c e_i e_j^T."""
+    m = [list(r) for r in rows]
+    for _ in range(steps):
+        i, j = rng.sample(range(len(m)), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= c * row[i]
+    return m
+
+
+def parity_monodromies():
+    """Catalog and seeded SL_n(Z) monodromies of dims 3-6, plus ones built
+    to give kappa >= 2: the identity, repeated hyperbolic blocks, a unipotent
+    Jordan block and a hyperbolic Jordan block (geometric < algebraic
+    multiplicity at an irrational eigenvalue)."""
+    rng = random.Random(29)
+    monos = {"s0:default": default_s0()[0].mode.phi1,
+             "identity 4": identity(4),
+             "hyperbolic x2": block_diag(HYPERBOLIC, HYPERBOLIC),
+             "hyperbolic x3": unimodular_conjugate(
+                 block_diag(HYPERBOLIC, HYPERBOLIC, HYPERBOLIC), rng, 4),
+             "unipotent jordan": [[int(j in (i, i + 1)) for j in range(4)] for i in range(4)],
+             "hyperbolic jordan": ((2, 1, 1, 0), (1, 1, 0, 1), (0, 0, 2, 1), (0, 0, 1, 1)),
+             "seeded dim 5": unimodular_conjugate(block_diag(HYPERBOLIC, CUBIC), rng, 4),
+             "seeded dim 6": unimodular_conjugate(block_diag(CUBIC, CUBIC), rng, 4)}
+    for i, n in enumerate((3, 3, 4, 4)):
+        monos[f"random dim {n} #{i}"] = elementary_product(rng, n, 12)
+    return monos
+
+
+def explicit_twin(rows, phis):
+    """The same actions conjugated by diag(1, 2, ...), as ExplicitActions:
+    kernel dimensions agree, and the entries get denominators."""
+    acts = []
+    for phi in phis:
+        n = phi.rows
+        acts.append(Matrix(n, n, [phi[i, j] * Fraction(i + 1, j + 1)
+                                  for i in range(n) for j in range(n)]))
+    return FiberModel(len(rows), ExplicitActions(len(rows), tuple(acts)))
+
+
+def test_kappa_matches_number_field_oracle():
+    branches = {"rational": 0, "simple": 0, "repeated": 0, "defective": 0}
+    for name, rows in parity_monodromies().items():
+        n = len(rows)
+        model = FiberModel(n, TorusMonodromy(rows))
+        phis = [exterior_power(Matrix.from_rows([[Fraction(x) for x in r] for r in rows]),
+                               k, one=Fraction(1)) for k in range(n + 1)]
+        twin = explicit_twin(rows, phis)
+        charpolys = [sp.Matrix(phi.to_rows()).charpoly(_X).as_expr() for phi in phis]
+        # the exceptional set: reciprocals of the distinct positive real eigenvalues
+        eigen = {r for cp in charpolys for r in sp.Poly(cp, _X).real_roots() if r > 0}
+        exc = exceptional_lambdas(model)
+        assert len(exc) == len(eigen), name
+        assert [float(x) for x in sorted(1 / r for r in eigen)] == \
+            pytest.approx([x.to_float() for x in exc], rel=1e-12), name
+        assert all(a == b for a, b in zip(exceptional_lambdas(twin), exc)), name
+        lams = list(exc)
+        for lam in exc:
+            inv = alg_reciprocal(lam)
+            if not any(inv == x for x in lams):
+                lams.append(inv)
+        lams += [rational(q) for q in (1, 2, Fraction(1, 3), Fraction(7, 5))]
+        for lam in lams:
+            want = [nf_kappa(phi, lam) for phi in phis]
+            for k in range(n + 1):
+                assert kappa(model, lam, k) == want[k], (name, lam, k)
+                assert kappa(twin, lam, k) == want[k], (name, lam, k)
+                if lam.is_rational():
+                    branches["rational"] += 1
+                    continue
+                # minimal polynomial of 1/lam: Poly reads the list highest first
+                mu = sp.Poly(list(lam.minpoly.coeffs), _X).monic()
+                factors = {sp.Poly(f, _X).monic(): m
+                           for f, m in sp.factor_list(charpolys[k], _X)[1]}
+                mult = factors.get(mu, 0)
+                branches["simple" if mult <= 1 else "repeated"] += 1
+                branches["defective"] += 1 < mult and want[k] < mult
+            want_betti = [want[0]] + [want[k] + want[k - 1] for k in range(1, n + 1)] + [want[n]]
+            assert twisted_betti(model, lam).betti == tuple(want_betti), (name, lam)
+    assert all(branches.values()), branches
+
+
+def test_phi_and_char_poly_are_computed_once_per_model(monkeypatch):
+    import novikov.mapping_torus as mt
+
+    rows = unimodular_conjugate(block_diag(HYPERBOLIC, CUBIC), random.Random(31), 4)
+    model = FiberModel(5, TorusMonodromy(rows))
+    calls = {"exterior_power": 0, "char_poly": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mt, name, counted(name, getattr(mt, name)))
+    for lam in exceptional_lambdas(model) + [rational(2)]:
+        twisted_betti(model, lam)
+    exceptional_lambdas(model)
+    assert calls == {"exterior_power": 6, "char_poly": 6}
+    # a new model starts with nothing cached
+    twisted_betti(FiberModel(5, TorusMonodromy(rows)), rational(2))
+    assert calls["exterior_power"] == 12

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import sympy as sp
@@ -36,6 +37,54 @@ def test_exterior_power_shapes():
         ek = exterior_power(m, k, one=Fraction(1))
         assert ek.rows == ek.cols == comb(4, k)
     assert exterior_power(m, 0, one=Fraction(1)).entries == [Fraction(1)]
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def leibniz_exterior_power(m, k):
+    """Oracle: every k-minor by the Leibniz sum over permutations."""
+    subsets = list(combinations(range(m.rows), k))
+    entries = []
+    for rows in subsets:
+        for cols in subsets:
+            acc = 0
+            for perm in permutations(range(k)):
+                term = _perm_sign(perm)
+                for i in range(k):
+                    term = term * m[rows[i], cols[perm[i]]]
+                acc = acc + term
+            entries.append(acc)
+    return Matrix(len(subsets), len(subsets), entries)
+
+
+def test_exterior_power_matches_leibniz_oracle():
+    rng = random.Random(23)
+    for trial in range(40):
+        n = 1 + trial % 6
+        if trial % 2:
+            m = Matrix(n, n, [rng.randint(-5, 5) for _ in range(n * n)])
+        else:
+            m = Matrix(n, n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(n * n)])
+        for k in range(n + 1):
+            got = exterior_power(m, k)
+            want = leibniz_exterior_power(m, k)
+            assert got.entries == want.entries, (n, k)
+            assert {type(x) for x in got.entries} == {type(m.entries[0])}
 
 
 def test_exterior_functoriality():
@@ -124,6 +173,15 @@ def test_rank_fraction():
     m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     m = Matrix(3, 3, [Fraction(x) for x in m.entries])
     assert rank(m) == 2
+
+
+def test_rank_of_int_entries_is_exact():
+    # float division would round the determinant -1 away
+    big = 10 ** 17
+    m = Matrix.from_rows([[big + 1, big], [big, big - 1]])
+    assert rank(m) == 2
+    assert nullspace(m) == []
+    assert len(nullspace(Matrix.from_rows([[big, big + 1], [2 * big, 2 * big + 2]]))) == 1
 
 
 def test_rf_rank_with_parameters():
