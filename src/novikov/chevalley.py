@@ -123,7 +123,8 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
         raise LieModelError("wedge of forms on different algebras")
     n = a.dim
     deg = a.degree + b.degree
-    # past degree n no s, t below are disjoint: the empty form of degree deg
+    if deg > n:
+        return InvariantForm.zero(n, deg)
     idx = _basis_index(n, deg)
     out = [ZERO] * comb(n, deg)
     for s, cs in zip(wedge_basis(n, a.degree), a.coeffs):

@@ -52,6 +52,7 @@ from .mapping_torus import (
     ModelError,
     euler_char,
     exceptional_lambdas,
+    json_approx,
     lambda_to_jsonable,
     twisted_betti,
 )
@@ -239,7 +240,7 @@ def _verify_fiber(resolved):
     pairs = []
     for lam, p in zip(lams, profiles):
         good = tuple(reversed(p.betti)) == resolved.profile(alg_reciprocal(lam)).betti
-        pairs.append({"lambda": lam.to_float(), "ok": good})
+        pairs.append({"lambda": json_approx(lam), "ok": good})
     checks.append({"name": "poincare_duality", "ok": all(pair["ok"] for pair in pairs),
                    "pairs": pairs})
     chis = {euler_char(p) for p in profiles}

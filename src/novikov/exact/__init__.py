@@ -22,6 +22,7 @@ from .matrices import (
     exterior_square_cyclic,
     nf_rank,
     nullspace,
+    poly_at_matrix,
     rank,
 )
 
@@ -30,5 +31,5 @@ __all__ = [
     "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp", "alg_neg",
     "alg_power", "alg_reciprocal", "NumberField", "NFElem", "RatFunc", "param",
     "Matrix", "char_poly", "exterior_power", "exterior_square_cyclic",
-    "nf_rank", "nullspace", "rank",
+    "nf_rank", "nullspace", "poly_at_matrix", "rank",
 ]

@@ -136,8 +136,7 @@ def char_poly(m: Matrix) -> IntPoly:
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.rows
-    d = math.lcm(*(x.denominator for x in m.entries))
-    a = [[int(x * d) for x in m.row(r)] for r in range(n)]
+    d, a = _integer_rows(m)
     int_coeffs = [1]  # of det(xI - D*M), highest degree first
     mk = [[int(r == c) for c in range(n)] for r in range(n)]
     for k in range(1, n + 1):
@@ -152,6 +151,29 @@ def char_poly(m: Matrix) -> IntPoly:
     lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
     return IntPoly(list(reversed(ints)))
+
+
+def poly_at_matrix(p: IntPoly, m: Matrix) -> Matrix:
+    """D^deg(p) * p(M) for a rational matrix M, by Horner's rule in integer
+    arithmetic on D*M (D clears the entries' denominators); it has the kernel
+    of p(M)."""
+    if m.rows != m.cols:
+        raise ValueError("a polynomial in a matrix needs a square matrix")
+    n = m.rows
+    d, a = _integer_rows(m)
+    acc = [[p.coeffs[-1] * x for x in row] for row in a]
+    for i, c in enumerate(reversed(p.coeffs[:-1]), 1):
+        for r in range(n):
+            acc[r][r] += c * d ** i
+        if i < p.degree:
+            acc = _mat_mul(acc, a)
+    return Matrix.from_rows(acc)
+
+
+def _integer_rows(m: Matrix):
+    """(D, the rows of D*M as ints), D the lcm of the entries' denominators."""
+    d = math.lcm(*(x.denominator for x in m.entries))
+    return d, [[int(x * d) for x in m.row(r)] for r in range(m.rows)]
 
 
 def _mat_mul(a, b):

@@ -11,9 +11,7 @@ against golden profiles in the tests rather than trusted abstractly.
 
 ``kappa_k`` needs no arithmetic in Q(lam): p, the minimal polynomial of
 1/lam, is irreducible, so ``dim_Q ker p(Phi_k) = deg(p) * kappa_k``, one rank
-over Q.  For deg(p) > 1, kappa_k is the multiplicity of p in the
-characteristic polynomial of Phi_k when that is 0 or 1, with no rank at all.
-Phi_k and its characteristic polynomial are computed once per model.
+over Q.  Phi_k is computed once per model.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import comb, lcm
+from math import comb, isfinite
 
 from .exact import (
     AlgebraicReal,
@@ -33,10 +31,9 @@ from .exact import (
     char_poly,
     exterior_power,
     isolate_real_roots,
+    poly_at_matrix,
     rank,
 )
-from .exact.matrices import _mat_mul
-from .exact.polynomials import _frac_divmod
 
 
 class ModelError(ValueError):
@@ -120,7 +117,7 @@ class FiberModel:
     dim_fiber: int
     mode: object
     name: str = ""
-    # Phi_k and its characteristic polynomial, filled in on first use
+    # Phi_k, filled in on first use
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -165,54 +162,26 @@ def lambda_to_jsonable(lam: AlgebraicReal):
     return {
         "minpoly": list(lam.minpoly.coeffs),
         "interval": [f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"],
-        "approx": lam.to_float(),
+        "approx": json_approx(lam),
     }
 
 
-def _cached(model: FiberModel, key, make):
-    if key not in model._cache:
-        model._cache[key] = make()
-    return model._cache[key]
+def json_approx(lam: AlgebraicReal):
+    """lam.to_float(), or None where it is not finite: JSON has no Infinity."""
+    x = lam.to_float()
+    return x if isfinite(x) else None
 
 
 def _phi_matrix(model: FiberModel, k):
     """Phi_k, over int for a torus monodromy and Fraction for explicit actions."""
     m = model.mode
     if isinstance(m, TorusMonodromy):
-        return _cached(model, ("phi", k),
-                       lambda: exterior_power(Matrix.from_rows(m.phi1), k, one=1))
+        if k not in model._cache:
+            model._cache[k] = exterior_power(Matrix.from_rows(m.phi1), k, one=1)
+        return model._cache[k]
     if isinstance(m, ExplicitActions):
         return m.actions[k]
     raise TypeError("eigen-descriptor mode has no explicit matrices")
-
-
-def _char_poly(model: FiberModel, k):
-    return _cached(model, ("chi", k), lambda: char_poly(_phi_matrix(model, k)))
-
-
-def _multiplicity(p, q):
-    """How many times the integer polynomial p (degree >= 1) divides q != 0."""
-    rest, mult = [Fraction(c) for c in q.coeffs], 0
-    while True:
-        quo, rem = _frac_divmod(rest, p.coeffs)
-        if rem:
-            return mult
-        rest, mult = quo, mult + 1
-
-
-def _poly_at_matrix(p, phi: Matrix):
-    """D^deg(p) * p(phi) by Horner's rule in integers, where D clears the
-    denominators of phi's entries: it has the kernel of p(phi)."""
-    n = phi.rows
-    d = lcm(*(x.denominator for x in phi.entries))
-    a = [[int(x * d) for x in phi.row(r)] for r in range(n)]
-    acc = [[p.coeffs[-1] * x for x in row] for row in a]
-    for i, c in enumerate(reversed(p.coeffs[:-1]), 1):
-        for r in range(n):
-            acc[r][r] += c * d ** i
-        if i < p.degree:
-            acc = _mat_mul(acc, a)
-    return Matrix.from_rows(acc)
 
 
 def kappa(model: FiberModel, lam: AlgebraicReal, k: int) -> int:
@@ -230,12 +199,7 @@ def kappa(model: FiberModel, lam: AlgebraicReal, k: int) -> int:
                    if not isinstance(ev, ConjugatePair) and alg_eq(ev, target))
     phi = _phi_matrix(model, k)
     p = lam.minpoly.reversed().primitive()
-    if p.degree > 1:
-        # 1 <= geometric <= algebraic multiplicity, so 0 and 1 need no rank
-        mult = _multiplicity(p, _char_poly(model, k))
-        if mult <= 1:
-            return mult
-    return (phi.rows - rank(_poly_at_matrix(p, phi))) // p.degree
+    return (phi.rows - rank(poly_at_matrix(p, phi))) // p.degree
 
 
 def twisted_betti(model: FiberModel, lam: AlgebraicReal) -> BettiProfile:
@@ -258,7 +222,7 @@ def exceptional_lambdas(model: FiberModel):
                  if not isinstance(ev, ConjugatePair)]
     else:
         eigen = [r for k in range(model.dim_fiber + 1)
-                 for r, _ in isolate_real_roots(_char_poly(model, k))]
+                 for r, _ in isolate_real_roots(char_poly(_phi_matrix(model, k)))]
     for ev in eigen:
         if ev.sign() <= 0:
             continue

@@ -13,8 +13,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def last_json(stdout):
-    return json.loads(stdout.strip().splitlines()[-1])
+    # strict: NaN and Infinity are not JSON (RFC 8259)
+    return json.loads(stdout.strip().splitlines()[-1], parse_constant=_no_constant)
 
 
 # -- cohomology --------------------------------------------------------------
@@ -102,7 +107,24 @@ def test_cohomology_lambda_beyond_float_range(capsys):
     assert "lambda  inf" in out
     doc = last_json(out)
     assert doc["betti"] == [0, 0, 0, 0, 0]
-    assert doc["lambda"]["approx"] == float("inf")
+    assert doc["lambda"]["approx"] is None
+
+
+def test_scan_and_verify_json_beyond_float_range(capsys, tmp_path):
+    # a hyperbolic descriptor with eigenvalues 10^-400 and 10^400 on H^1
+    tiny = "rational:1/1" + "0" * 400
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"type": "fiber_descriptor", "dim": 2, "h_dims": [1, 2, 1],
+                                "spectra": [["rational:1"], [tiny, "rational:1" + "0" * 400],
+                                            ["rational:1"]]}))
+    code, out, _ = run(capsys, "scan", str(path))
+    assert code == 0
+    approx = [row["lambda"]["approx"] for row in last_json(out)]
+    assert approx == [0.0, 1.0, None]
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    pairs = last_json(out)["models"][0]["checks"][0]["pairs"]
+    assert [pair["lambda"] for pair in pairs][:3] == [0.0, 1.0, None]
 
 
 def test_bad_lambda_spec(capsys):

@@ -324,7 +324,10 @@ def explicit_twin(rows, phis):
 
 
 def test_kappa_matches_number_field_oracle():
-    branches = {"rational": 0, "simple": 0, "repeated": 0, "defective": 0}
+    # cases covered: rational lam, and at irrational lam the minimal polynomial
+    # of 1/lam dividing chi_k at most once, repeatedly, and repeatedly with
+    # geometric < algebraic multiplicity
+    cases = {"rational": 0, "simple": 0, "repeated": 0, "defective": 0}
     for name, rows in parity_monodromies().items():
         n = len(rows)
         model = FiberModel(n, TorusMonodromy(rows))
@@ -351,21 +354,21 @@ def test_kappa_matches_number_field_oracle():
                 assert kappa(model, lam, k) == want[k], (name, lam, k)
                 assert kappa(twin, lam, k) == want[k], (name, lam, k)
                 if lam.is_rational():
-                    branches["rational"] += 1
+                    cases["rational"] += 1
                     continue
                 # minimal polynomial of 1/lam: Poly reads the list highest first
                 mu = sp.Poly(list(lam.minpoly.coeffs), _X).monic()
                 factors = {sp.Poly(f, _X).monic(): m
                            for f, m in sp.factor_list(charpolys[k], _X)[1]}
                 mult = factors.get(mu, 0)
-                branches["simple" if mult <= 1 else "repeated"] += 1
-                branches["defective"] += 1 < mult and want[k] < mult
+                cases["simple" if mult <= 1 else "repeated"] += 1
+                cases["defective"] += 1 < mult and want[k] < mult
             want_betti = [want[0]] + [want[k] + want[k - 1] for k in range(1, n + 1)] + [want[n]]
             assert twisted_betti(model, lam).betti == tuple(want_betti), (name, lam)
-    assert all(branches.values()), branches
+    assert all(cases.values()), cases
 
 
-def test_phi_and_char_poly_are_computed_once_per_model(monkeypatch):
+def test_phi_is_computed_once_per_model(monkeypatch):
     import novikov.mapping_torus as mt
 
     rows = unimodular_conjugate(block_diag(HYPERBOLIC, CUBIC), random.Random(31), 4)
@@ -382,8 +385,10 @@ def test_phi_and_char_poly_are_computed_once_per_model(monkeypatch):
         monkeypatch.setattr(mt, name, counted(name, getattr(mt, name)))
     for lam in exceptional_lambdas(model) + [rational(2)]:
         twisted_betti(model, lam)
-    exceptional_lambdas(model)
+    # kappa takes one rank per degree, no characteristic polynomial
     assert calls == {"exterior_power": 6, "char_poly": 6}
+    exceptional_lambdas(model)
+    assert calls == {"exterior_power": 6, "char_poly": 12}
     # a new model starts with nothing cached
     twisted_betti(FiberModel(5, TorusMonodromy(rows)), rational(2))
     assert calls["exterior_power"] == 12

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, lcm
 
 import sympy as sp
 
@@ -14,6 +14,7 @@ from novikov.exact import (
     exterior_square_cyclic,
     nullspace,
     param,
+    poly_at_matrix,
     rank,
 )
 
@@ -167,6 +168,21 @@ def test_char_poly_clears_denominators():
     p = char_poly(m)
     assert all(isinstance(c, int) for c in p.coeffs)
     assert p(Fraction(1, 2)) == 0 and p(Fraction(1, 3)) == 0
+
+
+def test_poly_at_matrix_is_a_scaled_horner_evaluation():
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+                for _ in range(n)]
+        p = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 5)])
+        d = lcm(*(x.denominator for r in rows for x in r))
+        m = sp.Matrix(rows)
+        want = d ** p.degree * sum((c * m ** j for j, c in enumerate(p.coeffs)), sp.zeros(n, n))
+        got = poly_at_matrix(p, Matrix.from_rows(rows))
+        assert all(type(x) is int for x in got.entries)
+        assert got.to_rows() == want.tolist()
 
 
 def test_rank_fraction():
