@@ -12,17 +12,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+import sympy as sp
+
 from .chevalley import InvariantForm, LieAlgebraModel, validate
 from .exact import (
     AlgebraicReal,
     IntPoly,
     Matrix,
-    RatFunc,
     alg_neg,
     alg_reciprocal,
     char_poly,
     isolate_real_roots,
-    param,
 )
 from .mapping_torus import (
     BettiProfile,
@@ -178,21 +178,21 @@ def _check(model):
 def s0_algebra() -> LieAlgebraModel:
     """Solvable algebra of the S0 surface, basis (A, X, Y1, Y2), parameters
     r, s; Lee covector theta = -2r * (A-dual); Tricerri form attached."""
-    r, s = param("r"), param("s")
-    omega = InvariantForm.from_dict(4, 2, {(0, 1): RatFunc(-1), (2, 3): RatFunc(-1)})
+    r, s = sp.symbols("r s")
+    omega = InvariantForm.from_dict(4, 2, {(0, 1): -1, (2, 3): -1})
     model = LieAlgebraModel(
         dim=4,
         params=("r", "s"),
         brackets={
-            (0, 1): {1: RatFunc(-2) * r},
+            (0, 1): {1: -2 * r},
             (0, 2): {2: r, 3: s},
             (0, 3): {3: r, 2: -s},
         },
-        theta=(RatFunc(-2) * r, RatFunc(0), RatFunc(0), RatFunc(0)),
-        J=((RatFunc(0), RatFunc(-1), RatFunc(0), RatFunc(0)),
-           (RatFunc(1), RatFunc(0), RatFunc(0), RatFunc(0)),
-           (RatFunc(0), RatFunc(0), RatFunc(0), RatFunc(-1)),
-           (RatFunc(0), RatFunc(0), RatFunc(1), RatFunc(0))),
+        theta=(-2 * r, 0, 0, 0),
+        J=((0, -1, 0, 0),
+           (1, 0, 0, 0),
+           (0, 0, 0, -1),
+           (0, 0, 1, 0)),
         named_forms={"omega": omega},
         name="s0-algebra",
     )
@@ -202,22 +202,22 @@ def s0_algebra() -> LieAlgebraModel:
 def splus_algebra(a=None) -> LieAlgebraModel:
     """Solvmanifold algebra of S+/S-, basis (e1..e4), theta = e4-dual; the
     complex structure carries the real parameter a."""
-    av = param("a") if a is None else RatFunc(a)
+    av = sp.Symbol("a") if a is None else a
     params = ("a",) if a is None else ()
     model = LieAlgebraModel(
         dim=4,
         params=params,
         brackets={
-            (1, 2): {0: RatFunc(-1)},
-            (1, 3): {1: RatFunc(-1)},
-            (2, 3): {2: RatFunc(1)},
+            (1, 2): {0: -1},
+            (1, 3): {1: -1},
+            (2, 3): {2: 1},
         },
-        theta=(RatFunc(0), RatFunc(0), RatFunc(0), RatFunc(1)),
+        theta=(0, 0, 0, 1),
         # columns: Je1 = e2, Je2 = -e1, Je3 = e4 - a e2, Je4 = -e3 - a e1
-        J=((RatFunc(0), RatFunc(-1), RatFunc(0), -av),
-           (RatFunc(1), RatFunc(0), -av, RatFunc(0)),
-           (RatFunc(0), RatFunc(0), RatFunc(0), RatFunc(-1)),
-           (RatFunc(0), RatFunc(0), RatFunc(1), RatFunc(0))),
+        J=((0, -1, 0, -av),
+           (1, 0, -av, 0),
+           (0, 0, 0, -1),
+           (0, 0, 1, 0)),
         name="splus-algebra",
     )
     return _check(model)
@@ -229,18 +229,18 @@ def splus_coframe_model() -> LieAlgebraModel:
     zeta, tau, h and the LCK form omega = 2(f1^f2 + f3^f4)."""
     named = {
         "zeta": InvariantForm.covector(4, 0),
-        "tau": InvariantForm.from_dict(4, 2, {(0, 2): RatFunc(-1)}),
-        "h": InvariantForm.from_dict(4, 2, {(0, 1): RatFunc(2)}),
-        "omega": InvariantForm.from_dict(4, 2, {(0, 1): RatFunc(2), (2, 3): RatFunc(2)}),
+        "tau": InvariantForm.from_dict(4, 2, {(0, 2): -1}),
+        "h": InvariantForm.from_dict(4, 2, {(0, 1): 2}),
+        "omega": InvariantForm.from_dict(4, 2, {(0, 1): 2, (2, 3): 2}),
     }
     model = LieAlgebraModel(
         dim=4,
         brackets={
-            (0, 2): {0: RatFunc(1)},
-            (0, 3): {1: RatFunc(1)},
-            (2, 3): {3: RatFunc(1)},
+            (0, 2): {0: 1},
+            (0, 3): {1: 1},
+            (2, 3): {3: 1},
         },
-        theta=(RatFunc(0), RatFunc(0), RatFunc(1), RatFunc(0)),
+        theta=(0, 0, 1, 0),
         coframe_metric=True,
         named_forms=named,
         name="splus-coframe",
@@ -260,35 +260,33 @@ def ot_algebra(s: int, alpha_list=None) -> LieAlgebraModel:
     if s < 1:
         raise ModelError("OT algebras need s >= 1")
     if alpha_list is None:
-        alphas = [param(f"alpha{i+1}") for i in range(s)]
         alpha_params = tuple(f"alpha{i+1}" for i in range(s))
+        alphas = sp.symbols(alpha_params)
     else:
         if len(alpha_list) != s:
             raise ModelError("alpha_list must have one entry per A generator")
-        alphas = [RatFunc(a) for a in alpha_list]
+        alphas = alpha_list
         alpha_params = ()
     dim = 2 * s + 2
     c1, c2 = 2 * s, 2 * s + 1
     brackets = {}
     for i in range(s):
-        brackets[(i, s + i)] = {s + i: RatFunc(1)}
-        brackets[(i, c1)] = {c1: RatFunc(Fraction(-1, 2)), c2: alphas[i]}
-        brackets[(i, c2)] = {c1: -alphas[i], c2: RatFunc(Fraction(-1, 2))}
-    theta = [RatFunc(0)] * dim
+        brackets[(i, s + i)] = {s + i: 1}
+        brackets[(i, c1)] = {c1: Fraction(-1, 2), c2: alphas[i]}
+        brackets[(i, c2)] = {c1: -alphas[i], c2: Fraction(-1, 2)}
     theta_params = tuple(f"r{i+1}" for i in range(s))
-    for i in range(s):
-        theta[i] = param(f"r{i+1}")
-    jrows = [[RatFunc(0)] * dim for _ in range(dim)]
+    theta = sp.symbols(theta_params) + (0,) * (dim - s)
+    jrows = [[0] * dim for _ in range(dim)]
     for i in range(s):  # J A_i = B_i, J B_i = -A_i
-        jrows[s + i][i] = RatFunc(1)
-        jrows[i][s + i] = RatFunc(-1)
-    jrows[c2][c1] = RatFunc(1)  # J C1 = C2
-    jrows[c1][c2] = RatFunc(-1)
+        jrows[s + i][i] = 1
+        jrows[i][s + i] = -1
+    jrows[c2][c1] = 1  # J C1 = C2
+    jrows[c1][c2] = -1
     model = LieAlgebraModel(
         dim=dim,
         params=alpha_params + theta_params,
         brackets=brackets,
-        theta=tuple(theta),
+        theta=theta,
         J=tuple(tuple(r) for r in jrows),
         name=f"ot-algebra-s{s}",
     )
@@ -300,10 +298,10 @@ def abelian_algebra(n: int = 4) -> LieAlgebraModel:
     structure J e_{2i+1} = e_{2i+2}."""
     jmat = None
     if n % 2 == 0:
-        rows = [[RatFunc(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for i in range(0, n, 2):
-            rows[i + 1][i] = RatFunc(1)
-            rows[i][i + 1] = RatFunc(-1)
+            rows[i + 1][i] = 1
+            rows[i][i + 1] = -1
         jmat = tuple(tuple(r) for r in rows)
     return _check(LieAlgebraModel(dim=n, J=jmat, coframe_metric=True,
                                   name=f"abelian{n}"))

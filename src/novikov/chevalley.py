@@ -16,8 +16,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .exact import Matrix, RatFunc, rank
-from .exact.ratfunc import ONE, ZERO
+import sympy as sp
+from sympy.polys.polyerrors import CoercionFailed
+
+from .exact import Matrix, coefficient, coefficient_field, rank
 
 
 class LieModelError(ValueError):
@@ -49,11 +51,11 @@ def merge_sign(s, t):
 class InvariantForm:
     dim: int
     degree: int
-    coeffs: tuple  # RatFunc per lexicographic wedge-basis element
+    coeffs: tuple  # scalar per lexicographic wedge-basis element; 0 where absent
 
     def __post_init__(self):
         want = comb(self.dim, self.degree) if 0 <= self.degree <= self.dim else 0
-        cs = tuple(c if isinstance(c, RatFunc) else RatFunc(c) for c in self.coeffs)
+        cs = tuple(self.coeffs)
         if len(cs) != want:
             raise LieModelError(
                 f"degree-{self.degree} form on dim {self.dim} needs {want} coefficients")
@@ -62,23 +64,23 @@ class InvariantForm:
     @staticmethod
     def zero(dim, degree):
         size = comb(dim, degree) if 0 <= degree <= dim else 0
-        return InvariantForm(dim, degree, (ZERO,) * size)
+        return InvariantForm(dim, degree, (0,) * size)
 
     @staticmethod
     def from_dict(dim, degree, entries):
         """entries: {index tuple: coefficient}."""
         idx = _basis_index(dim, degree)
-        coeffs = [ZERO] * comb(dim, degree)
+        coeffs = [0] * comb(dim, degree)
         for subset, c in entries.items():
-            coeffs[idx[tuple(subset)]] = c if isinstance(c, RatFunc) else RatFunc(c)
+            coeffs[idx[tuple(subset)]] = c
         return InvariantForm(dim, degree, tuple(coeffs))
 
     @staticmethod
     def covector(dim, i):
-        return InvariantForm.from_dict(dim, 1, {(i,): ONE})
+        return InvariantForm.from_dict(dim, 1, {(i,): 1})
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other):
         self._check(other)
@@ -94,7 +96,6 @@ class InvariantForm:
         return InvariantForm(self.dim, self.degree, tuple(-c for c in self.coeffs))
 
     def scale(self, c):
-        c = c if isinstance(c, RatFunc) else RatFunc(c)
         return InvariantForm(self.dim, self.degree, tuple(c * x for x in self.coeffs))
 
     def _check(self, other):
@@ -105,16 +106,12 @@ class InvariantForm:
         return (isinstance(other, InvariantForm) and self.dim == other.dim
                 and self.degree == other.degree and (self - other).is_zero())
 
-    def subs(self, mapping):
-        return InvariantForm(self.dim, self.degree,
-                             tuple(c.subs(mapping) for c in self.coeffs))
-
     def __repr__(self):
         terms = []
         for s, c in zip(wedge_basis(self.dim, self.degree), self.coeffs):
-            if not c.is_zero():
+            if c:
                 mono = "^".join(f"e{i+1}" for i in s) or "1"
-                terms.append(f"({c.expr})*{mono}")
+                terms.append(f"({c})*{mono}")
         return " + ".join(terms) or "0"
 
 
@@ -126,12 +123,12 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     if deg > n:
         return InvariantForm.zero(n, deg)
     idx = _basis_index(n, deg)
-    out = [ZERO] * comb(n, deg)
+    out = [0] * comb(n, deg)
     for s, cs in zip(wedge_basis(n, a.degree), a.coeffs):
-        if cs.is_zero():
+        if not cs:
             continue
         for t, ct in zip(wedge_basis(n, b.degree), b.coeffs):
-            if ct.is_zero():
+            if not ct:
                 continue
             sign, merged = merge_sign(s, t)
             if sign:
@@ -143,47 +140,64 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
 @dataclass(frozen=True)
 class LieAlgebraModel:
     """Structure constants over Q(params), plus the Lee covector and optional
-    complex structure / orthonormal coframe declaration / named forms."""
+    complex structure / orthonormal coframe declaration / named forms.  Every
+    coefficient is converted into ``field``: Fractions when there are no
+    parameters, sympy's rational functions in them otherwise."""
 
     dim: int
     params: tuple = ()
-    brackets: dict = field(default_factory=dict)  # (i,j) i<j -> {k: RatFunc}
+    brackets: dict = field(default_factory=dict)  # (i,j) i<j -> {k: coefficient}
     theta: tuple = None
-    J: tuple = None  # rows of RatFunc; column v holds J e_v
+    J: tuple = None  # rows of coefficients; column v holds J e_v
     coframe_metric: bool = False
     named_forms: dict = field(default_factory=dict)
     name: str = ""
 
+    @property
+    def field(self):
+        """Q(params), or QQ when there are no parameters."""
+        return coefficient_field(tuple(self.params))
+
     def __post_init__(self):
+        K = self.field
+
+        def conv(c):
+            try:
+                return coefficient(K, c)
+            except CoercionFailed as exc:
+                raise LieModelError(f"coefficient {c} is not a rational function "
+                                    f"of the parameters {list(self.params)}") from exc
+
         bk = {}
         for (i, j), comps in self.brackets.items():
             if not 0 <= i < j < self.dim:
                 raise LieModelError(f"bad bracket index pair ({i}, {j})")
-            bk[(i, j)] = {k: (c if isinstance(c, RatFunc) else RatFunc(c))
-                          for k, c in comps.items() if not RatFunc(c).is_zero()}
+            bk[(i, j)] = {k: v for k, c in comps.items() if (v := conv(c))}
         object.__setattr__(self, "brackets", bk)
-        th = self.theta if self.theta is not None else (ZERO,) * self.dim
-        th = tuple(c if isinstance(c, RatFunc) else RatFunc(c) for c in th)
+        th = self.theta if self.theta is not None else (0,) * self.dim
+        th = tuple(conv(c) for c in th)
         if len(th) != self.dim:
             raise LieModelError("theta must have one coefficient per covector")
         object.__setattr__(self, "theta", th)
         if self.J is not None:
-            rows = tuple(tuple(c if isinstance(c, RatFunc) else RatFunc(c) for c in r)
-                         for r in self.J)
+            rows = tuple(tuple(conv(c) for c in r) for r in self.J)
             if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
                 raise LieModelError("J must be a dim x dim matrix")
             object.__setattr__(self, "J", rows)
+        object.__setattr__(self, "named_forms", {
+            name: InvariantForm(f.dim, f.degree, tuple(conv(c) for c in f.coeffs))
+            for name, f in self.named_forms.items()})
 
     # -- structure ---------------------------------------------------------
 
     def bracket_vec(self, u, v):
-        """[u, v] for coefficient vectors of RatFunc."""
-        out = [ZERO] * self.dim
+        """[u, v] for coefficient vectors."""
+        out = [0] * self.dim
         for i in range(self.dim):
-            if u[i].is_zero():
+            if not u[i]:
                 continue
             for j in range(self.dim):
-                if v[j].is_zero() or i == j:
+                if not v[j] or i == j:
                     continue
                 comps = self.brackets.get((i, j)) if i < j else self.brackets.get((j, i))
                 if not comps:
@@ -197,29 +211,31 @@ class LieAlgebraModel:
     def apply_J(self, v):
         if self.J is None:
             raise LieModelError("model has no complex structure J")
-        return [sum((self.J[i][j] * v[j] for j in range(self.dim)), ZERO)
+        return [sum(self.J[i][j] * v[j] for j in range(self.dim))
                 for i in range(self.dim)]
 
     def covector_apply(self, cov, v):
-        return sum((cov[i] * v[i] for i in range(self.dim)), ZERO)
+        return sum(cov[i] * v[i] for i in range(self.dim))
 
     def theta_form(self):
         return InvariantForm(self.dim, 1, self.theta)
 
     def instantiate(self, mapping) -> "LieAlgebraModel":
-        """Substitute parameters by rationals (or other expressions)."""
-        sub = lambda c: c.subs(mapping)
-        brackets = {ij: {k: sub(c) for k, c in comps.items()}
-                    for ij, comps in self.brackets.items()}
-        remaining = tuple(p for p in self.params
-                          if p not in {str(k) for k in mapping})
+        """Substitute parameters (names or sympy symbols) by rationals or by
+        sympy expressions in the parameters that remain."""
+        smap = {sp.Symbol(str(k)): sp.sympify(v) for k, v in mapping.items()}
+        K = self.field
+        sub = lambda c: K.to_sympy(c).subs(smap)
+        subs_all = lambda cs: tuple(sub(c) for c in cs)
         return replace(
             self,
-            params=remaining,
-            brackets=brackets,
-            theta=tuple(sub(c) for c in self.theta),
-            J=None if self.J is None else tuple(tuple(sub(c) for c in r) for r in self.J),
-            named_forms={k: f.subs(mapping) for k, f in self.named_forms.items()},
+            params=tuple(p for p in self.params if sp.Symbol(p) not in smap),
+            brackets={ij: {k: sub(c) for k, c in comps.items()}
+                      for ij, comps in self.brackets.items()},
+            theta=subs_all(self.theta),
+            J=None if self.J is None else tuple(subs_all(r) for r in self.J),
+            named_forms={k: InvariantForm(f.dim, f.degree, subs_all(f.coeffs))
+                         for k, f in self.named_forms.items()},
         )
 
 
@@ -228,21 +244,19 @@ class LieAlgebraModel:
 def _d_sigma(model: LieAlgebraModel, form: InvariantForm, sigma) -> InvariantForm:
     """(d - sigma theta ^) form for sigma in {0, 1, -1}, straight from the
     structure constants: d e^i = - sum_{j<k} c^i_{jk} e^j ^ e^k, extended by
-    the Leibniz rule.  Coefficients are summed as sympy expressions and
-    cancelled once each, when the result form is made.  A form of degree
-    k >= dim maps to the form of degree k + 1, which has no coefficients."""
+    the Leibniz rule.  A form of degree k >= dim maps to the form of degree
+    k + 1, which has no coefficients."""
     n, k = model.dim, form.degree
     if k >= n:
         return InvariantForm.zero(n, k + 1)
     d_cov = {}  # i -> [(pair (j, l), -c^i_{jl}), ...]
     for pair, comps in model.brackets.items():
         for i, c in comps.items():
-            d_cov.setdefault(i, []).append((pair, -c.expr))
-    theta = [((l,), -sigma * c.expr) for l, c in enumerate(model.theta)
-             if sigma and not c.is_zero()]
+            d_cov.setdefault(i, []).append((pair, -c))
+    theta = [((l,), -sigma * c) for l, c in enumerate(model.theta) if sigma and c]
     acc = {}
     for s, cs in zip(wedge_basis(n, k), form.coeffs):
-        if cs.is_zero():
+        if not cs:
             continue
         # d(e^s) = sum_t (-1)^t d e^{s_t} ^ e^{s minus s_t}
         terms = [(pair, -c if t % 2 else c, s[:t] + s[t + 1:])
@@ -250,7 +264,8 @@ def _d_sigma(model: LieAlgebraModel, form: InvariantForm, sigma) -> InvariantFor
         for head, c, rest in terms + [(head, c, s) for head, c in theta]:
             sign, merged = merge_sign(head, rest)
             if sign:
-                acc[merged] = acc.get(merged, 0) + sign * c * cs.expr
+                term = c * cs
+                acc[merged] = acc.get(merged, 0) + (term if sign > 0 else -term)
     return InvariantForm.from_dict(n, k + 1, acc)
 
 
@@ -271,9 +286,9 @@ def hodge_star(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
     if not 0 <= k <= n:  # Lambda^k is zero outside 0..n
         return InvariantForm.zero(n, n - k)
     idx = _basis_index(n, n - k)
-    out = [ZERO] * comb(n, n - k)
+    out = [0] * comb(n, n - k)
     for s, cs in zip(wedge_basis(n, k), form.coeffs):
-        if cs.is_zero():
+        if not cs:
             continue
         comp = tuple(i for i in range(n) if i not in s)
         sign, _ = merge_sign(s, comp)
@@ -310,13 +325,13 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
     """Jacobi identity, d theta = 0, J^2 = -I, and d(d e^i) = 0 on Lambda^1."""
     violations = []
     n = model.dim
-    basis_vecs = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    basis_vecs = [[int(i == j) for j in range(n)] for i in range(n)]
     for i, j, k in combinations(range(n), 3):
         acc = model.bracket_vec(model.bracket_vec(basis_vecs[i], basis_vecs[j]), basis_vecs[k])
         acc2 = model.bracket_vec(model.bracket_vec(basis_vecs[j], basis_vecs[k]), basis_vecs[i])
         acc3 = model.bracket_vec(model.bracket_vec(basis_vecs[k], basis_vecs[i]), basis_vecs[j])
         total = [a + b + c for a, b, c in zip(acc, acc2, acc3)]
-        if any(not c.is_zero() for c in total):
+        if any(total):
             violations.append(("jacobi", (i + 1, j + 1, k + 1)))
     if not d_apply(model, model.theta_form()).is_zero():
         violations.append(("theta_not_closed", None))
@@ -325,9 +340,8 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
             violations.append(("J_on_odd_dimension", None))
         for i in range(n):
             for j in range(n):
-                entry = sum((model.J[i][k] * model.J[k][j] for k in range(n)), ZERO)
-                want = RatFunc(-1) if i == j else ZERO
-                if not (entry - want).is_zero():
+                entry = sum(model.J[i][k] * model.J[k][j] for k in range(n))
+                if entry + int(i == j):
                     violations.append(("J_squared", (i + 1, j + 1)))
     for i in range(n):
         d_ei = d_apply(model, InvariantForm.covector(n, i))
@@ -343,7 +357,7 @@ def _matrix_of(model: LieAlgebraModel, k, op) -> Matrix:
     the coefficient count of the image degree, so it is zero when that degree
     (or k itself) lies outside 0..dim."""
     n = model.dim
-    cols = [op(model, InvariantForm.from_dict(n, k, {s: ONE})).coeffs
+    cols = [op(model, InvariantForm.from_dict(n, k, {s: 1})).coeffs
             for s in wedge_basis(n, k)]
     rows = len(cols[0]) if cols else 0
     return Matrix(rows, len(cols), [col[r] for r in range(rows) for col in cols])
@@ -402,15 +416,12 @@ class ObstructionCertificate:
 
 
 def _is_certificate(model, vec):
-    v = [RatFunc(c) for c in vec]
-    if all(c.is_zero() for c in v):
+    if not any(vec):
         return False
-    jv = model.apply_J(v)
-    if not model.covector_apply(model.theta, v).is_zero():
+    jv = model.apply_J(vec)
+    if model.covector_apply(model.theta, vec) or model.covector_apply(model.theta, jv):
         return False
-    if not model.covector_apply(model.theta, jv).is_zero():
-        return False
-    return all(c.is_zero() for c in model.bracket_vec(v, jv))
+    return not any(model.bracket_vec(vec, jv))
 
 
 def obstruction_search(model: LieAlgebraModel, samples=2000, seed=0):

@@ -40,7 +40,7 @@ from .catalog import (
     splus_coframe_model,
 )
 from .chevalley import LieAlgebraModel, LieModelError, twisted_ce_cohomology, validate
-from .exact import AlgebraicReal, RatFunc, alg_power, alg_reciprocal
+from .exact import AlgebraicReal, alg_power, alg_reciprocal
 from .lck_cone import (
     DEFAULT_MAX_ITERS,
     DEFAULT_RESTARTS,
@@ -302,7 +302,7 @@ def _instantiated_s0(invert: bool):
 
 def _parse_theta(text, model):
     if text == "zero":
-        return tuple(RatFunc(0) for _ in range(model.dim))
+        return (0,) * model.dim
     try:
         parts = [Fraction(p) for p in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
@@ -310,7 +310,7 @@ def _parse_theta(text, model):
                        "comma-separated rationals", EXIT_USAGE) from exc
     if len(parts) != model.dim:
         raise CliError(f"theta needs {model.dim} coefficients", EXIT_USAGE)
-    return tuple(RatFunc(p) for p in parts)
+    return tuple(parts)
 
 
 def cmd_cone(args):

@@ -14,7 +14,7 @@ from .algebraic import (
     alg_reciprocal,
 )
 from .numberfield import NumberField, NFElem
-from .ratfunc import RatFunc, param
+from .ratfunc import coefficient, coefficient_field
 from .matrices import (
     Matrix,
     char_poly,
@@ -29,7 +29,8 @@ from .matrices import (
 __all__ = [
     "Rat", "IntPoly", "sturm_sequence", "count_roots",
     "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp", "alg_neg",
-    "alg_power", "alg_reciprocal", "NumberField", "NFElem", "RatFunc", "param",
+    "alg_power", "alg_reciprocal", "NumberField", "NFElem", "coefficient",
+    "coefficient_field",
     "Matrix", "char_poly", "exterior_power", "exterior_square_cyclic",
     "nf_rank", "nullspace", "poly_at_matrix", "rank",
 ]

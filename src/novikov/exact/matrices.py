@@ -1,8 +1,9 @@
 """Dense matrices over the artifact's scalar fields and their exact linear algebra.
 
-Entries may be ints, Fractions, NFElem, or RatFunc; the generic operations below
-only assume ring arithmetic (+, -, *) plus, where rank is needed, exact division
-(``rank`` and ``nullspace`` take int entries as Fractions).
+Entries may be ints, Fractions, NFElem, or elements of sympy's Q(params); the
+generic operations below only assume ring arithmetic (+, -, *) plus, where rank
+is needed, exact division (``rank`` and ``nullspace`` take int entries as
+Fractions).  An entry is false exactly when it is zero.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from operator import mul
 
 from .numberfield import NFElem
 from .polynomials import IntPoly
-from .ratfunc import RatFunc
 
 
 class Matrix:
@@ -63,16 +63,10 @@ class Matrix:
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols
-                and all(_is_zero(a - b) for a, b in zip(self.entries, other.entries)))
+                and not any(a - b for a, b in zip(self.entries, other.entries)))
 
     def __repr__(self):
         return f"Matrix({self.to_rows()!r})"
-
-
-def _is_zero(x):
-    if isinstance(x, (NFElem, RatFunc)):
-        return x.is_zero()
-    return x == 0
 
 
 def exterior_power(m: Matrix, k: int, one=None) -> Matrix:
@@ -109,11 +103,7 @@ def exterior_power(m: Matrix, k: int, one=None) -> Matrix:
 
 
 def _one_like(x):
-    if isinstance(x, NFElem):
-        return x.field.one()
-    if isinstance(x, RatFunc):
-        return RatFunc(1)
-    return x - x + 1 if not isinstance(x, int) else 1
+    return x.field.one() if isinstance(x, NFElem) else x - x + 1
 
 
 def exterior_square_cyclic(m: Matrix) -> Matrix:
@@ -183,8 +173,7 @@ def _mat_mul(a, b):
 
 def rank(m: Matrix) -> int:
     """Rank by Gaussian elimination with exact division; works over int,
-    Fraction, NFElem, and RatFunc entries.  Over rational-function fields the pivot of
-    smallest numerator total degree is chosen to control expression swell."""
+    Fraction, NFElem and Q(params) entries."""
     rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
     nrows, ncols = m.rows, m.cols
     rk = 0
@@ -196,7 +185,7 @@ def rank(m: Matrix) -> int:
         piv = rows[rk][col]
         for r in range(rk + 1, nrows):
             x = rows[r][col]
-            if _is_zero(x):
+            if not x:
                 continue
             factor = x / piv
             rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rk])]
@@ -207,12 +196,8 @@ def rank(m: Matrix) -> int:
 
 
 def _choose_pivot(rows, start, col):
-    candidates = [r for r in range(start, len(rows)) if not _is_zero(rows[r][col])]
-    if not candidates:
-        return None
-    if isinstance(rows[candidates[0]][col], RatFunc):
-        return min(candidates, key=lambda r: rows[r][col].total_degree())
-    return candidates[0]
+    """The first row from start on with a nonzero entry in col, or None."""
+    return next((r for r in range(start, len(rows)) if rows[r][col]), None)
 
 
 def nf_rank(m: Matrix) -> int:
@@ -235,8 +220,8 @@ def nullspace(m: Matrix):
         piv = rows[rk][col]
         rows[rk] = [a / piv for a in rows[rk]]
         for r in range(nrows):
-            if r != rk and not _is_zero(rows[r][col]):
-                x = rows[r][col]
+            x = rows[r][col]
+            if r != rk and x:
                 rows[r] = [a - x * b for a, b in zip(rows[r], rows[rk])]
         pivots.append(col)
         rk += 1

@@ -68,6 +68,9 @@ class NFElem:
     def is_zero(self):
         return all(c == 0 for c in self.rep)
 
+    def __bool__(self):  # false exactly at zero, like the other scalar types
+        return not self.is_zero()
+
     def __add__(self, other):
         return NFElem(self.field, tuple(a + b for a, b in zip(self.rep, other.rep)))
 

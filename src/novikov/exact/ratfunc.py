@@ -1,115 +1,36 @@
-"""Multivariate rational functions in named transcendental parameters.
+"""The coefficient field Q(params) of a model with named parameters.
 
-A thin exact wrapper over sympy expressions: every element is kept in
-cancelled numerator/denominator form, so zero-testing is decidable and
-elimination never divides by a zero polynomial.
+Over Q(params) coefficients are sympy's sparse rational functions
+(``FracElement``), kept in lowest terms, so zero-testing is decidable and
+elimination never divides by a zero polynomial.  A model without parameters
+keeps ``Fraction`` coefficients, which mix with the Fractions that callers
+pass in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import sympy as sp
+from sympy import QQ
 
 
-def param(name: str) -> "RatFunc":
-    return RatFunc(sp.Symbol(name))
+@lru_cache(maxsize=None)
+def coefficient_field(params=()):
+    """Q(params) for a tuple of parameter names, or QQ when it is empty."""
+    if not params:
+        return QQ
+    return QQ.frac_field(*(sp.Symbol(str(p)) for p in params))
 
 
-class RatFunc:
-    __slots__ = ("expr",)
-
-    def __init__(self, expr):
-        if isinstance(expr, RatFunc):
-            expr = expr.expr
-        if isinstance(expr, Fraction):
-            expr = sp.Rational(expr.numerator, expr.denominator)
-        self.expr = sp.cancel(sp.sympify(expr))
-
-    @staticmethod
-    def number(q) -> "RatFunc":
-        return RatFunc(sp.Rational(Fraction(q)))
-
-    @property
-    def numerator(self):
-        return sp.fraction(self.expr)[0]
-
-    @property
-    def denominator(self):
-        return sp.fraction(self.expr)[1]
-
-    def is_zero(self):
-        return self.expr == 0
-
-    def is_number(self):
-        return self.expr.is_Rational
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_number():
-            raise ValueError(f"{self.expr} has free parameters")
-        return Fraction(int(self.expr.p), int(self.expr.q))
-
-    def total_degree(self):
-        """Total degree of the numerator; pivot-selection heuristic."""
-        num = self.numerator
-        if num.is_Rational:
-            return 0
-        return sp.total_degree(sp.Poly(num, *sorted(num.free_symbols, key=str)))
-
-    def subs(self, mapping) -> "RatFunc":
-        smap = {}
-        for k, v in mapping.items():
-            key = sp.Symbol(k) if isinstance(k, str) else k
-            val = v.expr if isinstance(v, RatFunc) else sp.Rational(Fraction(v))
-            smap[key] = val
-        return RatFunc(self.expr.subs(smap))
-
-    def to_float(self) -> float:
-        return float(self.expr)
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other.expr
-        if isinstance(other, Fraction):
-            return sp.Rational(other.numerator, other.denominator)
-        return sp.sympify(other)
-
-    def __add__(self, other):
-        return RatFunc(self.expr + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return RatFunc(self.expr - self._coerce(other))
-
-    def __rsub__(self, other):
-        return RatFunc(self._coerce(other) - self.expr)
-
-    def __mul__(self, other):
-        return RatFunc(self.expr * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        den = self._coerce(other)
-        if den == 0:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.expr / den)
-
-    def __neg__(self):
-        return RatFunc(-self.expr)
-
-    def __eq__(self, other):
-        if isinstance(other, (RatFunc, int, Fraction)):
-            return sp.cancel(self.expr - self._coerce(other)) == 0
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.expr)
-
-    def __repr__(self):
-        return f"RatFunc({self.expr})"
-
-
-ZERO = RatFunc(0)
-ONE = RatFunc(1)
+def coefficient(field, x):
+    """x (an int, Fraction, sympy expression or field element) as an element
+    of field: a Fraction over QQ, a FracElement over Q(params).  Raises
+    sympy's CoercionFailed when x is not in the field."""
+    if field != QQ:
+        return field.convert(x)
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    q = QQ.convert(x)
+    return Fraction(int(q.numerator), int(q.denominator))

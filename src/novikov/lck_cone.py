@@ -23,7 +23,7 @@ from .chevalley import (
     d_theta_matrix,
     wedge_basis,
 )
-from .exact import Matrix, RatFunc, nullspace
+from .exact import Matrix, nullspace
 
 FEASIBILITY_TOL = 1e-6
 DEFAULT_RESTARTS = 64
@@ -62,8 +62,7 @@ def kernel_basis(model: LieAlgebraModel, theta=None):
 
 def _with_theta(model, theta):
     from dataclasses import replace
-    th = tuple(c if isinstance(c, RatFunc) else RatFunc(c) for c in theta)
-    return replace(model, theta=th)
+    return replace(model, theta=theta)
 
 
 def form_to_matrix(form: InvariantForm):
@@ -71,7 +70,7 @@ def form_to_matrix(form: InvariantForm):
     n = form.dim
     w = np.zeros((n, n))
     for (i, j), c in zip(wedge_basis(n, 2), form.coeffs):
-        v = c.to_float()
+        v = float(c)
         w[i, j] = v
         w[j, i] = -v
     return w
@@ -87,7 +86,7 @@ def positivity_check(form: InvariantForm, jmat) -> float:
 def _j_float(model):
     if model.J is None:
         raise LieModelError("cone feasibility needs a complex structure J")
-    return np.array([[c.to_float() for c in row] for row in model.J])
+    return np.array([[float(c) for c in row] for row in model.J])
 
 
 def _j_invariant_subbasis(model, basis):
@@ -96,12 +95,12 @@ def _j_invariant_subbasis(model, basis):
     n = model.dim
     pairs = wedge_basis(n, 2)
     idx = {p: i for i, p in enumerate(pairs)}
-    constraints = []  # rows over RatFunc, columns = basis coefficients
+    constraints = []  # rows over Q, columns = basis coefficients
     for (u, v) in pairs:
         row = []
         for b in basis:
             # (J^T W J - W)[u, v] expressed through the form's coefficients
-            acc = RatFunc(0)
+            acc = 0
             for (i, j), c in zip(pairs, b.coeffs):
                 term = (model.J[i][u] * model.J[j][v] - model.J[i][v] * model.J[j][u]) * c
                 acc = acc + term
@@ -121,7 +120,7 @@ def _j_invariant_subbasis(model, basis):
 
 def _entry(form, idx, u, v):
     if u == v:
-        return RatFunc(0)
+        return 0
     if u < v:
         return form.coeffs[idx[(u, v)]]
     return -form.coeffs[idx[(v, u)]]
@@ -204,5 +203,5 @@ def certificate_form(model: LieAlgebraModel, cert: TamingCertificate,
     form = InvariantForm.zero(model.dim, 2)
     for c, b in zip(cert.coefficients, basis):
         q = Fraction(c).limit_denominator(max_denominator)
-        form = form + b.scale(RatFunc(q))
+        form = form + b.scale(q)
     return form

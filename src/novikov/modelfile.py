@@ -11,7 +11,8 @@ Three document types, selected by the top-level "type" key:
   ``{"i": .., "j": .., "coeffs": {"k": expr}}`` with 1-based generator
   indices, plus ``theta``, ``J``, ``coframe`` and ``named_forms``.
 
-Unknown keys are rejected.  Expressions may use only the declared parameters.
+Unknown keys are rejected.  Expressions must be rational functions of the
+declared parameters.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import json
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.polyerrors import CoercionFailed
 
 from .chevalley import InvariantForm, LieAlgebraModel, validate
-from .exact import AlgebraicReal, IntPoly, Matrix, RatFunc
+from .exact import AlgebraicReal, IntPoly, Matrix, coefficient, coefficient_field
 from .mapping_torus import (
     ConjugatePair,
     EigenDescriptor,
@@ -87,11 +89,15 @@ def _parse_expr(text, params, what):
         expr = sp.sympify(text, rational=True)
     except (sp.SympifyError, SyntaxError, TypeError) as exc:
         raise SchemaError(f"{what}: cannot parse expression {text!r}") from exc
-    free = {str(s) for s in expr.free_symbols}
+    free = {str(s) for s in getattr(expr, "free_symbols", ())}
     extra = free - set(params)
     if extra:
         raise SchemaError(f"{what}: undeclared parameters {sorted(extra)} in {text!r}")
-    return RatFunc(expr)
+    try:
+        return coefficient(coefficient_field(params), expr)
+    except CoercionFailed as exc:
+        raise SchemaError(f"{what}: {text!r} is not a rational function of the "
+                          f"declared parameters") from exc
 
 
 def _load_torus_monodromy(doc):
@@ -153,6 +159,8 @@ def _load_lie_algebra(doc):
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError("lie_algebra: dim must be a positive integer")
     params = tuple(doc.get("params", ()))
+    if not all(isinstance(p, str) for p in params) or len(set(params)) != len(params):
+        raise SchemaError("lie_algebra: params must be distinct names")
     brackets = {}
     for item in doc["brackets"]:
         _require_keys(item, ["i", "j", "coeffs"], [], "bracket entry")

@@ -114,6 +114,24 @@ def test_undeclared_parameter_rejected():
     doc["theta"] = ["b", "0", "0", "0"]
     with pytest.raises(SchemaError):
         load_model_dict(doc)
+    for params in (["b", "b"], [1]):
+        doc["params"] = params
+        with pytest.raises(SchemaError):
+            load_model_dict(doc)
+
+
+def test_coefficient_outside_the_field_rejected(tmp_path, capsys):
+    # 1/0 and a/(a-a) are not rational functions; sqrt(2), pi and a list are not in Q(a)
+    from novikov.cli import main
+    for text in ("1/0", "a/(a-a)", "sqrt(2)", "pi", [1, 2]):
+        doc = {"type": "lie_algebra", "dim": 2, "params": ["a"],
+               "brackets": [{"i": 1, "j": 2, "coeffs": {"2": text}}]}
+        with pytest.raises(SchemaError, match="not a rational function"):
+            load_model_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cohomology", str(path)]) == 2, text
+        assert "schema error" in capsys.readouterr().err
 
 
 def test_bad_bracket_indices_rejected():

@@ -1,67 +1,87 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from sympy import QQ
+from sympy.polys.polyerrors import CoercionFailed
 
-from novikov.exact import RatFunc, param
+from novikov.catalog import ot_algebra
+from novikov.chevalley import twisted_ce_cohomology
+from novikov.exact import coefficient, coefficient_field
+
+r, s = sp.symbols("r s")
+K = coefficient_field(("r", "s"))
+
+
+def test_no_parameters_is_qq():
+    assert coefficient_field(()) == QQ
+    assert coefficient_field(("r", "s")) == QQ.frac_field(r, s)
 
 
 def test_numbers():
-    two = RatFunc(2)
-    half = RatFunc(Fraction(1, 2))
-    assert (two * half - RatFunc(1)).is_zero()
-    assert half.is_number()
-    assert half.as_fraction() == Fraction(1, 2)
-    assert RatFunc.number("3/4").as_fraction() == Fraction(3, 4)
+    for x in (2, Fraction(1, 2), sp.Rational(3, 4), sp.Integer(-5)):
+        q = coefficient(QQ, x)
+        assert type(q) is Fraction and q == Fraction(sp.Rational(x).p, sp.Rational(x).q)
+    assert coefficient(QQ, 2) * coefficient(QQ, Fraction(1, 2)) == 1
 
 
 def test_parameters_cancel():
-    r = param("r")
-    expr = (r * r - RatFunc(1)) / (r - RatFunc(1))
-    # (r^2 - 1)/(r - 1) cancels to r + 1
-    assert (expr - (r + RatFunc(1))).is_zero()
+    x = coefficient(K, r)
+    # (r^2 - 1)/(r - 1) is kept in lowest terms: r + 1
+    assert (x * x - 1) / (x - 1) == x + 1
+    assert coefficient(K, (r ** 2 - 1) / (r - 1)) == coefficient(K, r + 1)
+    assert K.to_sympy((x * x - 1) / (x - 1)) == r + 1
 
 
 def test_zero_division_guard():
-    r = param("r")
     with pytest.raises(ZeroDivisionError):
-        r / RatFunc(0)
-
-
-def test_subs():
-    r, s = param("r"), param("s")
-    e = r * s + RatFunc(2)
-    out = e.subs({"r": Fraction(1, 2), "s": Fraction(4)})
-    assert out.as_fraction() == Fraction(4)
-    partial = e.subs({"s": Fraction(0)})
-    assert partial.as_fraction() == Fraction(2)
-
-
-def test_as_fraction_rejects_parameters():
-    with pytest.raises(ValueError):
-        param("r").as_fraction()
-
-
-def test_total_degree():
-    r, s = param("r"), param("s")
-    assert RatFunc(5).total_degree() == 0
-    assert r.total_degree() == 1
-    assert (r * r * s + r).total_degree() == 3
+        coefficient(K, r) / coefficient(K, 0)
 
 
 def test_mixed_arithmetic():
-    r = param("r")
-    assert ((2 * r) - (r + r)).is_zero()
-    assert ((r - 1) + (1 - r)).is_zero()
-    assert (r * Fraction(1, 2) * 2 - r).is_zero()
-    assert (-r + r).is_zero()
+    x = coefficient(K, r)
+    assert (2 * x) - (x + x) == 0
+    assert (x - 1) + (1 - x) == 0
+    assert x * Fraction(1, 2) * 2 - x == 0
+    assert Fraction(1, 3) - x + x - Fraction(1, 3) == 0
 
 
 def test_equality():
-    r = param("r")
-    assert r * r / r == r
-    assert RatFunc(3) == 3
-    assert RatFunc(Fraction(1, 3)) == Fraction(1, 3)
+    x = coefficient(K, r)
+    assert x * x / x == x
+    assert coefficient(QQ, 3) == 3
+    assert coefficient(K, 3) == 3
+    assert coefficient(QQ, sp.Rational(1, 3)) == Fraction(1, 3)
+
+
+def test_coercion_fails_outside_the_field():
+    for bad in (sp.sqrt(2), sp.pi, sp.zoo, sp.Symbol("t"), r):
+        with pytest.raises(CoercionFailed):
+            coefficient(QQ, bad)
+    for bad in (sp.sqrt(2), sp.pi, sp.zoo, sp.Symbol("t"), r / (r - r)):
+        with pytest.raises(CoercionFailed):
+            coefficient(K, bad)
+    # an element of Q(r, s) is not one of Q(r)
+    with pytest.raises(CoercionFailed):
+        coefficient(coefficient_field(("r",)), coefficient(K, s))
+
+
+def test_partial_instantiate():
+    model = ot_algebra(1)
+    half = model.instantiate({"alpha1": Fraction(2, 3)})
+    assert half.params == ("r1",)
+    assert half.field == coefficient_field(("r1",))
+    assert twisted_ce_cohomology(half) == [0, 0, 0, 0, 0]
+    point = half.instantiate({"r1": 1})
+    assert point.params == () and point.field == QQ
+    assert all(type(c) is Fraction for c in point.theta)
+    assert twisted_ce_cohomology(point) == [0, 0, 1, 1, 0]
+    both = model.instantiate({"alpha1": Fraction(2, 3), "r1": Fraction(1)})
+    assert both.brackets == point.brackets and both.theta == point.theta
 
 
 def test_to_float():
-    assert RatFunc(Fraction(1, 4)).to_float() == 0.25
+    # the cone reads coefficients as floats; models without parameters hold Fractions
+    assert float(coefficient(QQ, sp.Rational(1, 4))) == 0.25
+    model = ot_algebra(1).instantiate({"alpha1": Fraction(2, 3), "r1": Fraction(1, 4)})
+    assert [float(c) for c in model.theta] == [0.25, 0.0, 0.0, 0.0]
