@@ -222,7 +222,12 @@ class LieAlgebraModel:
 
     def instantiate(self, mapping) -> "LieAlgebraModel":
         """Substitute parameters (names or sympy symbols) by rationals or by
-        sympy expressions in the parameters that remain."""
+        sympy expressions in the parameters that remain.  A name that is not a
+        parameter of the model raises LieModelError."""
+        unknown = sorted(str(k) for k in mapping if str(k) not in self.params)
+        if unknown:
+            raise LieModelError(f"not parameters of the model: {unknown}; "
+                                f"its parameters are {list(self.params)}")
         smap = {sp.Symbol(str(k)): sp.sympify(v) for k, v in mapping.items()}
         K = self.field
         sub = lambda c: K.to_sympy(c).subs(smap)

@@ -341,10 +341,12 @@ def cmd_cone(args):
     cert = taming_feasibility(
         model, kind=args.kind, theta=theta, tol=args.tol,
         restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-    verdict = "feasible" if cert.feasible else "infeasible (evidence, not proof)"
     print(f"kind        {cert.kind}")
-    print(f"lambda_min  {cert.lambda_min:.6g}")
-    print(f"verdict     {verdict}")
+    if cert.certificate is None:
+        print(f"lambda_min  {cert.lambda_min:.6g}")
+    else:
+        print("lambda_min  <= 0 (certified)")
+    print(f"verdict     {cert.verdict}")
     print(cert.to_json())
     return EXIT_OK
 
@@ -381,11 +383,16 @@ def build_parser():
                    help="'zero' or comma-separated rational coefficients")
     p.add_argument("--at-alpha", action="store_true")
     p.add_argument("--at-inverse-alpha", action="store_true")
-    p.add_argument("--tol", type=float, default=FEASIBILITY_TOL)
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
+    search_only = "; used only when no exact certificate of infeasibility is found"
+    p.add_argument("--tol", type=float, default=FEASIBILITY_TOL,
+                   help="feasible when lambda_min exceeds this" + search_only)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
+                   help="ascent restarts" + search_only)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
+                   help="iterations per restart" + search_only)
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("NOVIKOV_SEED", "0")))
+                   default=int(os.environ.get("NOVIKOV_SEED", "0")),
+                   help="seed of the restarts" + search_only)
     p.set_defaults(func=cmd_cone)
     return parser
 

@@ -7,6 +7,7 @@ convenience approximation, never a decision path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,23 +70,27 @@ class AlgebraicReal:
     # -- interval refinement ----------------------------------------------
 
     def refined(self, width) -> "AlgebraicReal":
-        """Return self with isolating interval narrower than `width`."""
+        """Return self with isolating interval narrower than `width`, by
+        bisection in integers: the interval is (a/den, b/den), and p is
+        evaluated at each midpoint through `_homogeneous_sign`."""
+        width = Fraction(width)
         if self.is_rational():
             q = self.as_rational()
-            w = Fraction(width) / 4
+            w = width / 4
             return AlgebraicReal(self.minpoly, (q - w, q + w), self._sturm)
         lo, hi = self.interval
         p = self.minpoly
-        slo = 1 if p(lo) > 0 else -1
-        while hi - lo >= width:
-            mid = (lo + hi) / 2
-            v = p(mid)
-            # irreducible of degree >= 2 has no rational roots, so v != 0
-            if (1 if v > 0 else -1) == slo:
-                lo = mid
+        den = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        slo = _homogeneous_sign(p, a, den)
+        while (b - a) * width.denominator >= width.numerator * den:
+            mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+            # irreducible of degree >= 2 has no rational roots, so the sign != 0
+            if _homogeneous_sign(p, mid, den) == slo:
+                a = mid
             else:
-                hi = mid
-        return AlgebraicReal(self.minpoly, (lo, hi), self._sturm)
+                b = mid
+        return AlgebraicReal(self.minpoly, (Fraction(a, den), Fraction(b, den)), self._sturm)
 
     def sign(self):
         if self.is_rational():
@@ -130,6 +135,15 @@ class AlgebraicReal:
         if self.is_rational():
             return f"AlgebraicReal({self.as_rational()})"
         return f"AlgebraicReal({list(self.minpoly.coeffs)} in {self.interval})"
+
+
+def _homogeneous_sign(p: IntPoly, n, d):
+    """Sign of p(n/d) for d > 0: that of sum_i c_i n^i d^(deg - i)."""
+    acc, dpow = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return 1 if acc > 0 else -1
 
 
 def isolate_real_roots(p: IntPoly):

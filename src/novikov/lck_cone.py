@@ -1,10 +1,16 @@
 """Invariant taming/LCK cone feasibility.
 
-Decides numerically whether the kernel of d_theta on invariant 2-forms meets
-the open cone of J-taming (resp. J-compatible) positive forms.  The
-d_theta-closedness side of a certificate is exact (the kernel basis is
-computed by rational elimination); the positivity side is floating point and
-an infeasible verdict is evidence, not proof.
+Decides whether the kernel of d_theta on invariant 2-forms meets the open cone
+of J-taming (resp. J-compatible) positive forms.  The d_theta-closedness side
+is exact (the kernel basis is computed by rational elimination).  Infeasibility
+is first sought as an exact rank-one certificate: a vector v with
+omega(v, Jv) = 0 over Q for every kernel basis form omega.  Then Z = v v^T is
+positive semidefinite, nonzero and orthogonal to every Sym(omega_i(., J.)), so
+no combination is positive definite (theorem of alternatives for strict LMIs,
+Boyd & Vandenberghe, Convex Optimization, 5.8-5.9) and the verdict is
+"infeasible (certified)".  Otherwise a projected subgradient ascent decides in
+floating point: a feasible verdict carries a form that can be checked exactly,
+an uncertified infeasible verdict is evidence, not proof.
 """
 
 from __future__ import annotations
@@ -33,18 +39,29 @@ DEFAULT_MAX_ITERS = 5000
 @dataclass
 class TamingCertificate:
     coefficients: list  # floats, in the kernel-basis coordinate space
-    lambda_min: float
+    lambda_min: float  # 0.0 when certified: the bound lambda_min <= 0
     kind: str  # "taming" | "lck"
     feasible: bool
     reason: str = ""
+    certificate: list = None  # Fractions v with omega(v, Jv) = 0 on the kernel
+
+    @property
+    def verdict(self):
+        if self.feasible:
+            return "feasible"
+        if self.certificate is not None:
+            return "infeasible (certified)"
+        return "infeasible (evidence, not proof)"
 
     def to_json(self):
         return json.dumps({
             "coefficients": list(map(float, self.coefficients)),
             "lambda_min": float(self.lambda_min),
             "kind": self.kind,
-            "verdict": "feasible" if self.feasible else "infeasible (evidence, not proof)",
+            "verdict": self.verdict,
             "reason": self.reason,
+            "certificate": None if self.certificate is None
+            else [str(c) for c in self.certificate],
         })
 
 
@@ -83,16 +100,20 @@ def positivity_check(form: InvariantForm, jmat) -> float:
     return float(np.linalg.eigvalsh((m + m.T) / 2).min())
 
 
-def _j_float(model):
+def _require_j(model):
     if model.J is None:
         raise LieModelError("cone feasibility needs a complex structure J")
-    return np.array([[float(c) for c in row] for row in model.J])
+    return model.J
+
+
+def _j_float(model):
+    return np.array([[float(c) for c in row] for row in _require_j(model)])
 
 
 def _j_invariant_subbasis(model, basis):
     """Restrict a kernel basis to the J-invariant forms omega(J., J.) = omega,
     exactly over Q."""
-    n = model.dim
+    n, J = model.dim, _require_j(model)
     pairs = wedge_basis(n, 2)
     idx = {p: i for i, p in enumerate(pairs)}
     constraints = []  # rows over Q, columns = basis coefficients
@@ -102,7 +123,7 @@ def _j_invariant_subbasis(model, basis):
             # (J^T W J - W)[u, v] expressed through the form's coefficients
             acc = 0
             for (i, j), c in zip(pairs, b.coeffs):
-                term = (model.J[i][u] * model.J[j][v] - model.J[i][v] * model.J[j][u]) * c
+                term = (J[i][u] * J[j][v] - J[i][v] * J[j][u]) * c
                 acc = acc + term
             acc = acc - _entry(b, idx, u, v)
             row.append(acc)
@@ -129,8 +150,9 @@ def _entry(form, idx, u, v):
 def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
                        tol=FEASIBILITY_TOL, restarts=DEFAULT_RESTARTS,
                        max_iters=DEFAULT_MAX_ITERS, seed=None) -> TamingCertificate:
-    """Maximize lambda_min(Sym(omega(., J.))) over the unit sphere of the
-    kernel-coefficient space by projected subgradient ascent with restarts."""
+    """Decide whether some kernel form omega has Sym(omega(., J.)) positive
+    definite: by an exact rank-one certificate of infeasibility when a basis
+    vector gives one, otherwise by the restarted ascent of `_ascent`."""
     if kind not in ("taming", "lck"):
         raise ValueError("kind must be 'taming' or 'lck'")
     if theta is not None:
@@ -141,6 +163,38 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
     if not basis:
         return TamingCertificate([], 0.0, kind, False, reason="kernel is zero")
     jmat = _j_float(model)
+    v = _rank_one_certificate(model, basis)
+    if v is not None:
+        shown = ", ".join(map(str, v))
+        return TamingCertificate(
+            [], 0.0, kind, False, certificate=v,
+            reason=f"omega(v, Jv) = 0 over Q for v = ({shown}) and every kernel form")
+    return _ascent(basis, jmat, kind, tol, restarts, max_iters, seed)
+
+
+def _pairing(form: InvariantForm, v, jv):
+    """omega(v, Jv) over Q, from the form's coefficients on e^i ^ e^k."""
+    return sum(c * (v[i] * jv[k] - v[k] * jv[i])
+               for (i, k), c in zip(wedge_basis(form.dim, 2), form.coeffs) if c)
+
+
+def _rank_one_certificate(model, basis):
+    """A basis vector v = e_j with omega(v, Jv) = 0 exactly for every form in
+    `basis`, or None.  Z = v v^T is then a nonzero positive semidefinite
+    matrix with <Z, Sym(omega(., J.))> = 0 on the span, which excludes a
+    positive definite member."""
+    for j in range(model.dim):
+        v = [Fraction(int(i == j)) for i in range(model.dim)]
+        jv = model.apply_J(v)
+        if all(_pairing(b, v, jv) == 0 for b in basis):
+            return v
+    return None
+
+
+def _ascent(basis, jmat, kind, tol, restarts, max_iters, seed) -> TamingCertificate:
+    """Maximize lambda_min(Sym(omega(., J.))) over the unit sphere of the
+    kernel-coefficient space by projected subgradient ascent with restarts.
+    Its infeasible verdict is evidence, not proof."""
     mats = []
     for b in basis:
         m = form_to_matrix(b) @ jmat

@@ -60,6 +60,41 @@ def test_refined_keeps_root():
     assert lo < Fraction(math.sqrt(2)).limit_denominator(10**6) < hi
 
 
+def fraction_refined(x, width):
+    """The bisection with Fraction evaluations of the minimal polynomial that
+    `refined` replaced, kept as its oracle."""
+    if x.is_rational():
+        q, w = x.as_rational(), Fraction(width) / 4
+        return (q - w, q + w)
+    lo, hi = x.interval
+    p = x.minpoly
+    slo = 1 if p(lo) > 0 else -1
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        if (1 if p(mid) > 0 else -1) == slo:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def test_refined_matches_fraction_bisection():
+    rng = random.Random(11)
+    numbers = [sqrt2(), AlgebraicReal.from_rational(Fraction(-7, 3))]
+    while len(numbers) < 60:
+        deg = rng.randint(2, 9)
+        p = IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((1, 2, -3))])
+        if p.constant() != 0:
+            numbers += [r for r, _ in isolate_real_roots(p)]
+    widths = (Fraction(1, 2**60), Fraction(1, 3), Fraction(5, 7 * 2**20), 0.001)
+    for x in numbers:
+        for width in widths:
+            assert x.refined(width).interval == fraction_refined(x, width)
+        lo, hi = fraction_refined(x, Fraction(1, 2**60))
+        want = x.as_rational() if x.is_rational() else (lo + hi) / 2
+        assert x.to_float() == float(want)
+
+
 def test_sign():
     assert sqrt2().sign() == 1
     assert alg_neg(sqrt2()).sign() == -1

@@ -246,6 +246,14 @@ def test_coefficients_must_lie_in_the_model_field():
         LieAlgebraModel(dim=2, brackets=model.brackets)
 
 
+def test_instantiate_rejects_names_that_are_not_parameters():
+    with pytest.raises(LieModelError, match="alpha"):
+        ot_algebra(1).instantiate({"alpha": 2})
+    with pytest.raises(LieModelError, match="'t'"):
+        s0_algebra().instantiate({"r": Fraction(1, 2), sp.Symbol("t"): 1})
+    assert s0_algebra().instantiate({sp.Symbol("r"): 1}).params == ("s",)
+
+
 def test_validate_reports_bad_J():
     m = LieAlgebraModel(
         dim=2,

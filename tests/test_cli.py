@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from novikov.cli import main
+from novikov.cli import _instantiated_s0, main
 from novikov.catalog import default_s0
+from novikov.chevalley import wedge_basis
+from novikov.lck_cone import _j_invariant_subbasis, kernel_basis
 from novikov.exact import alg_eq, alg_power, alg_reciprocal
 
 
@@ -210,26 +213,48 @@ def test_cone_s0_at_alpha_lck(capsys):
     assert doc["lambda_min"] > 0.05
 
 
+def assert_exact_s0_certificate(doc, kind):
+    """The certificate v has omega(v, Jv) = 0 over Q for every form of the
+    kernel (J-invariant for lck) at lambda = 1/alpha, by the forms'
+    antisymmetric matrices and the model's J."""
+    model, theta = _instantiated_s0(invert=True)
+    basis = kernel_basis(model, theta)
+    if kind == "lck":
+        basis = _j_invariant_subbasis(model, basis)
+    n = model.dim
+    v = [Fraction(c) for c in doc["certificate"]]
+    jv = model.apply_J(v)
+    assert basis and any(v)
+    for form in basis:
+        w = [[Fraction(0)] * n for _ in range(n)]
+        for (i, k), c in zip(wedge_basis(n, 2), form.coeffs):
+            w[i][k], w[k][i] = c, -c
+        assert sum(v[u] * w[u][t] * jv[t] for u in range(n) for t in range(n)) == 0
+
+
 def test_cone_s0_inverse_alpha_infeasible(capsys):
     code, out, _ = run(capsys, "cone", "s0-algebra", "--at-inverse-alpha",
                        "--kind", "taming", "--restarts", "16",
                        "--max-iters", "800")
     assert code == 0
     doc = last_json(out)
-    assert "evidence" in doc["verdict"]
-    assert doc["lambda_min"] <= 1e-6
+    assert doc["verdict"] == "infeasible (certified)"
+    assert "lambda_min  <= 0 (certified)" in out
+    assert doc["lambda_min"] == 0.0 and doc["coefficients"] == []
+    assert_exact_s0_certificate(doc, "taming")
 
 
 def test_cone_lck_on_one_dimensional_kernel(capsys):
-    # the J-invariant kernel is spanned by one form whose Sym(omega(., J.))
-    # has eigenvalues [0, 0, 1, 1]; a restart from x = -1 steps onto x = 0
+    # the J-invariant kernel is one form; test_lck_cone.py runs the ascent
+    # on it, which the certificate makes unnecessary here
     code, out, _ = run(capsys, "cone", "s0-algebra", "--at-inverse-alpha",
                        "--kind", "lck")
     assert code == 0
     doc = last_json(out)
-    assert "evidence" in doc["verdict"]
-    assert len(doc["coefficients"]) == 1
-    assert abs(doc["lambda_min"]) <= 1e-6
+    assert doc["verdict"] == "infeasible (certified)"
+    assert doc["coefficients"] == []
+    assert doc["lambda_min"] == 0.0
+    assert_exact_s0_certificate(doc, "lck")
 
 
 @pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
@@ -267,7 +292,8 @@ def test_cone_certificate_roundtrip(capsys):
     code, out, _ = run(capsys, "cone", "abelian4", "--theta", "zero")
     doc = last_json(out)
     assert json.loads(json.dumps(doc)) == doc
-    assert set(doc) == {"coefficients", "lambda_min", "kind", "verdict", "reason"}
+    assert set(doc) == {"coefficients", "lambda_min", "kind", "verdict", "reason",
+                        "certificate"}
 
 
 # -- model resolution and helpers --------------------------------------------

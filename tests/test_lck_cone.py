@@ -1,13 +1,28 @@
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from novikov.catalog import abelian_algebra, s0_algebra, splus_algebra
-from novikov.chevalley import InvariantForm, LieModelError, d_theta_apply
+from novikov.catalog import abelian_algebra, default_s0, s0_algebra, splus_algebra
+from novikov.chevalley import (
+    InvariantForm,
+    LieAlgebraModel,
+    LieModelError,
+    d_theta_apply,
+    wedge_basis,
+)
 from novikov.lck_cone import (
+    FEASIBILITY_TOL,
     TamingCertificate,
+    _ascent,
+    _j_float,
+    _j_invariant_subbasis,
+    _rank_one_certificate,
     certificate_form,
     form_to_matrix,
     kernel_basis,
@@ -138,8 +153,9 @@ def test_empty_kernel_reports_infeasible():
 
 def test_requires_J():
     from novikov.catalog import splus_coframe_model
-    with pytest.raises(LieModelError):
-        taming_feasibility(splus_coframe_model(), kind="taming")
+    for kind in ("taming", "lck"):
+        with pytest.raises(LieModelError):
+            taming_feasibility(splus_coframe_model(), kind=kind)
 
 
 def test_kind_validated():
@@ -160,9 +176,16 @@ def test_certificate_json():
     doc = json.loads(cert.to_json())
     assert doc["kind"] == "taming"
     assert doc["verdict"] == "feasible"
+    assert doc["certificate"] is None
     bad = TamingCertificate([1.0], -0.2, "lck", False, reason="x")
     doc2 = json.loads(bad.to_json())
     assert "evidence" in doc2["verdict"]
+    assert doc2["certificate"] is None
+    proved = TamingCertificate([], 0.0, "taming", False, reason="x",
+                               certificate=[Fraction(0), Fraction(1, 2)])
+    doc3 = json.loads(proved.to_json())
+    assert proved.verdict == doc3["verdict"] == "infeasible (certified)"
+    assert doc3["certificate"] == ["0", "1/2"]
 
 
 def test_splus_algebra_rational_a_cone():
@@ -170,3 +193,110 @@ def test_splus_algebra_rational_a_cone():
     basis = kernel_basis(model)
     for form in basis:
         assert d_theta_apply(model, form).is_zero()
+
+
+# -- exact certificate and the ascent ----------------------------------------
+
+def s0_at_inverse_alpha():
+    """The S0 algebra at the distinguished alpha, with the Lee form negated."""
+    _, alpha = default_s0()
+    r = Fraction(math.log(alpha.to_float()) / 2).limit_denominator(10 ** 9)
+    model = s0_algebra().instantiate({"r": r, "s": Fraction(1)})
+    return model, tuple(-c for c in model.theta)
+
+
+def omega_v_jv(model, form, v):
+    """omega(v, Jv) over Q through the form's antisymmetric matrix and
+    model.apply_J: an oracle independent of the certificate search."""
+    n = model.dim
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in zip(wedge_basis(n, 2), form.coeffs):
+        w[i][j], w[j][i] = c, -c
+    jv = model.apply_J(v)
+    return sum(v[u] * w[u][t] * jv[t] for u in range(n) for t in range(n))
+
+
+def test_certificate_is_exact_on_s0_at_inverse_alpha():
+    model, theta = s0_at_inverse_alpha()
+    for kind in ("taming", "lck"):
+        cert = taming_feasibility(model, kind=kind, theta=theta)
+        assert cert.verdict == "infeasible (certified)"
+        assert cert.coefficients == [] and cert.lambda_min == 0.0
+        v = cert.certificate
+        assert any(v)
+        basis = kernel_basis(model, theta)
+        if kind == "lck":
+            basis = _j_invariant_subbasis(model, basis)
+        for form in basis:
+            assert d_theta_apply(replace(model, theta=theta), form).is_zero()
+            assert omega_v_jv(model, form, v) == 0
+
+
+def test_ascent_survives_a_step_onto_the_origin():
+    # the J-invariant kernel is spanned by one form whose Sym(omega(., J.))
+    # has eigenvalues [0, 0, 1, 1]; a restart from x = -1 steps onto x = 0
+    # (np.linalg.LinAlgError before the ascent stopped there)
+    model, theta = s0_at_inverse_alpha()
+    basis = _j_invariant_subbasis(model, kernel_basis(model, theta))
+    assert len(basis) == 1
+    cert = _ascent(basis, _j_float(model), "lck", FEASIBILITY_TOL,
+                   restarts=8, max_iters=300, seed=0)
+    assert cert.verdict == "infeasible (evidence, not proof)"
+    assert len(cert.coefficients) == 1
+    assert abs(cert.lambda_min) <= 1e-6
+
+
+STANDARD_J = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
+
+
+def matmul(x, y):
+    return [[sum(x[i][t] * y[t][k] for t in range(len(y))) for k in range(len(y[0]))]
+            for i in range(len(x))]
+
+
+def shear(a, b, t):
+    """I + t E_ab on R^4."""
+    return [[int(i == k) + (t if (i, k) == (a, b) else 0) for k in range(4)]
+            for i in range(4)]
+
+
+@st.composite
+def almost_abelian_with_j(draw):
+    """R x_A R^3 with integer A, theta = r e^0 (closed, since R^3 is an
+    abelian ideal) and J the standard J0 conjugated by up to three shears, so
+    that certificates are not always found on the standard basis."""
+    entry = st.integers(-2, 2)
+    a = [[draw(entry) for _ in range(3)] for _ in range(3)]
+    r = draw(st.sampled_from((Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 7))))
+    j = [list(row) for row in STANDARD_J]
+    index = st.integers(0, 3)
+    for x, y, t in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=3)):
+        if x != y:
+            j = matmul(matmul(shear(x, y, t), j), shear(x, y, -t))
+    brackets = {(0, i + 1): {k + 1: a[k][i] for k in range(3)} for i in range(3)}
+    model = LieAlgebraModel(dim=4, brackets=brackets, theta=(r, 0, 0, 0),
+                            J=tuple(map(tuple, j)))
+    return model, draw(st.sampled_from(("taming", "lck")))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(almost_abelian_with_j())
+def test_rank_one_certificate_agrees_with_the_ascent(data):
+    model, kind = data
+    basis = kernel_basis(model)
+    if kind == "lck":
+        basis = _j_invariant_subbasis(model, basis)
+    if not basis:
+        return
+    search = _ascent(basis, _j_float(model), kind, FEASIBILITY_TOL,
+                     restarts=4, max_iters=300, seed=0)
+    cert = taming_feasibility(model, kind=kind, restarts=4, max_iters=300, seed=0)
+    v = _rank_one_certificate(model, basis)
+    if v is None:
+        assert cert.to_json() == search.to_json()
+        return
+    assert cert.certificate == v and any(v)
+    for form in basis:
+        assert d_theta_apply(model, form).is_zero()
+        assert omega_v_jv(model, form, v) == 0
+    assert not search.feasible
