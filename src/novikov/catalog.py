@@ -70,17 +70,13 @@ class SpmDatum:
             raise ModelError("the integer r must be nonzero")
 
 
-def _frac_matrix(rows):
-    return Matrix.from_rows([[Fraction(x) for x in r] for r in rows])
-
-
 def make_s0(datum: S0Datum):
     """TorusMonodromy fiber model + the distinguished Lee parameter alpha."""
     rows = datum.A
-    cp = char_poly(_frac_matrix(rows))
+    cp = char_poly(Matrix.from_rows(rows))
     # det(A) = (-1)^3 * cp(0) for the 3x3 case
-    if -cp(0) != 1:
-        raise ModelError(f"S0 matrix must have determinant 1, got {-cp(0)}")
+    if -cp.constant() != 1:
+        raise ModelError(f"S0 matrix must have determinant 1, got {-cp.constant()}")
     real_roots = isolate_real_roots(cp)
     if sum(m for _, m in real_roots) != 1:
         raise ModelError("S0 matrix needs exactly one real eigenvalue "
@@ -94,7 +90,7 @@ def make_s0(datum: S0Datum):
 
 
 def _two_real_eigen(rows):
-    cp = char_poly(_frac_matrix(rows))
+    cp = char_poly(Matrix.from_rows(rows))
     roots = isolate_real_roots(cp)
     if sum(m for _, m in roots) != 2 or any(m != 1 for _, m in roots):
         raise ModelError("matrix needs two distinct real eigenvalues")
@@ -106,8 +102,8 @@ def make_splus(datum: SpmDatum):
     if datum.sign != "plus":
         raise ModelError("datum is not tagged plus")
     roots, cp = _two_real_eigen(datum.N)
-    if cp(0) != 1:  # det(N) = cp(0) for the 2x2 case
-        raise ModelError(f"S+ matrix must have determinant 1, got {cp(0)}")
+    if cp.constant() != 1:  # det(N) = cp(0) for the 2x2 case
+        raise ModelError(f"S+ matrix must have determinant 1, got {cp.constant()}")
     one = AlgebraicReal.from_rational(1)
     big = [r for r in roots if one < r]
     if len(big) != 1:
@@ -131,8 +127,8 @@ def make_sminus(datum: SpmDatum):
     if datum.sign != "minus":
         raise ModelError("datum is not tagged minus")
     roots, cp = _two_real_eigen(datum.N)
-    if cp(0) != -1:
-        raise ModelError(f"S- matrix must have determinant -1, got {cp(0)}")
+    if cp.constant() != -1:
+        raise ModelError(f"S- matrix must have determinant -1, got {cp.constant()}")
     one = AlgebraicReal.from_rational(1)
     big = [r for r in roots if one < r]
     if len(big) != 1:
@@ -246,12 +242,6 @@ def splus_coframe_model() -> LieAlgebraModel:
         name="splus-coframe",
     )
     return _check(model)
-
-
-def sminus_note() -> str:
-    return ("The S- surface is double-covered by an S+ surface, so its invariant "
-            "model reuses the S+ algebra (splus_algebra); only the fiber model "
-            "differs, via make_sminus.")
 
 
 def ot_algebra(s: int, alpha_list=None) -> LieAlgebraModel:

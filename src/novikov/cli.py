@@ -15,9 +15,9 @@ Exit codes: 0 success, 2 usage/parse error, 3 model validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -316,6 +316,8 @@ def _parse_theta(text, model):
 def cmd_cone(args):
     if args.restarts < 1 or args.max_iters < 1:
         raise CliError("--restarts and --max-iters must be at least 1", EXIT_USAGE)
+    if not 0 <= args.tol < math.inf:
+        raise CliError("--tol must be finite and nonnegative", EXIT_USAGE)
     selectors = sum(bool(x) for x in (args.theta, args.at_alpha, args.at_inverse_alpha))
     if selectors > 1:
         raise CliError("choose at most one of --theta, --at-alpha, "
@@ -351,6 +353,7 @@ def cmd_cone(args):
     return EXIT_OK
 
 
+@functools.cache  # nothing in it varies, so one parser serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="novikov",
@@ -385,21 +388,20 @@ def build_parser():
     p.add_argument("--at-inverse-alpha", action="store_true")
     search_only = "; used only when no exact certificate of infeasibility is found"
     p.add_argument("--tol", type=float, default=FEASIBILITY_TOL,
-                   help="feasible when lambda_min exceeds this" + search_only)
+                   help="feasible when lambda_min exceeds this; 0 <= TOL < inf"
+                        + search_only)
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
                    help="ascent restarts" + search_only)
     p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
                    help="iterations per restart" + search_only)
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("NOVIKOV_SEED", "0")),
+    p.add_argument("--seed", type=int, default=0,
                    help="seed of the restarts" + search_only)
     p.set_defaults(func=cmd_cone)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

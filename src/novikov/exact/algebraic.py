@@ -17,6 +17,7 @@ from .polynomials import (
     factor_squarefree_irreducible,
     is_irreducible,
     root_bound,
+    sign_at,
     sturm_sequence,
 )
 
@@ -45,7 +46,7 @@ class AlgebraicReal:
         if not is_irreducible(p):
             raise ValueError(f"{p!r} is not irreducible over Q")
         lo, hi = Fraction(lo), Fraction(hi)
-        if p(lo) == 0 or p(hi) == 0:
+        if not all(sign_at(p, x.numerator, x.denominator) for x in (lo, hi)):
             raise ValueError("interval endpoints must not be roots")
         if count_roots(p, lo, hi) != 1:
             raise ValueError("interval does not isolate exactly one root")
@@ -72,7 +73,7 @@ class AlgebraicReal:
     def refined(self, width) -> "AlgebraicReal":
         """Return self with isolating interval narrower than `width`, by
         bisection in integers: the interval is (a/den, b/den), and p is
-        evaluated at each midpoint through `_homogeneous_sign`."""
+        evaluated at each midpoint through `sign_at`."""
         width = Fraction(width)
         if self.is_rational():
             q = self.as_rational()
@@ -82,11 +83,11 @@ class AlgebraicReal:
         p = self.minpoly
         den = math.lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-        slo = _homogeneous_sign(p, a, den)
+        slo = sign_at(p, a, den)
         while (b - a) * width.denominator >= width.numerator * den:
             mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
             # irreducible of degree >= 2 has no rational roots, so the sign != 0
-            if _homogeneous_sign(p, mid, den) == slo:
+            if sign_at(p, mid, den) == slo:
                 a = mid
             else:
                 b = mid
@@ -137,15 +138,6 @@ class AlgebraicReal:
         return f"AlgebraicReal({list(self.minpoly.coeffs)} in {self.interval})"
 
 
-def _homogeneous_sign(p: IntPoly, n, d):
-    """Sign of p(n/d) for d > 0: that of sum_i c_i n^i d^(deg - i)."""
-    acc, dpow = 0, 1
-    for c in reversed(p.coeffs):
-        acc = acc * n + c * dpow
-        dpow *= d
-    return 1 if acc > 0 else -1
-
-
 def isolate_real_roots(p: IntPoly):
     """All real roots of p as (AlgebraicReal, multiplicity), intervals pairwise
     disjoint across factors."""
@@ -185,7 +177,7 @@ def _isolate_irreducible(p: IntPoly):
         n = count_roots(p, lo, hi, seq)
         if n == 0:
             continue
-        if n == 1 and p(lo) != 0 and p(hi) != 0:
+        if n == 1 and all(sign_at(p, x.numerator, x.denominator) for x in (lo, hi)):
             out.append(AlgebraicReal(p, (lo, hi), seq))
             continue
         mid = (lo + hi) / 2

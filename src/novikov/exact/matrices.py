@@ -171,33 +171,34 @@ def _mat_mul(a, b):
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def rank(m: Matrix) -> int:
-    """Rank by Gaussian elimination with exact division; works over int,
-    Fraction, NFElem and Q(params) entries."""
+def _echelon(m: Matrix):
+    """Forward Gaussian elimination with exact division (int entries taken as
+    Fractions): (rows, pivots), the rows in echelon form and the pivot column
+    of each of the first len(pivots) rows."""
     rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
-    nrows, ncols = m.rows, m.cols
-    rk = 0
-    for col in range(ncols):
-        pivot = _choose_pivot(rows, rk, col)
+    pivots = []
+    for col in range(m.cols):
+        rk = len(pivots)
+        if rk == m.rows:
+            break
+        pivot = next((r for r in range(rk, m.rows) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
         piv = rows[rk][col]
-        for r in range(rk + 1, nrows):
+        for r in range(rk + 1, m.rows):
             x = rows[r][col]
-            if not x:
-                continue
-            factor = x / piv
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rk])]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
+            if x:
+                factor = x / piv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rk])]
+        pivots.append(col)
+    return rows, pivots
 
 
-def _choose_pivot(rows, start, col):
-    """The first row from start on with a nonzero entry in col, or None."""
-    return next((r for r in range(start, len(rows)) if rows[r][col]), None)
+def rank(m: Matrix) -> int:
+    """Rank by Gaussian elimination with exact division; works over int,
+    Fraction, NFElem and Q(params) entries."""
+    return len(_echelon(m)[1])
 
 
 def nf_rank(m: Matrix) -> int:
@@ -207,36 +208,23 @@ def nf_rank(m: Matrix) -> int:
 
 def nullspace(m: Matrix):
     """Exact kernel basis (list of column vectors) over a field with exact
-    division; returned vectors are lists of entries."""
-    rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    rk = 0
-    for col in range(ncols):
-        pivot = _choose_pivot(rows, rk, col)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        piv = rows[rk][col]
-        rows[rk] = [a / piv for a in rows[rk]]
-        for r in range(nrows):
-            x = rows[r][col]
-            if r != rk and x:
-                rows[r] = [a - x * b for a, b in zip(rows[r], rows[rk])]
-        pivots.append(col)
-        rk += 1
-        if rk == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not rows:
-        return [[Fraction(int(i == f)) for i in range(ncols)] for f in free]
-    one = _one_like(rows[0][0])
+    division: per free column f, the kernel vector that is 1 at f and 0 at
+    the other free columns, by back-substitution in the echelon form (the
+    vectors a reduced row echelon form reads off).  Vectors are lists of
+    entries."""
+    rows, pivots = _echelon(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    if not free:
+        return []
+    one = _one_like(rows[0][0]) if rows else Fraction(1)
     zero = one - one
     basis = []
     for f in free:
-        vec = [zero] * ncols
+        vec = [zero] * m.cols
         vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
+        for p, row in reversed(list(zip(pivots, rows))):
+            acc = sum((row[c] * vec[c] for c in range(p + 1, m.cols) if vec[c]), zero)
+            if acc:
+                vec[p] = -acc / row[p]
         basis.append(vec)
     return basis

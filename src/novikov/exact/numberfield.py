@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from sympy import QQ
+from sympy.polys.polyclasses import DMP
+
 from .algebraic import AlgebraicReal
-from .polynomials import _frac_divmod
 
 
 class NumberField:
@@ -21,6 +23,7 @@ class NumberField:
         # monic minpoly over Q for reduction
         lead = Fraction(generator.minpoly.leading())
         self._monic = [Fraction(c) / lead for c in generator.minpoly.coeffs]
+        self._minpoly = _dense(generator.minpoly.coeffs)
 
     def zero(self):
         return NFElem(self, (Fraction(0),) * self.degree)
@@ -93,21 +96,15 @@ class NFElem:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid against the minimal polynomial."""
+        """Inverse modulo the minimal polynomial, by sympy's dense
+        polynomials over QQ."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         if self.field.degree == 1:
             return NFElem(self.field, (1 / self.rep[0],))
-        r0, r1 = list(self.field._monic), list(self.rep)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1 = _trim(r1)
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return self.field.reduce([c * inv for c in s1])
-            q, r = _frac_divmod(r0, r1)
-            s = _polysub(s0, _polymul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
+        inv = _dense(self.rep).invert(self.field._minpoly)
+        return self.field.reduce([Fraction(c.numerator, c.denominator)
+                                  for c in reversed(inv.to_list())])
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -123,24 +120,7 @@ class NFElem:
         return f"NFElem{list(self.rep)}"
 
 
-def _trim(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _dense(coeffs):
+    """A rational coefficient list, lowest degree first, as sympy's dense
+    univariate polynomial over QQ."""
+    return DMP.from_list([QQ(c.numerator, c.denominator) for c in reversed(coeffs)], 0, QQ)

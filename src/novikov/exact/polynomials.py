@@ -1,8 +1,8 @@
 """Integer and rational polynomial arithmetic, Sturm sequences, root counting.
 
 Polynomials are stored densely, lowest degree first.  ``IntPoly`` keeps
-arbitrary-precision integer coefficients; the Sturm machinery works over
-``fractions.Fraction`` internally so no precision is ever lost.
+arbitrary-precision integer coefficients; Sturm chains are primitive integer
+pseudo-remainder sequences, and every sign decision is ``sign_at`` in integers.
 """
 
 from __future__ import annotations
@@ -126,47 +126,51 @@ def is_irreducible(p: IntPoly):
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == p.degree
 
 
-# -- Sturm sequences over Q ------------------------------------------------
+# -- Sturm sequences in integers ---------------------------------------------
 
-def _frac_divmod(num, den):
-    """Polynomial division of Fraction coefficient lists (lowest first)."""
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        q[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
+def sign_at(p: IntPoly, n, d):
+    """Sign of p(n/d) for d > 0, 0 at a root: that of sum_i c_i n^i d^(deg - i)."""
+    acc, dpow = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _content_free(p: IntPoly):
+    """p divided by its positive content; unlike ``primitive`` it keeps signs."""
+    g = p.content()
+    return IntPoly([c // g for c in p.coeffs]) if g > 1 else p
+
+
+def _sturm_remainder(a: IntPoly, b: IntPoly):
+    """-|lc(b)|^(deg a - deg b + 1) (a mod b), content-free: a positive multiple
+    of the negated remainder over Q, by pseudo-division in integers."""
+    lead, nb = b.leading(), len(b.coeffs)
+    r = [c * abs(lead) ** (a.degree - b.degree + 1) for c in a.coeffs]
+    for i in range(a.degree - b.degree, -1, -1):
+        q = r[i + nb - 1] // lead  # exact: the scaling left a factor lc(b) in it
+        if q:
+            for j, c in enumerate(b.coeffs):
+                r[i + j] -= q * c
+    return _content_free(-IntPoly(r[:nb - 1]))
 
 
 def sturm_sequence(p: IntPoly):
-    """Sturm chain of p as lists of Fractions (p need not be squarefree;
-    the chain is built from p and p', which suffices for squarefree input)."""
-    seq = [[Fraction(c) for c in p.coeffs], [Fraction(c) for c in p.derivative().coeffs]]
-    while seq[-1]:
-        _, r = _frac_divmod(seq[-2], seq[-1])
-        seq.append([-c for c in r])
+    """Sturm chain of p as content-free IntPolys (Collins' primitive
+    pseudo-remainder sequence), each a positive multiple of the Euclidean
+    chain p, p', -rem(p, p'), ... over Q (p need not be squarefree; the chain
+    is built from p and p', which suffices for squarefree input)."""
+    seq = [_content_free(p), _content_free(p.derivative())]
+    while not seq[-1].is_zero():
+        seq.append(_sturm_remainder(seq[-2], seq[-1]))
     seq.pop()
     return seq
 
 
-def _eval_frac(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def sign_variations(seq, x):
-    signs = []
-    for coeffs in seq:
-        v = _eval_frac(coeffs, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    """Sign changes of the chain at the rational x, zeros skipped."""
+    signs = [s for s in (sign_at(q, x.numerator, x.denominator) for q in seq) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 

@@ -16,7 +16,7 @@ an uncertified infeasible verdict is evidence, not proof.
 from __future__ import annotations
 
 import json
-import os
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,12 +149,15 @@ def _entry(form, idx, u, v):
 
 def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
                        tol=FEASIBILITY_TOL, restarts=DEFAULT_RESTARTS,
-                       max_iters=DEFAULT_MAX_ITERS, seed=None) -> TamingCertificate:
+                       max_iters=DEFAULT_MAX_ITERS, seed=0) -> TamingCertificate:
     """Decide whether some kernel form omega has Sym(omega(., J.)) positive
     definite: by an exact rank-one certificate of infeasibility when a basis
-    vector gives one, otherwise by the restarted ascent of `_ascent`."""
+    vector gives one, otherwise by the restarted ascent of `_ascent`, which
+    calls the search feasible when lambda_min exceeds tol (0 <= tol < inf)."""
     if kind not in ("taming", "lck"):
         raise ValueError("kind must be 'taming' or 'lck'")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if theta is not None:
         model = _with_theta(model, theta)
     basis = kernel_basis(model)
@@ -201,8 +204,6 @@ def _ascent(basis, jmat, kind, tol, restarts, max_iters, seed) -> TamingCertific
         mats.append((m + m.T) / 2)
     mats = np.array(mats)
 
-    if seed is None:
-        seed = int(os.environ.get("NOVIKOV_SEED", "0"))
     rng = np.random.default_rng(seed)
     dim = len(basis)
 

@@ -19,7 +19,6 @@ from novikov.catalog import (
     make_splus,
     ot_algebra,
     s0_algebra,
-    sminus_note,
     splus_algebra,
     splus_coframe_model,
 )
@@ -127,10 +126,6 @@ def test_splus_coframe_decomposition():
     h = model.named_forms["h"]
     f4 = InvariantForm.covector(4, 3)
     assert d_theta_apply(model, -f4) + h == omega
-
-
-def test_sminus_note_mentions_cover():
-    assert "double" in sminus_note()
 
 
 def test_ot_algebra():

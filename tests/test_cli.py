@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from novikov.cli import _instantiated_s0, main
+from novikov.cli import _instantiated_s0, build_parser, main
 from novikov.catalog import default_s0
 from novikov.chevalley import wedge_basis
 from novikov.lck_cone import _j_invariant_subbasis, kernel_basis
@@ -263,6 +263,31 @@ def test_cone_rejects_search_sizes_below_one(capsys, flag, value):
     code, _, err = run(capsys, "cone", "abelian4", flag, value)
     assert code == 2
     assert "at least 1" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+def test_cone_rejects_tolerance_outside_zero_to_inf(capsys, value):
+    # a negative tolerance called lambda_min = -9.65e-11 feasible, and nan or
+    # inf called lambda_min = 0.707 infeasible
+    code, out, err = run(capsys, "cone", "abelian4", "--theta", "1,2,3,4",
+                         f"--tol={value}")
+    assert code == 2
+    assert "--tol" in err and out == ""
+
+
+def test_cone_accepts_zero_tolerance(capsys):
+    code, out, _ = run(capsys, "cone", "abelian4", "--theta", "zero", "--tol", "0")
+    assert code == 0
+    assert last_json(out)["verdict"] == "feasible"
+
+
+def test_cone_seed_defaults_to_zero_whatever_the_environment(monkeypatch):
+    monkeypatch.setenv("NOVIKOV_SEED", "5")
+    assert build_parser().parse_args(["cone", "abelian4"]).seed == 0
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_cone_abelian_zero_theta(capsys):

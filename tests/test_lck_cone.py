@@ -163,6 +163,12 @@ def test_kind_validated():
         taming_feasibility(abelian_algebra(4), kind="compatible")
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="tol"):
+        taming_feasibility(abelian_algebra(4), theta=(1, 2, 3, 4), tol=tol)
+
+
 def test_seed_determinism():
     model = s0_at(Fraction(1, 2))
     a = taming_feasibility(model, kind="taming", seed=5, restarts=4, max_iters=300)

@@ -6,8 +6,11 @@ from math import comb, lcm
 import sympy as sp
 
 from novikov.exact import (
+    AlgebraicReal,
     IntPoly,
     Matrix,
+    NFElem,
+    NumberField,
     char_poly,
     coefficient,
     coefficient_field,
@@ -240,3 +243,98 @@ def test_nullspace_membership_random():
                 for c in range(cols):
                     acc = acc + m[r, c] * vec[c]
                 assert acc == 0
+
+
+# -- parity with the reduced-row-echelon nullspace ---------------------------
+
+def rref_nullspace(m):
+    """Kernel basis read off the reduced row echelon form: per free column f,
+    the vector with 1 at f, 0 at the other free columns and -R[r][f] at the
+    pivot column of row r."""
+    rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
+    pivots = []
+    for col in range(m.cols):
+        rk = len(pivots)
+        if rk == m.rows:
+            break
+        pivot = next((r for r in range(rk, m.rows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        piv = rows[rk][col]
+        rows[rk] = [a / piv for a in rows[rk]]
+        for r in range(m.rows):
+            x = rows[r][col]
+            if r != rk and x:
+                rows[r] = [a - x * b for a, b in zip(rows[r], rows[rk])]
+        pivots.append(col)
+    x = rows[0][0]
+    one = x.field.one() if isinstance(x, NFElem) else x - x + 1
+    zero = one - one
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        vec = [zero] * m.cols
+        vec[f] = one
+        for r, p in enumerate(pivots):
+            vec[p] = -rows[r][f]
+        basis.append(vec)
+    return basis
+
+
+def rank_deficient(rng, rows, cols, draw):
+    """A rows x cols matrix whose last rows are combinations of the first."""
+    indep = rng.randint(1, rows)
+    body = [[draw() for _ in range(cols)] for _ in range(indep)]
+    for _ in range(rows - indep):
+        coefs = [draw() for _ in range(indep)]
+        row = [coefs[0] * x for x in body[0]]
+        for c, other in zip(coefs[1:], body[1:]):
+            row = [a + c * b for a, b in zip(row, other)]
+        body.append(row)
+    rng.shuffle(body)
+    return Matrix.from_rows(body)
+
+
+def assert_nullspace_parity(rng, count, max_rows, max_cols, draw):
+    for _ in range(count):
+        m = rank_deficient(rng, rng.randint(1, max_rows), rng.randint(1, max_cols), draw)
+        got = nullspace(m)
+        assert got == rref_nullspace(m)
+        assert len(got) == m.cols - rank(m)
+
+
+def test_nullspace_matches_rref_over_q():
+    rng = random.Random(11)
+    # sparse draws make zero pivots, row swaps and free columns between pivots
+    assert_nullspace_parity(rng, 300, 6, 7, lambda: Fraction(
+        rng.choice((0, 0, 0, rng.randint(-5, 5))), rng.randint(1, 4)))
+
+
+def test_nullspace_matches_rref_over_a_number_field():
+    gen = AlgebraicReal.from_poly(IntPoly((-1, -1, 0, 1)), Fraction(1), Fraction(2))
+    nf = NumberField(gen)
+    x = nf.gen()
+    rng = random.Random(12)
+
+    def draw():
+        if rng.random() < 0.4:
+            return nf.zero()
+        return nf.scalar(rng.randint(-3, 3)) + nf.scalar(rng.randint(-3, 3)) * x + \
+            nf.scalar(Fraction(rng.randint(-3, 3), 2)) * x * x
+
+    assert_nullspace_parity(rng, 60, 4, 5, draw)
+
+
+def test_nullspace_matches_rref_over_q_params():
+    field = coefficient_field(("a", "b"))
+    a, b = (coefficient(field, sp.Symbol(n)) for n in "ab")
+    monomials = [coefficient(field, 1), a, b, a * b, a * a]
+    rng = random.Random(13)
+
+    def draw():
+        if rng.random() < 0.4:
+            return coefficient(field, 0)
+        return sum((rng.randint(-2, 2) * mono for mono in rng.sample(monomials, 2)),
+                   coefficient(field, 0))
+
+    assert_nullspace_parity(rng, 40, 4, 5, draw)

@@ -9,8 +9,10 @@ from novikov.exact import (
     IntPoly,
     Matrix,
     NumberField,
+    isolate_real_roots,
     nf_rank,
 )
+from novikov.exact.polynomials import is_irreducible
 
 
 def field_sqrt2():
@@ -48,6 +50,34 @@ def test_inverse():
         assert (prod - nf.one()).is_zero()
     with pytest.raises(ZeroDivisionError):
         nf.zero().inverse()
+
+
+def random_fields(rng, count):
+    """Q(lambda) for real roots of random irreducible integer polynomials of
+    degree 2..5."""
+    fields = []
+    while len(fields) < count:
+        deg = rng.randint(2, 5)
+        p = IntPoly([rng.randint(-6, 6) for _ in range(deg)] + [rng.randint(1, 3)])
+        if is_irreducible(p):
+            roots = isolate_real_roots(p)
+            if roots:
+                fields.append(NumberField(rng.choice(roots)[0]))
+    return fields
+
+
+def test_inverse_on_random_fields():
+    rng = random.Random(5)
+    for nf in random_fields(rng, 24):
+        for _ in range(10):
+            elem = nf.reduce([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                              for _ in range(nf.degree)])
+            if elem.is_zero():
+                continue
+            inv = elem.inverse()
+            assert len(inv.rep) == nf.degree
+            assert all(type(c) is Fraction for c in inv.rep)
+            assert (elem * inv - nf.one()).is_zero()
 
 
 def test_division():

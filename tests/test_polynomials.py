@@ -117,3 +117,82 @@ def test_sturm_against_float_oracle():
         want = len({round(r, 7) for r in real if -20 < r <= 20})
         got = count_roots(p, lo, hi, sturm_sequence(p))
         assert got == want, f"poly {coeffs}: sturm {got}, oracle {want}"
+
+
+# -- parity with the Euclidean Sturm chain over Q ------------------------------
+
+def fraction_sturm_chain(p):
+    """The chain p, p', -rem(p, p'), ... by Euclid over Fractions."""
+    seq = [[Fraction(c) for c in p.coeffs], [Fraction(c) for c in p.derivative().coeffs]]
+    while seq[-1]:
+        num, den = list(seq[-2]), seq[-1]
+        for i in range(len(num) - len(den), -1, -1):
+            q = num[i + len(den) - 1] / den[-1]
+            for j, d in enumerate(den):
+                num[i + j] -= q * d
+        while num and num[-1] == 0:
+            num.pop()
+        seq.append([-c for c in num])
+    seq.pop()
+    return seq
+
+
+def horner_variations(seq, x):
+    values = []
+    for coeffs in seq:
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        values.append(acc)
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def random_polys(rng, count):
+    """Dense, sparse (chains with degree gaps, where the pseudo-remainder's
+    scaling power is odd) and repeated-factor polynomials of degree 1..20,
+    with integer roots among the factors."""
+    out = []
+    while len(out) < count:
+        kind = rng.choice(("dense", "sparse", "repeated"))
+        if kind == "dense":
+            deg = rng.randint(1, 20)
+            p = IntPoly([rng.randint(-9, 9) for _ in range(deg)]
+                        + [rng.choice((-1, 1)) * rng.randint(1, 9)])
+        elif kind == "sparse":
+            deg = rng.randint(2, 20)
+            coeffs = [rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(deg)]
+            p = IntPoly(coeffs + [rng.choice((-3, -2, -1, 1, 2, 3))])
+        else:
+            p = IntPoly([rng.choice((-1, 1))])
+            for _ in range(rng.randint(1, 3)):
+                f = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]
+                            + [rng.choice((-2, -1, 1, 2))])
+                for _ in range(rng.randint(1, 3)):
+                    p = p * f
+        if 1 <= p.degree <= 20:
+            out.append(p)
+    return out
+
+
+def test_integer_sturm_chain_is_a_positive_multiple_of_the_fraction_chain():
+    rng = random.Random(1967)
+    for p in random_polys(rng, 200):
+        ints, fracs = sturm_sequence(p), fraction_sturm_chain(p)
+        assert len(ints) == len(fracs), p
+        for a, b in zip(ints, fracs):
+            assert a.degree == len(b) - 1
+            ratios = {Fraction(x) / y for x, y in zip(a.coeffs, b) if y}
+            assert [bool(x) for x in a.coeffs] == [bool(y) for y in b]
+            assert len(ratios) == 1 and ratios.pop() > 0, (p, a, b)
+            assert a.content() == 1
+
+
+def test_sign_variations_match_the_fraction_chain_at_rational_points():
+    rng = random.Random(1968)
+    for p in random_polys(rng, 80):
+        ints, fracs = sturm_sequence(p), fraction_sturm_chain(p)
+        points = [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(8)]
+        points += [Fraction(rng.randint(-4, 4)) for _ in range(4)]  # hits roots
+        for x in points:
+            assert sign_variations(ints, x) == horner_variations(fracs, x), (p, x)
