@@ -10,6 +10,7 @@ forbids d_theta-exact taming forms.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -373,10 +374,73 @@ def d_theta_matrix(model: LieAlgebraModel, k) -> Matrix:
     return _matrix_of(model, k, d_theta_apply)
 
 
-def twisted_ce_cohomology(model: LieAlgebraModel):
-    """dim H^k(Lambda g*, d_theta) for k = 0..dim."""
+# A model with parameters is first evaluated at up to this many seeded rational
+# points; the first at which every denominator is nonzero is used.
+POINT_DRAWS = 8
+
+
+def _seeded_points(count):
+    """The rational points tried for a model with count parameters, in order."""
+    rng = random.Random(0)
+    for _ in range(POINT_DRAWS):
+        yield tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                    for _ in range(count))
+
+
+def _at_point(model: LieAlgebraModel, point):
+    """The model without parameters whose brackets and theta are the model's
+    evaluated at point (one rational per parameter), or None when a
+    denominator vanishes there."""
+    ring = model.field.field.ring
+    values = [(g, ring.domain.convert(v)) for g, v in zip(ring.gens, point)]
+
+    def value(c):  # raises ZeroDivisionError at a pole
+        q = c.numer.evaluate(values) / c.denom.evaluate(values)
+        return Fraction(int(q.numerator), int(q.denominator))
+
+    try:
+        return LieAlgebraModel(
+            dim=model.dim,
+            brackets={ij: {k: value(c) for k, c in comps.items()}
+                      for ij, comps in model.brackets.items()},
+            theta=tuple(map(value, model.theta)))
+    except ZeroDivisionError:
+        return None
+
+
+def _generic_ranks(model: LieAlgebraModel):
+    """Ranks of d_theta on k-forms over Q(params), k = 0..dim-1.
+
+    At a rational point where the coefficients are defined, the rank r_k of
+    d_theta is at most the generic rank R_k (a minor that is nonzero at the
+    point is a nonzero rational function).  Since d_theta^2 = 0 over
+    Q(params), R_(k-1) + R_k <= C(n, k) for every k, so
+    R_k <= min(C(n, k+1) - r_(k+1), C(n, k) - r_(k-1)), which is at most the
+    matrix's row and column counts.  Where r_k equals that bound, that is where
+    the point's cohomology vanishes in degree k or k+1, R_k = r_k; only the
+    other ranks are eliminated over Q(params).  The point decides how much
+    symbolic work is left, never the answer.  d_theta^2 = 0 holds on every
+    model that passes ``validate`` (Jacobi and d theta = 0)."""
     n = model.dim
-    ranks = [rank(d_theta_matrix(model, k)) for k in range(n)]
+    for point in _seeded_points(len(model.params)):
+        at = _at_point(model, point)
+        if at is not None:
+            break
+    else:  # a pole at every point
+        return [rank(d_theta_matrix(model, k)) for k in range(n)]
+    r = [rank(d_theta_matrix(at, k)) for k in range(n)] + [0]  # r[-1] = r[n] = 0
+    return [r[k] if r[k] == min(comb(n, k + 1) - r[k + 1], comb(n, k) - r[k - 1])
+            else rank(d_theta_matrix(model, k)) for k in range(n)]
+
+
+def twisted_ce_cohomology(model: LieAlgebraModel):
+    """dim H^k(Lambda g*, d_theta) for k = 0..dim, over Q(params) when the
+    model has parameters: the dimensions for generic parameter values, with the
+    ranks pinned at a seeded rational point where they can be
+    (``_generic_ranks``)."""
+    n = model.dim
+    ranks = (_generic_ranks(model) if model.params
+             else [rank(d_theta_matrix(model, k)) for k in range(n)])
     dims = []
     for k in range(n + 1):
         rk_out = ranks[k] if k < n else 0
@@ -434,8 +498,6 @@ def obstruction_search(model: LieAlgebraModel, samples=2000, seed=0):
     coefficients in [-4, 4], then a seeded sample of bounded rational
     combinations (denominators <= 4).  Returns None when the budget is
     exhausted; that is evidence of absence, not a proof."""
-    import random as _random
-
     n = model.dim
     if model.J is None:
         raise LieModelError("obstruction search needs a complex structure J")
@@ -451,7 +513,7 @@ def obstruction_search(model: LieAlgebraModel, samples=2000, seed=0):
                 vec[i], vec[j] = a, b
                 if _is_certificate(model, tuple(vec)):
                     return ObstructionCertificate(tuple(vec))
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for _ in range(samples):
         vec = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
         if _is_certificate(model, vec):

@@ -210,10 +210,14 @@ def cmd_cohomology(args):
     if args.lam or args.lambda_log or args.at_alpha:
         raise CliError("Lie algebra models use their declared theta; "
                        "lambda selectors apply to fiber models", EXIT_USAGE)
+    params = list(resolved.model.params)
     dims = twisted_ce_cohomology(resolved.model)
     print(f"model   {resolved.name}")
+    if params:
+        print(f"generic in {', '.join(params)}: the dimensions off a proper "
+              "algebraic subset of parameter values")
     print(f"b = {dims}")
-    print(json.dumps({"model": resolved.name, "betti": dims}))
+    print(json.dumps({"model": resolved.name, "betti": dims, "generic_in": params}))
     return EXIT_OK
 
 

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .chevalley import (
     InvariantForm,
     LieAlgebraModel,
@@ -84,6 +82,8 @@ def _with_theta(model, theta):
 
 def form_to_matrix(form: InvariantForm):
     """Antisymmetric matrix W with W[u, v] = omega(e_u, e_v), as floats."""
+    import numpy as np  # numpy is loaded only where the cone needs floats
+
     n = form.dim
     w = np.zeros((n, n))
     for (i, j), c in zip(wedge_basis(n, 2), form.coeffs):
@@ -95,6 +95,8 @@ def form_to_matrix(form: InvariantForm):
 
 def positivity_check(form: InvariantForm, jmat) -> float:
     """Smallest eigenvalue of Sym(omega(., J.))."""
+    import numpy as np
+
     w = form_to_matrix(form)
     m = w @ np.asarray(jmat, dtype=float)
     return float(np.linalg.eigvalsh((m + m.T) / 2).min())
@@ -107,6 +109,8 @@ def _require_j(model):
 
 
 def _j_float(model):
+    import numpy as np
+
     return np.array([[float(c) for c in row] for row in _require_j(model)])
 
 
@@ -198,6 +202,8 @@ def _ascent(basis, jmat, kind, tol, restarts, max_iters, seed) -> TamingCertific
     """Maximize lambda_min(Sym(omega(., J.))) over the unit sphere of the
     kernel-coefficient space by projected subgradient ascent with restarts.
     Its infeasible verdict is evidence, not proof."""
+    import numpy as np
+
     mats = []
     for b in basis:
         m = form_to_matrix(b) @ jmat

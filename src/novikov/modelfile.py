@@ -85,6 +85,14 @@ def _require_keys(doc, required, optional, what):
 
 
 def _parse_expr(text, params, what):
+    # most coefficients are plain rationals, which Fraction reads as sympy
+    # would; not JSON numbers (Fraction(0.1) is not 1/10) nor non-ASCII digits
+    # (Fraction reads them, sympy refuses them)
+    if isinstance(text, str) and text.isascii():
+        try:
+            return coefficient(coefficient_field(params), Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            pass
     try:
         expr = sp.sympify(text, rational=True)
     except (sp.SympifyError, SyntaxError, TypeError) as exc:

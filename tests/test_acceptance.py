@@ -200,8 +200,9 @@ def test_criterion_12_cone_feasibility():
     infeas = taming_feasibility(model, kind="taming", theta=flipped, seed=0)
     assert not infeas.feasible
     assert infeas.lambda_min <= 1e-6
+    assert infeas.verdict == "infeasible (certified)"
     report(12, "S0 cone: LCK-feasible at lambda = alpha (lambda_min > 0.05); "
-               "taming at 1/alpha infeasible over 64 seeded restarts (evidence)")
+               "taming at 1/alpha infeasible (certified by a rank-one v)")
 
 
 def test_criterion_13_exact_algebra_properties():

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import novikov
 from novikov.cli import _instantiated_s0, build_parser, main
-from novikov.catalog import default_s0
+from novikov.catalog import default_s0, ot_algebra
 from novikov.chevalley import wedge_basis
 from novikov.lck_cone import _j_invariant_subbasis, kernel_basis
 from novikov.exact import alg_eq, alg_power, alg_reciprocal
@@ -95,6 +99,35 @@ def test_cohomology_algebra_model(capsys):
     assert last_json(out)["betti"] == [0, 1, 2, 1, 0]
     code, _, err = run(capsys, "cohomology", "splus-algebra", "--at-alpha")
     assert code == 2
+
+
+def lie_doc(model):
+    """A lie_algebra model file for a model without parameters."""
+    return {"type": "lie_algebra", "dim": model.dim,
+            "brackets": [{"i": i + 1, "j": j + 1,
+                          "coeffs": {str(k + 1): str(c) for k, c in comps.items()}}
+                         for (i, j), comps in model.brackets.items()],
+            "theta": [str(c) for c in model.theta]}
+
+
+def test_cohomology_labels_a_generic_answer(capsys, tmp_path):
+    code, out, _ = run(capsys, "cohomology", "ot:1")
+    assert code == 0
+    assert "generic in alpha1, r1" in out
+    doc = last_json(out)
+    assert doc["betti"] == [0, 0, 0, 0, 0]
+    assert list(doc) == ["model", "betti", "generic_in"]
+    assert doc["generic_in"] == ["alpha1", "r1"]
+    # at alpha1 = 2/3, r1 = 1 the cohomology jumps and nothing is generic
+    point = ot_algebra(1).instantiate({"alpha1": Fraction(2, 3), "r1": 1})
+    path = tmp_path / "ot1-point.json"
+    path.write_text(json.dumps(lie_doc(point)))
+    code, out, _ = run(capsys, "cohomology", str(path))
+    assert code == 0
+    assert "generic" not in out.splitlines()[1]
+    doc = last_json(out)
+    assert doc["betti"] == [0, 0, 1, 1, 0]
+    assert doc["generic_in"] == []
 
 
 def test_cohomology_kato(capsys):
@@ -284,6 +317,15 @@ def test_cone_accepts_zero_tolerance(capsys):
 def test_cone_seed_defaults_to_zero_whatever_the_environment(monkeypatch):
     monkeypatch.setenv("NOVIKOV_SEED", "5")
     assert build_parser().parse_args(["cone", "abelian4"]).seed == 0
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # numpy is loaded only where the cone needs floats
+    code = "import sys, novikov.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(novikov.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_parser_is_built_once():

@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from novikov.catalog import default_s0, default_splus
 from novikov.chevalley import twisted_ce_cohomology
@@ -8,6 +10,7 @@ from novikov.exact import AlgebraicReal
 from novikov.mapping_torus import ConjugatePair, FiberModel, twisted_betti
 from novikov.modelfile import (
     SchemaError,
+    _parse_expr,
     load_model,
     load_model_dict,
     parse_eigenvalue_spec,
@@ -132,6 +135,34 @@ def test_coefficient_outside_the_field_rejected(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["cohomology", str(path)]) == 2, text
         assert "schema error" in capsys.readouterr().err
+
+
+def sympy_parse(text, params):
+    """_parse_expr's answer through sympy alone, which a sympy expression
+    always takes: the coefficient, or SchemaError."""
+    try:
+        return _parse_expr(sp.sympify(text, rational=True), params, "coefficient")
+    except (sp.SympifyError, SyntaxError, TypeError, SchemaError):
+        return SchemaError
+
+
+@pytest.mark.parametrize("params", [(), ("a",)])
+@pytest.mark.parametrize("text", [
+    "0", "-3/2", " 7 ", "1e3", "1_0", "1/0", "+5", ".5", "2.50", "1 / 2", "3/-4",
+    "nan", "inf", "\u0663", "2*a", 0.1, 3, -2.5])
+def test_coefficients_parse_as_sympy_parses_them(text, params):
+    want = sympy_parse(text, params)
+    if want is SchemaError:
+        with pytest.raises(SchemaError):
+            _parse_expr(text, params, "coefficient")
+    else:
+        got = _parse_expr(text, params, "coefficient")
+        assert got == want and type(got) is type(want)
+
+
+def test_json_numbers_are_read_as_written():
+    assert _parse_expr(0.1, (), "coefficient") == Fraction(1, 10)
+    assert _parse_expr(3, (), "coefficient") == 3
 
 
 def test_bad_bracket_indices_rejected():
