@@ -17,10 +17,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-import sympy as sp
 from sympy.polys.polyerrors import CoercionFailed
 
-from .exact import Matrix, coefficient, coefficient_field, rank
+from .exact import Matrix, coefficient, coefficient_field, rank, substitution
 
 
 class LieModelError(ValueError):
@@ -222,27 +221,31 @@ class LieAlgebraModel:
         return InvariantForm(self.dim, 1, self.theta)
 
     def instantiate(self, mapping) -> "LieAlgebraModel":
-        """Substitute parameters (names or sympy symbols) by rationals or by
-        sympy expressions in the parameters that remain.  A name that is not a
-        parameter of the model raises LieModelError."""
-        unknown = sorted(str(k) for k in mapping if str(k) not in self.params)
+        """Substitute parameters (names or sympy symbols) by rational numbers,
+        ints or Fractions, through ``exact.substitution``; the parameters not
+        named stay symbolic.  A name that is not a parameter of the model, a
+        value that is not rational and a point where a denominator vanishes
+        raise LieModelError."""
+        values = {str(k): v for k, v in mapping.items()}
+        unknown = sorted(set(values) - set(self.params))
         if unknown:
             raise LieModelError(f"not parameters of the model: {unknown}; "
                                 f"its parameters are {list(self.params)}")
-        smap = {sp.Symbol(str(k)): sp.sympify(v) for k, v in mapping.items()}
-        K = self.field
-        sub = lambda c: K.to_sympy(c).subs(smap)
-        subs_all = lambda cs: tuple(sub(c) for c in cs)
-        return replace(
-            self,
-            params=tuple(p for p in self.params if sp.Symbol(p) not in smap),
-            brackets={ij: {k: sub(c) for k, c in comps.items()}
-                      for ij, comps in self.brackets.items()},
-            theta=subs_all(self.theta),
-            J=None if self.J is None else tuple(subs_all(r) for r in self.J),
-            named_forms={k: InvariantForm(f.dim, f.degree, subs_all(f.coeffs))
-                         for k, f in self.named_forms.items()},
-        )
+        try:
+            sub = substitution(self.params, values)
+            subs_all = lambda cs: tuple(map(sub, cs))
+            return replace(
+                self,
+                params=tuple(p for p in self.params if p not in values),
+                brackets={ij: {k: sub(c) for k, c in comps.items()}
+                          for ij, comps in self.brackets.items()},
+                theta=subs_all(self.theta),
+                J=None if self.J is None else tuple(map(subs_all, self.J)),
+                named_forms={k: InvariantForm(f.dim, f.degree, subs_all(f.coeffs))
+                             for k, f in self.named_forms.items()},
+            )
+        except (TypeError, ZeroDivisionError) as exc:
+            raise LieModelError(f"cannot set {values}: {exc}") from exc
 
 
 # -- differential and Hodge operators --------------------------------------
@@ -328,31 +331,26 @@ class ValidationReport:
 
 
 def validate(model: LieAlgebraModel) -> ValidationReport:
-    """Jacobi identity, d theta = 0, J^2 = -I, and d(d e^i) = 0 on Lambda^1."""
-    violations = []
+    """Jacobi identity, d theta = 0 and J^2 = -I.  Jacobi is checked as
+    d(d e^i) = 0 on every covector: the coefficient of d(d e^i) on
+    e^j ^ e^k ^ e^l is e^i of the Jacobiator of e_j, e_k, e_l, so the triples
+    where the identity fails are those where some d(d e^i) has a nonzero
+    coefficient, reported in lexicographic order."""
     n = model.dim
-    basis_vecs = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i, j, k in combinations(range(n), 3):
-        acc = model.bracket_vec(model.bracket_vec(basis_vecs[i], basis_vecs[j]), basis_vecs[k])
-        acc2 = model.bracket_vec(model.bracket_vec(basis_vecs[j], basis_vecs[k]), basis_vecs[i])
-        acc3 = model.bracket_vec(model.bracket_vec(basis_vecs[k], basis_vecs[i]), basis_vecs[j])
-        total = [a + b + c for a, b, c in zip(acc, acc2, acc3)]
-        if any(total):
-            violations.append(("jacobi", (i + 1, j + 1, k + 1)))
+    failing = set()
+    for i in range(n):
+        dd = d_apply(model, d_apply(model, InvariantForm.covector(n, i)))
+        failing.update(s for s, c in zip(wedge_basis(n, 3), dd.coeffs) if c)
+    violations = [("jacobi", tuple(x + 1 for x in s))
+                  for s in wedge_basis(n, 3) if s in failing]
     if not d_apply(model, model.theta_form()).is_zero():
         violations.append(("theta_not_closed", None))
     if model.J is not None:
         if n % 2 != 0:
             violations.append(("J_on_odd_dimension", None))
-        for i in range(n):
-            for j in range(n):
-                entry = sum(model.J[i][k] * model.J[k][j] for k in range(n))
-                if entry + int(i == j):
-                    violations.append(("J_squared", (i + 1, j + 1)))
-    for i in range(n):
-        d_ei = d_apply(model, InvariantForm.covector(n, i))
-        if not d_apply(model, d_ei).is_zero():
-            violations.append(("d_squared_on_covector", i + 1))
+        square = Matrix.from_rows(model.J).matmul(Matrix.from_rows(model.J))
+        violations += [("J_squared", (i + 1, j + 1)) for i in range(n) for j in range(n)
+                       if square[i, j] + int(i == j)]
     return ValidationReport(not violations, violations)
 
 
@@ -387,27 +385,6 @@ def _seeded_points(count):
                     for _ in range(count))
 
 
-def _at_point(model: LieAlgebraModel, point):
-    """The model without parameters whose brackets and theta are the model's
-    evaluated at point (one rational per parameter), or None when a
-    denominator vanishes there."""
-    ring = model.field.field.ring
-    values = [(g, ring.domain.convert(v)) for g, v in zip(ring.gens, point)]
-
-    def value(c):  # raises ZeroDivisionError at a pole
-        q = c.numer.evaluate(values) / c.denom.evaluate(values)
-        return Fraction(int(q.numerator), int(q.denominator))
-
-    try:
-        return LieAlgebraModel(
-            dim=model.dim,
-            brackets={ij: {k: value(c) for k, c in comps.items()}
-                      for ij, comps in model.brackets.items()},
-            theta=tuple(map(value, model.theta)))
-    except ZeroDivisionError:
-        return None
-
-
 def _generic_ranks(model: LieAlgebraModel):
     """Ranks of d_theta on k-forms over Q(params), k = 0..dim-1.
 
@@ -420,12 +397,16 @@ def _generic_ranks(model: LieAlgebraModel):
     the point's cohomology vanishes in degree k or k+1, R_k = r_k; only the
     other ranks are eliminated over Q(params).  The point decides how much
     symbolic work is left, never the answer.  d_theta^2 = 0 holds on every
-    model that passes ``validate`` (Jacobi and d theta = 0)."""
+    model that passes ``validate`` (Jacobi, checked as d(d e^i) = 0 on
+    covectors, and d theta = 0).  The point is applied by
+    ``model.instantiate``; a point where a denominator vanishes is redrawn."""
     n = model.dim
     for point in _seeded_points(len(model.params)):
-        at = _at_point(model, point)
-        if at is not None:
+        try:
+            at = model.instantiate(dict(zip(model.params, point)))
             break
+        except LieModelError:
+            pass
     else:  # a pole at every point
         return [rank(d_theta_matrix(model, k)) for k in range(n)]
     r = [rank(d_theta_matrix(at, k)) for k in range(n)] + [0]  # r[-1] = r[n] = 0

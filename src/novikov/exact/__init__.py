@@ -14,7 +14,7 @@ from .algebraic import (
     alg_reciprocal,
 )
 from .numberfield import NumberField, NFElem
-from .ratfunc import coefficient, coefficient_field
+from .ratfunc import coefficient, coefficient_field, substitution
 from .matrices import (
     Matrix,
     char_poly,
@@ -30,7 +30,7 @@ __all__ = [
     "Rat", "IntPoly", "sturm_sequence", "count_roots",
     "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp", "alg_neg",
     "alg_power", "alg_reciprocal", "NumberField", "NFElem", "coefficient",
-    "coefficient_field",
+    "coefficient_field", "substitution",
     "Matrix", "char_poly", "exterior_power", "exterior_square_cyclic",
     "nf_rank", "nullspace", "poly_at_matrix", "rank",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chevalley import (
@@ -27,7 +27,7 @@ from .chevalley import (
     d_theta_matrix,
     wedge_basis,
 )
-from .exact import Matrix, nullspace
+from .exact import Matrix, exterior_power, nullspace
 
 FEASIBILITY_TOL = 1e-6
 DEFAULT_RESTARTS = 64
@@ -69,15 +69,10 @@ def kernel_basis(model: LieAlgebraModel, theta=None):
     if model.params:
         raise LieModelError("instantiate parameters before cone computations")
     if theta is not None:
-        model = _with_theta(model, theta)
+        model = replace(model, theta=theta)
     mat = d_theta_matrix(model, 2)
     basis = nullspace(mat)
     return [InvariantForm(model.dim, 2, tuple(vec)) for vec in basis]
-
-
-def _with_theta(model, theta):
-    from dataclasses import replace
-    return replace(model, theta=theta)
 
 
 def form_to_matrix(form: InvariantForm):
@@ -116,39 +111,18 @@ def _j_float(model):
 
 def _j_invariant_subbasis(model, basis):
     """Restrict a kernel basis to the J-invariant forms omega(J., J.) = omega,
-    exactly over Q."""
-    n, J = model.dim, _require_j(model)
-    pairs = wedge_basis(n, 2)
-    idx = {p: i for i, p in enumerate(pairs)}
-    constraints = []  # rows over Q, columns = basis coefficients
-    for (u, v) in pairs:
-        row = []
-        for b in basis:
-            # (J^T W J - W)[u, v] expressed through the form's coefficients
-            acc = 0
-            for (i, j), c in zip(pairs, b.coeffs):
-                term = (J[i][u] * J[j][v] - J[i][v] * J[j][u]) * c
-                acc = acc + term
-            acc = acc - _entry(b, idx, u, v)
-            row.append(acc)
-        constraints.append(row)
-    mat = Matrix(len(constraints), len(basis), [x for r in constraints for x in r])
-    combo = nullspace(mat)
-    out = []
-    for vec in combo:
-        form = InvariantForm.zero(n, 2)
-        for coef, b in zip(vec, basis):
-            form = form + b.scale(coef)
-        out.append(form)
-    return out
-
-
-def _entry(form, idx, u, v):
-    if u == v:
-        return 0
-    if u < v:
-        return form.coeffs[idx[(u, v)]]
-    return -form.coeffs[idx[(v, u)]]
+    exactly over Q.  The coefficients of omega(J., J.) are Lambda^2(J)^T
+    applied to those of omega, so the combinations sought span the kernel of
+    (Lambda^2(J)^T - I) B, where B holds the basis forms as columns."""
+    jmat = Matrix.from_rows(_require_j(model))
+    if not basis:
+        return []
+    b = Matrix.from_rows(list(zip(*(form.coeffs for form in basis))))
+    image = exterior_power(jmat, 2).transpose().matmul(b)
+    combo = nullspace(Matrix(b.rows, b.cols,
+                             [x - y for x, y in zip(image.entries, b.entries)]))
+    return [InvariantForm(model.dim, 2, tuple(b.matmul(Matrix(b.cols, 1, vec)).entries))
+            for vec in combo]
 
 
 def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
@@ -163,7 +137,7 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if theta is not None:
-        model = _with_theta(model, theta)
+        model = replace(model, theta=theta)
     basis = kernel_basis(model)
     if kind == "lck":
         basis = _j_invariant_subbasis(model, basis)
@@ -257,7 +231,7 @@ def certificate_form(model: LieAlgebraModel, cert: TamingCertificate,
     """Exact reconstruction: rationalize the certificate coefficients in the
     kernel basis; the result is d_theta-closed exactly by construction."""
     if theta is not None:
-        model = _with_theta(model, theta)
+        model = replace(model, theta=theta)
     basis = kernel_basis(model)
     if cert.kind == "lck":
         basis = _j_invariant_subbasis(model, basis)

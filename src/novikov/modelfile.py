@@ -164,7 +164,7 @@ def _load_lie_algebra(doc):
                   ["name", "params", "theta", "J", "coframe", "named_forms"],
                   "lie_algebra")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SchemaError("lie_algebra: dim must be a positive integer")
     params = tuple(doc.get("params", ()))
     if not all(isinstance(p, str) for p in params) or len(set(params)) != len(params):
@@ -172,16 +172,16 @@ def _load_lie_algebra(doc):
     brackets = {}
     for item in doc["brackets"]:
         _require_keys(item, ["i", "j", "coeffs"], [], "bracket entry")
-        i, j = item["i"] - 1, item["j"] - 1  # file indices are 1-based
-        if not 0 <= i < j < dim:
-            raise SchemaError(f"bracket entry: bad index pair ({item['i']}, {item['j']})")
+        i, j = item["i"], item["j"]  # file indices are 1-based
+        if type(i) is not int or type(j) is not int or not 1 <= i < j <= dim:
+            raise SchemaError(f"bracket entry: bad index pair ({i!r}, {j!r})")
         comps = {}
         for k, expr in item["coeffs"].items():
             ki = int(k) - 1
             if not 0 <= ki < dim:
                 raise SchemaError(f"bracket entry: bad component index {k}")
             comps[ki] = _parse_expr(expr, params, "bracket coefficient")
-        brackets[(i, j)] = comps
+        brackets[(i - 1, j - 1)] = comps
     theta = None
     if "theta" in doc:
         if len(doc["theta"]) != dim:
@@ -204,13 +204,12 @@ def _load_lie_algebra(doc):
                 raise SchemaError(f"named form {name!r}: bad index set {subset!r}")
             entries[idx] = _parse_expr(expr, params, f"named form {name!r}")
         named[name] = InvariantForm.from_dict(dim, spec["degree"], entries)
-    try:
-        model = LieAlgebraModel(
-            dim=dim, params=params, brackets=brackets, theta=theta, J=jmat,
-            coframe_metric=bool(doc.get("coframe", False)),
-            named_forms=named, name=doc.get("name", ""))
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"lie_algebra: {exc}") from exc
+    if type(doc.get("coframe", False)) is not bool:
+        raise SchemaError("lie_algebra: coframe must be true or false")
+    model = LieAlgebraModel(
+        dim=dim, params=params, brackets=brackets, theta=theta, J=jmat,
+        coframe_metric=doc.get("coframe", False),
+        named_forms=named, name=doc.get("name", ""))
     report = validate(model)
     if not report:
         raise ModelError(f"lie_algebra model failed validation: {report.violations}")
@@ -231,7 +230,13 @@ def load_model_dict(doc):
     if kind not in _LOADERS:
         raise SchemaError(
             f"unknown model type {kind!r}; expected one of {sorted(_LOADERS)}")
-    return _LOADERS[kind](doc)
+    try:
+        return _LOADERS[kind](doc)
+    except (SchemaError, ModelError):  # ModelError: a model that fails validation
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        # a value of the wrong JSON type, or a LieModelError from the model
+        raise SchemaError(f"{kind}: {exc}") from exc
 
 
 def load_model(path):

@@ -1,9 +1,13 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novikov.catalog import (
     abelian_algebra,
@@ -221,6 +225,50 @@ def test_validate_reports_jacobi():
     assert ("jacobi", (1, 2, 3)) in report.violations
 
 
+def jacobi_by_triples(model):
+    """The retired check, kept as the oracle: the 1-based triples of basis
+    vectors whose Jacobiator, computed with bracket_vec, is nonzero, in
+    lexicographic order."""
+    n, br = model.dim, model.bracket_vec
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    return [(i + 1, j + 1, k + 1) for i, j, k in combinations(range(n), 3)
+            if any(a + b + c for a, b, c in zip(br(br(e[i], e[j]), e[k]),
+                                                 br(br(e[j], e[k]), e[i]),
+                                                 br(br(e[k], e[i]), e[j])))]
+
+
+A = sp.Symbol("a")
+
+
+@st.composite
+def bracket_sets(draw):
+    """(dim, params, brackets) on dims 3-6: random sparse brackets, mostly
+    violating Jacobi, or an almost-abelian R x_A R^(dim-1), which satisfies
+    it; coefficients are integers or, over Q(a), rational functions of a."""
+    n = draw(st.integers(3, 6))
+    params = ("a",) if draw(st.booleans()) else ()
+    coeff = st.sampled_from([-2, -1, 1, 2] + ([A, 1 / (A - 1), A ** 2 - 3] if params else []))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                              unique=True, min_size=2, max_size=2 * n))
+        brackets = {pair: {k: draw(coeff) for k in draw(st.sets(st.integers(0, n - 1),
+                                                                  min_size=1, max_size=3))}
+                    for pair in pairs}
+    else:
+        brackets = {(0, i): {j: draw(coeff) for j in range(1, n) if draw(st.booleans())}
+                    for i in range(1, n)}
+    return n, params, brackets
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(bracket_sets())
+def test_validate_finds_the_jacobi_failures_the_triple_oracle_finds(data):
+    n, params, brackets = data
+    model = LieAlgebraModel(dim=n, params=params, brackets=brackets)
+    got = [where for kind, where in validate(model).violations if kind == "jacobi"]
+    assert got == jacobi_by_triples(model)
+
+
 def test_validate_reports_nonclosed_theta():
     m = LieAlgebraModel(
         dim=3,
@@ -252,6 +300,98 @@ def test_instantiate_rejects_names_that_are_not_parameters():
     with pytest.raises(LieModelError, match="'t'"):
         s0_algebra().instantiate({"r": Fraction(1, 2), sp.Symbol("t"): 1})
     assert s0_algebra().instantiate({sp.Symbol("r"): 1}).params == ("s",)
+
+
+def instantiate_by_sympy(model, values):
+    """The retired substitution, kept as the oracle: every coefficient goes
+    through a sympy expression, is substituted there, and is converted back
+    into the field of the remaining parameters by the new model."""
+    K = model.field
+    smap = {sp.Symbol(k): sp.Rational(v.numerator, v.denominator) for k, v in values.items()}
+    sub = lambda c: K.to_sympy(c).subs(smap)
+    subs_all = lambda cs: tuple(sub(c) for c in cs)
+    return replace(
+        model,
+        params=tuple(p for p in model.params if p not in values),
+        brackets={ij: {k: sub(c) for k, c in comps.items()}
+                  for ij, comps in model.brackets.items()},
+        theta=subs_all(model.theta),
+        J=None if model.J is None else tuple(subs_all(r) for r in model.J),
+        named_forms={k: InvariantForm(f.dim, f.degree, subs_all(f.coeffs))
+                     for k, f in model.named_forms.items()})
+
+
+def model_coefficients(model):
+    """Every coefficient of the model with its type, which names its field."""
+    cs = [c for ij in sorted(model.brackets) for _, c in sorted(model.brackets[ij].items())]
+    cs += list(model.theta) + [c for row in model.J or () for c in row]
+    cs += [c for name in sorted(model.named_forms) for c in model.named_forms[name].coeffs]
+    return [(type(c), c) for c in cs]
+
+
+def assert_instantiates_like_sympy(model, values):
+    try:
+        want = instantiate_by_sympy(model, values)
+    except LieModelError:  # a pole: the oracle's expression is not in the field
+        with pytest.raises(LieModelError, match="denominator"):
+            model.instantiate(values)
+        return
+    got = model.instantiate(values)
+    assert got.params == want.params and got.field == want.field
+    assert model_coefficients(got) == model_coefficients(want)
+    assert got == want
+
+
+def random_values(rng, params):
+    """Rational values for a nonempty random subset of params."""
+    chosen = rng.sample(params, rng.randint(1, len(params)))
+    return {p: Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for p in chosen}
+
+
+@pytest.mark.parametrize("model", [ot_algebra(1), ot_algebra(2), s0_algebra(),
+                                   splus_algebra()], ids=lambda m: m.name)
+def test_instantiate_matches_the_sympy_round_trip(model):
+    rng = random.Random(11)
+    assert_instantiates_like_sympy(model, dict(zip(model.params, (1, 2, 3, 4))))
+    for _ in range(8):
+        assert_instantiates_like_sympy(model, random_values(rng, model.params))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.lists(st.integers(-2, 2), min_size=48, max_size=48),
+       st.integers(0, 2 ** 32))
+def test_instantiate_matches_the_sympy_round_trip_on_almost_abelian_models(m, ints, seed):
+    """R x_A R^m with A = A0 + p^2 A1 + A2 / (q^2 - 1) and
+    theta = (r^3 - p r) e^0; R^m is an abelian ideal, so the model is valid
+    for every A."""
+    p, q, r = sp.symbols("p q r")
+    mats = [[ints[t * 16 + 4 * j + i] for i in range(m)] for t in range(3) for j in range(m)]
+    entry = lambda j, i: (mats[j][i] + p ** 2 * mats[m + j][i]
+                          + mats[2 * m + j][i] / (q ** 2 - 1))
+    model = LieAlgebraModel(
+        dim=m + 1, params=("p", "q", "r"),
+        brackets={(0, i + 1): {j + 1: entry(j, i) for j in range(m)} for i in range(m)},
+        theta=(r ** 3 - p * r,) + (0,) * m)
+    assert validate(model).ok
+    rng = random.Random(seed)
+    for _ in range(3):
+        assert_instantiates_like_sympy(model, random_values(rng, model.params))
+    assert_instantiates_like_sympy(model, {"q": -1})
+
+
+def test_instantiate_raises_at_a_pole_and_on_values_that_are_not_rational():
+    p, q = sp.symbols("p q")
+    model = LieAlgebraModel(dim=2, params=("p", "q"), brackets={(0, 1): {1: q / (p - 1)}},
+                            J=((0, -1), (1 / (q + 2), 0)))
+    # a denominator that vanishes at the point, or as a polynomial in the
+    # parameters left; the second pole is in J alone
+    for values in ({"p": 1, "q": 3}, {"p": Fraction(1)}, {"p": 3, "q": -2}, {"q": -2}):
+        with pytest.raises(LieModelError, match="denominator"):
+            model.instantiate(values)
+    for bad in (0.5, sp.sqrt(2), "1/2", sp.Symbol("q")):
+        with pytest.raises(LieModelError, match="must be rational numbers"):
+            model.instantiate({"p": bad})
+    assert model.instantiate({"p": sp.Rational(1, 2), "q": 1}).brackets == {(0, 1): {1: -2}}
 
 
 def test_validate_reports_bad_J():

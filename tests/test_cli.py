@@ -222,6 +222,13 @@ def test_verify_all_catalog(capsys):
     assert len(doc["models"]) >= 10
 
 
+ALGEBRA_DOC = {"type": "lie_algebra", "dim": 2,
+               "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]}
+FIBER_DOC = {"type": "fiber_descriptor", "dim": 3, "h_dims": [1, 2, 2, 1],
+             "spectra": [["rational:1"], ["rational:1", "rational:1"],
+                         ["rational:1", "rational:1"], ["rational:1"]]}
+
+
 def test_verify_corrupted_model_file(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"type": "torus_monodromy",
@@ -229,6 +236,33 @@ def test_verify_corrupted_model_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "schema" in err.lower() or "unknown keys" in err
+    # values of the wrong JSON type are schema errors under every command
+    bracket = ALGEBRA_DOC["brackets"][0]
+    wrong_types = [
+        dict(FIBER_DOC, h_dims=5),
+        dict(ALGEBRA_DOC, brackets=5),
+        dict(ALGEBRA_DOC, brackets=[dict(bracket, i="1")]),
+        dict(ALGEBRA_DOC, brackets=[dict(bracket, i=1.5)]),
+        dict(ALGEBRA_DOC, brackets=[dict(bracket, coeffs={"x": "1"})]),
+        dict(ALGEBRA_DOC, brackets=[dict(bracket, coeffs=[1])]),
+        dict(ALGEBRA_DOC, named_forms={"w": {"degree": 2, "coeffs": {"a,b": "1"}}}),
+        dict(ALGEBRA_DOC, params=5),
+        dict(ALGEBRA_DOC, theta=5),
+        dict(ALGEBRA_DOC, dim=True, brackets=[]),
+        dict(ALGEBRA_DOC, coframe="no"),
+    ]
+    for doc in wrong_types:
+        path.write_text(json.dumps(doc))
+        for command in ("cohomology", "verify", "scan"):
+            code, _, err = run(capsys, command, str(path))
+            assert code == 2 and "schema error:" in err, (doc, command, err)
+            assert "Traceback" not in err
+    # a lie_algebra that fails validation is still a model error
+    path.write_text(json.dumps(dict(ALGEBRA_DOC, dim=3, brackets=[
+        {"i": 1, "j": 2, "coeffs": {"3": "1"}}, {"i": 1, "j": 3, "coeffs": {"2": "1"}},
+        {"i": 2, "j": 3, "coeffs": {"2": "1"}}])))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3 and "('jacobi', (1, 2, 3))" in err
 
 
 def test_verify_needs_target(capsys):

@@ -33,6 +33,7 @@ from novikov.catalog import (
 )
 from novikov.chevalley import (
     LieAlgebraModel,
+    LieModelError,
     d_theta_matrix,
     twisted_ce_cohomology,
     validate,
@@ -164,7 +165,8 @@ def shear_model(entry, theta_coefficient):
 def test_a_vanishing_denominator_draws_the_next_point(monkeypatch):
     first = next(chevalley._seeded_points(2))
     model = shear_model(1 / (P - first[0]), R)
-    assert chevalley._at_point(model, first) is None
+    with pytest.raises(LieModelError, match="denominator"):
+        model.instantiate(dict(zip(model.params, first)))
     # the next point pins every rank, so nothing is eliminated symbolically
     assert symbolic_degrees(monkeypatch, model) == (symbolic_cohomology(model), [])
 
@@ -182,7 +184,7 @@ def test_a_degenerate_first_point_pins_nothing_it_cannot(monkeypatch):
     # untwisted differential, some of them below the generic ranks
     first = next(chevalley._seeded_points(2))
     model = shear_model(P, R - first[1])
-    at = chevalley._at_point(model, first)
+    at = model.instantiate(dict(zip(model.params, first)))
     assert not any(at.theta)
     dims, degrees = symbolic_degrees(monkeypatch, model)
     assert dims == symbolic_cohomology(model) == [0] * 5
