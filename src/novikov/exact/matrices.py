@@ -2,8 +2,9 @@
 
 Entries may be ints, Fractions, NFElem, or elements of sympy's Q(params); the
 generic operations below only assume ring arithmetic (+, -, *) plus, where rank
-is needed, exact division (``rank`` and ``nullspace`` take int entries as
-Fractions).  An entry is false exactly when it is zero.
+is needed, exact division.  ``rank`` and ``nullspace`` eliminate a matrix of
+int and Fraction entries fraction-free, in ints, and any other matrix over its
+field.  An entry is false exactly when it is zero.
 """
 
 from __future__ import annotations
@@ -172,11 +173,22 @@ def _mat_mul(a, b):
 
 
 def _echelon(m: Matrix):
-    """Forward Gaussian elimination with exact division (int entries taken as
-    Fractions): (rows, pivots), the rows in echelon form and the pivot column
-    of each of the first len(pivots) rows."""
-    rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
-    pivots = []
+    """Forward elimination: (rows, pivots), the rows in echelon form and the
+    pivot column of each of the first len(pivots) rows.  Row i is a nonzero
+    multiple of row i of Gaussian elimination over the entries' field with
+    the same row swaps, so the rank, the pivots and the kernel are the same.
+
+    Over Q (int and Fraction entries) it is fraction-free: each row is scaled
+    by the lcm of its entries' denominators and then eliminated in ints by
+    Bareiss's update, whose division by the previous pivot is exact (every
+    entry stays a minor of the scaled matrix).  Other entries (NFElem,
+    Q(params)) are eliminated with field division, ints taken as Fractions."""
+    rational = all(type(x) is int or type(x) is Fraction for x in m.entries)
+    if rational:
+        rows = [_integer_row(r) for r in m.to_rows()]
+    else:
+        rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
+    pivots, prev = [], 1
     for col in range(m.cols):
         rk = len(pivots)
         if rk == m.rows:
@@ -185,19 +197,32 @@ def _echelon(m: Matrix):
         if pivot is None:
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        piv = rows[rk][col]
+        prow = rows[rk]
+        piv = prow[col]
         for r in range(rk + 1, m.rows):
             x = rows[r][col]
-            if x:
+            if rational:
+                if x:
+                    rows[r] = [(piv * a - x * b) // prev for a, b in zip(rows[r], prow)]
+                elif piv != prev:  # rescaled all the same, to keep the division exact
+                    rows[r] = [piv * a // prev for a in rows[r]]
+            elif x:
                 factor = x / piv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rk])]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
+        prev = piv
         pivots.append(col)
     return rows, pivots
 
 
+def _integer_row(row):
+    """row times the lcm of its entries' denominators, as ints."""
+    d = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
 def rank(m: Matrix) -> int:
-    """Rank by Gaussian elimination with exact division; works over int,
-    Fraction, NFElem and Q(params) entries."""
+    """Rank by ``_echelon``: fraction-free over int and Fraction entries,
+    field elimination over NFElem and Q(params) entries."""
     return len(_echelon(m)[1])
 
 
@@ -216,7 +241,8 @@ def nullspace(m: Matrix):
     free = [c for c in range(m.cols) if c not in pivots]
     if not free:
         return []
-    one = _one_like(rows[0][0]) if rows else Fraction(1)
+    # the rows of a rational matrix are ints; the vectors are Fractions
+    one = Fraction(1) if not rows or type(rows[0][0]) is int else _one_like(rows[0][0])
     zero = one - one
     basis = []
     for f in free:

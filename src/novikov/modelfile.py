@@ -230,6 +230,8 @@ def load_model_dict(doc):
     if kind not in _LOADERS:
         raise SchemaError(
             f"unknown model type {kind!r}; expected one of {sorted(_LOADERS)}")
+    if not isinstance(doc.get("name", ""), str):
+        raise SchemaError(f"{kind}: name must be a string, got {doc['name']!r}")
     try:
         return _LOADERS[kind](doc)
     except (SchemaError, ModelError):  # ModelError: a model that fails validation

@@ -4,6 +4,8 @@ from itertools import combinations, permutations
 from math import comb, lcm
 
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novikov.exact import (
     AlgebraicReal,
@@ -20,6 +22,7 @@ from novikov.exact import (
     poly_at_matrix,
     rank,
 )
+from novikov.exact.matrices import _echelon
 
 
 def rand_matrix(rng, n, lo=-4, hi=4):
@@ -268,7 +271,7 @@ def rref_nullspace(m):
             if r != rk and x:
                 rows[r] = [a - x * b for a, b in zip(rows[r], rows[rk])]
         pivots.append(col)
-    x = rows[0][0]
+    x = rows[0][0] if m.rows and m.cols else Fraction(0)
     one = x.field.one() if isinstance(x, NFElem) else x - x + 1
     zero = one - one
     basis = []
@@ -338,3 +341,101 @@ def test_nullspace_matches_rref_over_q_params():
                    coefficient(field, 0))
 
     assert_nullspace_parity(rng, 40, 4, 5, draw)
+
+
+# -- fraction-free elimination over Q against the Fraction elimination --------
+
+def fraction_echelon(m):
+    """Oracle: Gaussian elimination over Q in Fractions (ints taken as
+    Fractions), the forward elimination ``rank`` and ``nullspace`` ran on
+    rational matrices before it became fraction-free."""
+    rows = [[Fraction(x) for x in r] for r in m.to_rows()]
+    pivots = []
+    for col in range(m.cols):
+        rk = len(pivots)
+        if rk == m.rows:
+            break
+        pivot = next((r for r in range(rk, m.rows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        piv = rows[rk][col]
+        for r in range(rk + 1, m.rows):
+            x = rows[r][col]
+            if x:
+                factor = x / piv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rk])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def is_nonzero_multiple(row, of):
+    """row = c * of for some rational c != 0 (both zero counts)."""
+    lead = next((j for j, x in enumerate(of) if x), None)
+    if lead is None:
+        return not any(row)
+    return row[lead] != 0 and all(a * of[lead] == b * row[lead] for a, b in zip(row, of))
+
+
+@st.composite
+def rational_matrices(draw):
+    """int or Fraction matrices of 0-12 rows and columns, entries up to 10^30:
+    dense, sparse, rank-deficient products, and with zero rows and columns."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    bound = draw(st.sampled_from((3, 10 ** 6, 10 ** 30)))
+    ints = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        entry = ints
+    else:
+        entry = st.builds(Fraction, ints, st.integers(1, bound))
+    if draw(st.booleans()):  # sparse: zero pivots, row swaps, free columns
+        entry = st.one_of(st.just(0), st.just(0), entry)
+    shape = draw(st.sampled_from(("dense", "product", "zero lines")))
+    if shape == "product" and rows and cols:
+        inner = draw(st.integers(1, min(rows, cols)))
+        a = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                          min_size=rows, max_size=rows))
+        b = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=inner, max_size=inner))
+        body = [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+    else:
+        body = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    if shape == "zero lines":
+        zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+        zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+        body = [[0 if r in zero_rows or c in zero_cols else x for c, x in enumerate(row)]
+                for r, row in enumerate(body)]
+    return Matrix(rows, cols, [x for row in body for x in row])
+
+
+def bareiss_rows(m):
+    """Oracle for the fraction-free rows: scale each row of m by the lcm of
+    its denominators; by Sylvester's identity, row k of Bareiss elimination
+    is the product of the first k pivots of ``fraction_echelon`` on the
+    scaled matrix times its row k."""
+    scaled = [[x * lcm(*(y.denominator for y in row)) for x in row] for row in m.to_rows()]
+    rows, pivots = fraction_echelon(Matrix(m.rows, m.cols, [x for r in scaled for x in r]))
+    out, factor = [], 1
+    for k, row in enumerate(rows):
+        out.append([factor * x for x in row])
+        if k < len(pivots):
+            factor *= row[pivots[k]]
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rational_matrices())
+def test_fraction_free_elimination_matches_the_fraction_oracle(m):
+    rows, pivots = _echelon(m)
+    want_rows, want_pivots = fraction_echelon(m)
+    assert pivots == want_pivots
+    assert all(type(x) is int for row in rows for x in row)
+    # a wrong divisor keeps most ranks but not the rows; one that still
+    # divides exactly (an older pivot) only breaks Sylvester's identity
+    assert all(is_nonzero_multiple(a, b) for a, b in zip(rows, want_rows))
+    assert rows == bareiss_rows(m)
+    assert rank(m) == len(want_pivots)
+    got = nullspace(m)
+    assert got == rref_nullspace(m)
+    assert all(type(x) is Fraction for vec in got for x in vec)

@@ -206,3 +206,15 @@ def test_load_model_bad_json(tmp_path):
         load_model(str(path))
     with pytest.raises(SchemaError):
         load_model(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("doc", [S0_DOC, SPLUS_DOC, SPLUS_ALGEBRA_DOC],
+                         ids=["torus_monodromy", "fiber_descriptor", "lie_algebra"])
+@pytest.mark.parametrize("name", [5, None, ["s0"], {"n": 1}, True])
+def test_model_name_must_be_a_string(doc, name, tmp_path, capsys):
+    from novikov.cli import main
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(dict(doc, name=name)))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"schema error: {doc['type']}: name must be a string")
