@@ -30,8 +30,8 @@ from .mapping_torus import (
     EigenDescriptor,
     FiberModel,
     ModelError,
-    TorusMonodromy,
     blow_up,
+    torus_monodromy,
 )
 
 DEFAULT_S0_MATRIX = ((0, 0, 1), (1, 0, 1), (0, 1, 0))  # companion of x^3 - x - 1
@@ -53,25 +53,16 @@ class S0Datum:
 @dataclass(frozen=True)
 class SpmDatum:
     N: tuple  # 2x2 integer matrix
-    sign: str  # "plus" | "minus"
-    p: int = 0
-    q: int = 0
-    r: int = 1
-    z_real: Fraction = None  # inert; only z in R admits LCK features
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in r) for r in self.N)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ModelError("S+/S- needs a 2x2 integer matrix")
         object.__setattr__(self, "N", rows)
-        if self.sign not in ("plus", "minus"):
-            raise ModelError("sign must be 'plus' or 'minus'")
-        if self.r == 0:
-            raise ModelError("the integer r must be nonzero")
 
 
 def make_s0(datum: S0Datum):
-    """TorusMonodromy fiber model + the distinguished Lee parameter alpha."""
+    """Torus-monodromy fiber model + the distinguished Lee parameter alpha."""
     rows = datum.A
     cp = char_poly(Matrix.from_rows(rows))
     # det(A) = (-1)^3 * cp(0) for the 3x3 case
@@ -85,7 +76,7 @@ def make_s0(datum: S0Datum):
     one = AlgebraicReal.from_rational(1)
     if mult != 1 or not one < alpha:
         raise ModelError("the real eigenvalue must be simple and exceed 1")
-    model = FiberModel(3, TorusMonodromy(rows), name="s0")
+    model = FiberModel(3, torus_monodromy(rows), name="s0")
     return model, alpha
 
 
@@ -99,8 +90,6 @@ def _two_real_eigen(rows):
 
 def make_splus(datum: SpmDatum):
     """S+ eigen-descriptor fiber model (dims 1,2,2,1) + alpha."""
-    if datum.sign != "plus":
-        raise ModelError("datum is not tagged plus")
     roots, cp = _two_real_eigen(datum.N)
     if cp.constant() != 1:  # det(N) = cp(0) for the 2x2 case
         raise ModelError(f"S+ matrix must have determinant 1, got {cp.constant()}")
@@ -124,8 +113,6 @@ def make_splus(datum: SpmDatum):
 
 def make_sminus(datum: SpmDatum):
     """S- eigen-descriptor fiber model (dims 1,2,2,1) + alpha."""
-    if datum.sign != "minus":
-        raise ModelError("datum is not tagged minus")
     roots, cp = _two_real_eigen(datum.N)
     if cp.constant() != -1:
         raise ModelError(f"S- matrix must have determinant -1, got {cp.constant()}")
@@ -302,8 +289,8 @@ def default_s0():
 
 
 def default_splus():
-    return make_splus(SpmDatum(DEFAULT_SPM_MATRIX, "plus"))
+    return make_splus(SpmDatum(DEFAULT_SPM_MATRIX))
 
 
 def default_sminus():
-    return make_sminus(SpmDatum(DEFAULT_SMINUS_MATRIX, "minus"))
+    return make_sminus(SpmDatum(DEFAULT_SMINUS_MATRIX))

@@ -159,6 +159,8 @@ class LieAlgebraModel:
         return coefficient_field(tuple(self.params))
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise LieModelError("dim must be a positive integer")
         K = self.field
 
         def conv(c):

@@ -105,10 +105,10 @@ def resolve_model(spec: str) -> ResolvedModel:
             make_s0(S0Datum(_parse_int_rows(rest, "s0")))
         return ResolvedModel(spec, model, alpha)
     if head in ("splus", "sminus"):
-        maker, default, sign = ((make_splus, default_splus, "plus") if head == "splus"
-                                else (make_sminus, default_sminus, "minus"))
+        maker, default = ((make_splus, default_splus) if head == "splus"
+                          else (make_sminus, default_sminus))
         model, alpha = default() if rest in ("", "default") else \
-            maker(SpmDatum(_parse_int_rows(rest, head), sign))
+            maker(SpmDatum(_parse_int_rows(rest, head)))
         return ResolvedModel(spec, model, alpha)
     if spec == "hopf":
         return ResolvedModel(spec, make_hopf())

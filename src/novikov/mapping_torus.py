@@ -11,16 +11,17 @@ against golden profiles in the tests rather than trusted abstractly.
 
 ``kappa_k`` needs no arithmetic in Q(lam): p, the minimal polynomial of
 1/lam, is irreducible, so ``dim_Q ker p(Phi_k) = deg(p) * kappa_k``, one rank
-over Q.  Phi_k is computed once per model.
+over Q.  A torus monodromy is its exterior-power actions, built once when
+the model is made.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import comb, isfinite
+from math import isfinite
 
 from .exact import (
     AlgebraicReal,
@@ -36,8 +37,16 @@ from .exact import (
 )
 
 
+MAX_FIBER_DIM = 6
+
+
 class ModelError(ValueError):
     """A fiber model violates its structural invariants."""
+
+
+def _check_fiber_dim(n):
+    if n > MAX_FIBER_DIM:
+        raise ModelError(f"fiber dimension capped at {MAX_FIBER_DIM}")
 
 
 @dataclass(frozen=True)
@@ -49,34 +58,11 @@ class ConjugatePair:
 
 
 @dataclass(frozen=True)
-class TorusMonodromy:
-    """Fiber T^n with the gluing automorphism acting on H^1 by the integer
-    matrix phi1 (the matrix acting on the coordinate coframe basis)."""
-
-    phi1: tuple  # rows of ints
-
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.phi1)
-        object.__setattr__(self, "phi1", rows)
-        n = len(rows)
-        if not rows or any(len(r) != n for r in rows):
-            raise ModelError("monodromy matrix must be square and nonempty")
-        # char_poly is det(xI - M), so its constant term is (-1)^n det M
-        d = (-1) ** n * char_poly(Matrix.from_rows(rows)).constant()
-        if d not in (1, -1):
-            raise ModelError(f"monodromy must be invertible over Z, det = {d}")
-
-    @property
-    def dim(self):
-        return len(self.phi1)
-
-
-@dataclass(frozen=True)
 class ExplicitActions:
     """Explicit rational matrices Phi_k on each H^k(F), with declared dims."""
 
     dim: int
-    actions: tuple  # actions[k] is a Matrix over Fraction of size dim H^k
+    actions: tuple  # actions[k] is a Matrix over Fraction or int of size dim H^k
 
     def __post_init__(self):
         if len(self.actions) != self.dim + 1:
@@ -91,10 +77,30 @@ class ExplicitActions:
             raise ModelError("H^n action must be [1] or [-1]")
 
 
+def torus_monodromy(phi1) -> ExplicitActions:
+    """Fiber T^n with the gluing automorphism acting on H^1 by the integer
+    matrix phi1 (rows, acting on the coordinate coframe basis): Phi_k is its
+    k-th exterior power, kept over int."""
+    rows = tuple(tuple(r) for r in phi1)
+    n = len(rows)
+    if not rows or any(len(r) != n for r in rows):
+        raise ModelError("monodromy matrix must be square and nonempty")
+    if any(type(x) is not int for r in rows for x in r):
+        raise ModelError("monodromy entries must be integers")
+    _check_fiber_dim(n)  # before Lambda^k, whose size grows as binomial(n, k)
+    m = Matrix.from_rows(rows)
+    actions = tuple(exterior_power(m, k, one=1) for k in range(n + 1))
+    det = actions[n].entries[0]  # Lambda^n(M) = [det M]
+    if det not in (1, -1):
+        raise ModelError(f"monodromy must be invertible over Z, det = {det}")
+    return ExplicitActions(n, actions)
+
+
 @dataclass(frozen=True)
 class EigenDescriptor:
     """Per-degree eigenvalue lists (AlgebraicReal or ConjugatePair, each with a
-    multiplicity); multiplicities must sum to the declared H^k dimension."""
+    positive int multiplicity); multiplicities must sum to the declared H^k
+    dimension."""
 
     dim: int
     h_dims: tuple
@@ -106,6 +112,9 @@ class EigenDescriptor:
         for k, spec in enumerate(self.spectra):
             total = 0
             for ev, mult in spec:
+                if type(mult) is not int or mult < 1:
+                    raise ModelError(f"degree {k}: multiplicity {mult!r} is not "
+                                     "a positive integer")
                 total += (2 * mult) if isinstance(ev, ConjugatePair) else mult
             if total != self.h_dims[k]:
                 raise ModelError(
@@ -115,28 +124,19 @@ class EigenDescriptor:
 @dataclass(frozen=True)
 class FiberModel:
     dim_fiber: int
-    mode: object
+    mode: ExplicitActions | EigenDescriptor
     name: str = ""
-    # Phi_k, filled in on first use
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.mode
-        if isinstance(m, TorusMonodromy):
-            if m.dim != self.dim_fiber:
-                raise ModelError("monodromy size does not match fiber dimension")
-        elif isinstance(m, (ExplicitActions, EigenDescriptor)):
-            if m.dim != self.dim_fiber:
-                raise ModelError("mode dimension does not match fiber dimension")
-        else:
+        if not isinstance(m, (ExplicitActions, EigenDescriptor)):
             raise ModelError(f"unknown fiber mode {type(m).__name__}")
-        if self.dim_fiber > 6:
-            raise ModelError("fiber dimension capped at 6")
+        if m.dim != self.dim_fiber:
+            raise ModelError("mode dimension does not match fiber dimension")
+        _check_fiber_dim(self.dim_fiber)
 
     def h_dim(self, k):
         m = self.mode
-        if isinstance(m, TorusMonodromy):
-            return comb(self.dim_fiber, k)
         if isinstance(m, ExplicitActions):
             return m.actions[k].rows
         return m.h_dims[k]
@@ -172,18 +172,6 @@ def json_approx(lam: AlgebraicReal):
     return x if isfinite(x) else None
 
 
-def _phi_matrix(model: FiberModel, k):
-    """Phi_k, over int for a torus monodromy and Fraction for explicit actions."""
-    m = model.mode
-    if isinstance(m, TorusMonodromy):
-        if k not in model._cache:
-            model._cache[k] = exterior_power(Matrix.from_rows(m.phi1), k, one=1)
-        return model._cache[k]
-    if isinstance(m, ExplicitActions):
-        return m.actions[k]
-    raise TypeError("eigen-descriptor mode has no explicit matrices")
-
-
 def kappa(model: FiberModel, lam: AlgebraicReal, k: int) -> int:
     """dim ker(lam * Phi_k - I) over Q(lam), found by ranks over Q."""
     n = model.dim_fiber
@@ -197,7 +185,7 @@ def kappa(model: FiberModel, lam: AlgebraicReal, k: int) -> int:
         # conjugate pairs never match a real lambda
         return sum(mult for ev, mult in mode.spectra[k]
                    if not isinstance(ev, ConjugatePair) and alg_eq(ev, target))
-    phi = _phi_matrix(model, k)
+    phi = mode.actions[k]
     p = lam.minpoly.reversed().primitive()
     return (phi.rows - rank(poly_at_matrix(p, phi))) // p.degree
 
@@ -221,8 +209,7 @@ def exceptional_lambdas(model: FiberModel):
         eigen = [ev for spec in mode.spectra for ev, _ in spec
                  if not isinstance(ev, ConjugatePair)]
     else:
-        eigen = [r for k in range(model.dim_fiber + 1)
-                 for r, _ in isolate_real_roots(char_poly(_phi_matrix(model, k)))]
+        eigen = [r for phi in mode.actions for r, _ in isolate_real_roots(char_poly(phi))]
     for ev in eigen:
         if ev.sign() <= 0:
             continue

@@ -6,7 +6,8 @@ Three document types, selected by the top-level "type" key:
 * ``fiber_descriptor``: declared ``dim`` and ``h_dims`` plus either explicit
   rational ``actions`` matrices or per-degree ``spectra`` of eigenvalue specs
   ``"rational:<p>/<q>"``, ``"poly:<c0,c1,...>@(<lo>,<hi>)"`` and
-  ``"conjugate_pair:<mult>"`` (the first two optionally ``[spec, mult]``).
+  ``"conjugate_pair:<mult>"`` (the first two optionally ``[spec, mult]``);
+  ``dim``, ``h_dims`` and multiplicities are JSON integers.
 * ``lie_algebra``: ``dim``, optional ``params``, a bracket list
   ``{"i": .., "j": .., "coeffs": {"k": expr}}`` with 1-based generator
   indices, plus ``theta``, ``J``, ``coframe`` and ``named_forms``.
@@ -31,7 +32,7 @@ from .mapping_torus import (
     ExplicitActions,
     FiberModel,
     ModelError,
-    TorusMonodromy,
+    torus_monodromy,
 )
 
 
@@ -114,8 +115,8 @@ def _load_torus_monodromy(doc):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SchemaError("torus_monodromy: matrix must be a list of rows")
     try:
-        mono = TorusMonodromy(tuple(tuple(r) for r in rows))
-        return FiberModel(mono.dim, mono, name=doc.get("name", ""))
+        mode = torus_monodromy(rows)
+        return FiberModel(mode.dim, mode, name=doc.get("name", ""))
     except (ModelError, ValueError, TypeError) as exc:
         raise SchemaError(f"torus_monodromy: {exc}") from exc
 
@@ -127,6 +128,8 @@ def _load_fiber_descriptor(doc):
         raise SchemaError("fiber_descriptor: give exactly one of spectra/actions")
     dim = doc["dim"]
     h_dims = tuple(doc["h_dims"])
+    if type(dim) is not int or any(type(h) is not int for h in h_dims):
+        raise SchemaError("fiber_descriptor: dim and h_dims must be integers")
     try:
         if "actions" in doc:
             acts = tuple(
@@ -145,11 +148,11 @@ def _load_fiber_descriptor(doc):
                 for item in spec_list:
                     if isinstance(item, list):
                         text, mult = item
-                        ev, base = parse_eigenvalue_spec(text)
+                        ev, _ = parse_eigenvalue_spec(text)
                         if isinstance(ev, ConjugatePair):
                             raise SchemaError(
                                 "conjugate_pair carries its own multiplicity")
-                        entries.append((ev, base * int(mult)))
+                        entries.append((ev, mult))
                     else:
                         entries.append(parse_eigenvalue_spec(item))
                 spectra.append(tuple(entries))
@@ -164,8 +167,8 @@ def _load_lie_algebra(doc):
                   ["name", "params", "theta", "J", "coframe", "named_forms"],
                   "lie_algebra")
     dim = doc["dim"]
-    if type(dim) is not int or dim < 1:
-        raise SchemaError("lie_algebra: dim must be a positive integer")
+    if type(dim) is not int:
+        raise SchemaError("lie_algebra: dim must be an integer")
     params = tuple(doc.get("params", ()))
     if not all(isinstance(p, str) for p in params) or len(set(params)) != len(params):
         raise SchemaError("lie_algebra: params must be distinct names")

@@ -60,11 +60,10 @@ def test_make_s0_rejects_all_real_spectrum():
 
 def test_spm_datum_validation():
     with pytest.raises(ModelError):
-        SpmDatum(DEFAULT_SPM_MATRIX, "sideways")
+        SpmDatum(DEFAULT_S0_MATRIX)
     with pytest.raises(ModelError):
-        SpmDatum(DEFAULT_SPM_MATRIX, "plus", r=0)
-    d = SpmDatum(DEFAULT_SPM_MATRIX, "plus", p=1, q=2, r=3, z_real=Fraction(1))
-    assert d.z_real == 1
+        SpmDatum(((1, 0),))
+    assert SpmDatum([[2, 1], [1, 1]]).N == DEFAULT_SPM_MATRIX
 
 
 def test_make_splus_default():
@@ -75,12 +74,7 @@ def test_make_splus_default():
 
 def test_make_splus_rejects_det_minus_one():
     with pytest.raises(ModelError):
-        make_splus(SpmDatum(DEFAULT_SMINUS_MATRIX, "plus"))
-
-
-def test_make_splus_rejects_wrong_tag():
-    with pytest.raises(ModelError):
-        make_splus(SpmDatum(DEFAULT_SPM_MATRIX, "minus"))
+        make_splus(SpmDatum(DEFAULT_SMINUS_MATRIX))
 
 
 def test_make_sminus_default():
@@ -93,7 +87,7 @@ def test_make_sminus_default():
 
 def test_make_sminus_rejects_det_one():
     with pytest.raises(ModelError):
-        make_sminus(SpmDatum(DEFAULT_SPM_MATRIX, "minus"))
+        make_sminus(SpmDatum(DEFAULT_SPM_MATRIX))
 
 
 def test_hopf_and_kato():

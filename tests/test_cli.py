@@ -250,6 +250,16 @@ def test_verify_corrupted_model_file(capsys, tmp_path):
         dict(ALGEBRA_DOC, theta=5),
         dict(ALGEBRA_DOC, dim=True, brackets=[]),
         dict(ALGEBRA_DOC, coframe="no"),
+        {"type": "torus_monodromy", "matrix": [[2.9, 1], [1, 1]]},
+        {"type": "torus_monodromy", "matrix": [[2, 1], [1, True]]},
+        {"type": "torus_monodromy", "matrix": [[2, 1], [1, "1"]]},
+        dict(FIBER_DOC, dim=True, h_dims=[1, 1], spectra=[["rational:1"], ["rational:1"]]),
+        dict(FIBER_DOC, h_dims=[1, 2, 2, 1.0]),
+        # multiplicities are positive JSON integers, even where they sum right
+        dict(FIBER_DOC, dim=1, h_dims=[1, 1], spectra=[
+            ["rational:1"], [["rational:2", 2], ["rational:3", -1]]]),
+        dict(FIBER_DOC, dim=1, h_dims=[1, 1], spectra=[["rational:1"], [["rational:2", 1.7]]]),
+        dict(FIBER_DOC, dim=1, h_dims=[1, 1], spectra=[["rational:1"], [["rational:2", True]]]),
     ]
     for doc in wrong_types:
         path.write_text(json.dumps(doc))
@@ -263,6 +273,17 @@ def test_verify_corrupted_model_file(capsys, tmp_path):
         {"i": 2, "j": 3, "coeffs": {"2": "1"}}])))
     code, _, err = run(capsys, "verify", str(path))
     assert code == 3 and "('jacobi', (1, 2, 3))" in err
+
+
+def test_zero_dimensional_lie_models_are_refused(capsys, tmp_path):
+    for argv in (("verify", "abelian0"), ("cone", "abelian0"), ("cohomology", "abelian0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err == "model error: dim must be a positive integer\n", argv
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"type": "lie_algebra", "dim": 0, "brackets": []}))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and err == "schema error: lie_algebra: dim must be a positive integer\n"
 
 
 def test_verify_needs_target(capsys):

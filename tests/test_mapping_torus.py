@@ -23,11 +23,11 @@ from novikov.mapping_torus import (
     ExplicitActions,
     FiberModel,
     ModelError,
-    TorusMonodromy,
     blow_up,
     euler_char,
     exceptional_lambdas,
     kappa,
+    torus_monodromy,
     twisted_betti,
 )
 from novikov.catalog import default_s0, default_sminus, default_splus, make_hopf
@@ -41,12 +41,12 @@ def rational(q):
 
 def test_monodromy_must_be_unimodular():
     with pytest.raises(ModelError):
-        TorusMonodromy(((2, 0), (0, 1)))
-    TorusMonodromy(((1, 1), (1, 0)))  # det -1 is fine
+        torus_monodromy(((2, 0), (0, 1)))
+    torus_monodromy(((1, 1), (1, 0)))  # det -1 is fine
     with pytest.raises(ModelError):
-        TorusMonodromy(((1, 0, 0), (0, 1, 0)))
+        torus_monodromy(((1, 0, 0), (0, 1, 0)))
     with pytest.raises(ModelError):
-        TorusMonodromy(())
+        torus_monodromy(())
 
 
 def test_explicit_actions_checks_ends():
@@ -69,8 +69,8 @@ def test_eigen_descriptor_multiplicity_sum():
 
 def test_fiber_dim_cap():
     with pytest.raises(ModelError):
-        FiberModel(7, TorusMonodromy(tuple(tuple(int(i == j) for j in range(7))
-                                           for i in range(7))))
+        FiberModel(7, torus_monodromy(tuple(tuple(int(i == j) for j in range(7))
+                                            for i in range(7))))
 
 
 def test_betti_profile_rejects_negative():
@@ -119,7 +119,7 @@ def test_hopf_vanishes_off_one():
 def test_torus_identity_gives_binomials():
     for n in (2, 3):
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        model = FiberModel(n, TorusMonodromy(ident))
+        model = FiberModel(n, torus_monodromy(ident))
         betti = twisted_betti(model, rational(1)).betti
         assert betti == tuple(comb(n + 1, k) for k in range(n + 2))
         assert twisted_betti(model, rational(2)).betti == (0,) * (n + 2)
@@ -147,7 +147,7 @@ def test_mode_consistency_monodromy_vs_descriptor():
     """A T^2 bundle with all-real spectrum: the matrix mode and the descriptor
     mode must produce identical profiles."""
     rows = ((2, 1), (1, 1))
-    mono_model = FiberModel(2, TorusMonodromy(rows))
+    mono_model = FiberModel(2, torus_monodromy(rows))
     cp = char_poly(Matrix.from_rows([[Fraction(x) for x in r] for r in rows]))
     roots = [r for r, _ in isolate_real_roots(cp)]
     one = rational(1)
@@ -298,7 +298,7 @@ def parity_monodromies():
     Jordan block and a hyperbolic Jordan block (geometric < algebraic
     multiplicity at an irrational eigenvalue)."""
     rng = random.Random(29)
-    monos = {"s0:default": default_s0()[0].mode.phi1,
+    monos = {"s0:default": default_s0()[0].mode.actions[1].to_rows(),
              "identity 4": identity(4),
              "hyperbolic x2": block_diag(HYPERBOLIC, HYPERBOLIC),
              "hyperbolic x3": unimodular_conjugate(
@@ -330,7 +330,7 @@ def test_kappa_matches_number_field_oracle():
     cases = {"rational": 0, "simple": 0, "repeated": 0, "defective": 0}
     for name, rows in parity_monodromies().items():
         n = len(rows)
-        model = FiberModel(n, TorusMonodromy(rows))
+        model = FiberModel(n, torus_monodromy(rows))
         phis = [exterior_power(Matrix.from_rows([[Fraction(x) for x in r] for r in rows]),
                                k, one=Fraction(1)) for k in range(n + 1)]
         twin = explicit_twin(rows, phis)
@@ -372,7 +372,6 @@ def test_phi_is_computed_once_per_model(monkeypatch):
     import novikov.mapping_torus as mt
 
     rows = unimodular_conjugate(block_diag(HYPERBOLIC, CUBIC), random.Random(31), 4)
-    model = FiberModel(5, TorusMonodromy(rows))
     calls = {"exterior_power": 0, "char_poly": 0}
 
     def counted(name, fn):
@@ -383,12 +382,39 @@ def test_phi_is_computed_once_per_model(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(mt, name, counted(name, getattr(mt, name)))
-    for lam in exceptional_lambdas(model) + [rational(2)]:
+    model = FiberModel(5, torus_monodromy(rows))
+    # the model is made with one exterior power per degree
+    assert calls == {"exterior_power": 6, "char_poly": 0}
+    for lam in (rational(2), rational(1)):
         twisted_betti(model, lam)
     # kappa takes one rank per degree, no characteristic polynomial
+    assert calls == {"exterior_power": 6, "char_poly": 0}
+    exc = exceptional_lambdas(model)
     assert calls == {"exterior_power": 6, "char_poly": 6}
+    for lam in exc:
+        twisted_betti(model, lam)
     exceptional_lambdas(model)
     assert calls == {"exterior_power": 6, "char_poly": 12}
-    # a new model starts with nothing cached
-    twisted_betti(FiberModel(5, TorusMonodromy(rows)), rational(2))
-    assert calls["exterior_power"] == 12
+
+
+def test_torus_monodromy_is_its_exterior_powers(monkeypatch):
+    for name, rows in parity_monodromies().items():
+        n = len(rows)
+        mode = torus_monodromy(rows)
+        assert mode.dim == n and len(mode.actions) == n + 1, name
+        for k, phi in enumerate(mode.actions):
+            want = exterior_power(Matrix.from_rows(rows), k, one=1)
+            assert (phi.rows, phi.cols, phi.entries) == \
+                (want.rows, want.cols, want.entries), (name, k)
+            assert all(type(x) is int for x in phi.entries), (name, k)
+    with pytest.raises(ModelError, match=r"^monodromy must be invertible over Z, det = -6$"):
+        torus_monodromy(((1, 2, 0), (2, -2, 0), (0, 0, 1)))
+    # the fiber cap is checked before any exterior power is built
+    import novikov.mapping_torus as mt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exterior power built for an oversized fiber")
+
+    monkeypatch.setattr(mt, "exterior_power", refuse)
+    with pytest.raises(ModelError, match="capped at 6"):
+        torus_monodromy(identity(7))
