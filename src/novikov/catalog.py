@@ -1,7 +1,8 @@
 """Validated constructors for every model in scope.
 
-Fiber-bundle side: the torus mapping torus S0, the eigen-descriptor surfaces
-S+ and S-, the Hopf fiber model and the Kato blow-up transformer.  Lie-algebra
+Fiber-bundle side: the torus mapping torus S0, the surfaces S+ and S- (the
+actions N and N^-1 of a 2x2 integer matrix on H^1 and H^2 of the fiber), the
+Hopf fiber model and the Kato blow-up transformer.  Lie-algebra
 side: the S0 solvable algebra, the S+ algebra and its orthonormal coframe
 model, the Oeljeklaus-Toma family, and the abelian reference algebra.
 """
@@ -15,24 +16,8 @@ from functools import partial
 import sympy as sp
 
 from .chevalley import InvariantForm, LieAlgebraModel, validate
-from .exact import (
-    AlgebraicReal,
-    IntPoly,
-    Matrix,
-    alg_neg,
-    alg_reciprocal,
-    char_poly,
-    isolate_real_roots,
-)
-from .mapping_torus import (
-    BettiProfile,
-    ConjugatePair,
-    EigenDescriptor,
-    FiberModel,
-    ModelError,
-    blow_up,
-    torus_monodromy,
-)
+from .exact import AlgebraicReal, Matrix, char_poly, isolate_real_roots
+from .mapping_torus import FiberModel, ModelError, blow_up, torus_monodromy
 
 DEFAULT_S0_MATRIX = ((0, 0, 1), (1, 0, 1), (0, 1, 0))  # companion of x^3 - x - 1
 DEFAULT_SPM_MATRIX = ((2, 1), (1, 1))    # eigenvalues (3 +- sqrt5)/2
@@ -61,10 +46,10 @@ class SpmDatum:
         object.__setattr__(self, "N", rows)
 
 
-def make_s0(datum: S0Datum):
-    """Torus-monodromy fiber model + the distinguished Lee parameter alpha."""
-    rows = datum.A
-    cp = char_poly(Matrix.from_rows(rows))
+def s0_alpha(datum: S0Datum) -> AlgebraicReal:
+    """The distinguished Lee parameter alpha of S0, after checking that A has
+    determinant 1 and one real eigenvalue, simple and above 1."""
+    cp = char_poly(Matrix.from_rows(datum.A))
     # det(A) = (-1)^3 * cp(0) for the 3x3 case
     if -cp.constant() != 1:
         raise ModelError(f"S0 matrix must have determinant 1, got {-cp.constant()}")
@@ -76,70 +61,53 @@ def make_s0(datum: S0Datum):
     one = AlgebraicReal.from_rational(1)
     if mult != 1 or not one < alpha:
         raise ModelError("the real eigenvalue must be simple and exceed 1")
-    model = FiberModel(3, torus_monodromy(rows), name="s0")
-    return model, alpha
+    return alpha
 
 
-def _two_real_eigen(rows):
-    cp = char_poly(Matrix.from_rows(rows))
+def make_s0(datum: S0Datum):
+    """Torus-monodromy fiber model + the distinguished Lee parameter alpha."""
+    alpha = s0_alpha(datum)
+    return torus_monodromy(datum.A, "s0"), alpha
+
+
+def _make_spm(datum: SpmDatum, det: int, name: str):
+    """Fiber model ([1], N, N^-1, [1]) of S+ (det N = 1) or S- (det N = -1),
+    + the eigenvalue alpha > 1 of N; the other eigenvalue is det/alpha."""
+    label, other = ("S+", "1/alpha") if det == 1 else ("S-", "-1/alpha")
+    n_mat = Matrix.from_rows(datum.N)
+    cp = char_poly(n_mat)
+    if cp.constant() != det:  # det(N) = cp(0) for the 2x2 case
+        raise ModelError(f"{label} matrix must have determinant {det}, got {cp.constant()}")
     roots = isolate_real_roots(cp)
     if sum(m for _, m in roots) != 2 or any(m != 1 for _, m in roots):
         raise ModelError("matrix needs two distinct real eigenvalues")
-    return [r for r, _ in roots], cp
+    one = AlgebraicReal.from_rational(1)
+    big = [r for r, _ in roots if one < r]
+    if len(big) != 1:
+        raise ModelError(f"{label} matrix needs eigenvalues alpha > 1 and {other}")
+    (a, b), (c, d) = datum.N
+    ident = Matrix.from_rows([[1]])
+    inverse = Matrix.from_rows([[det * d, -det * b], [-det * c, det * a]])  # det * adj N
+    model = FiberModel((ident, n_mat, inverse, ident), name)
+    return model, big[0]
 
 
 def make_splus(datum: SpmDatum):
-    """S+ eigen-descriptor fiber model (dims 1,2,2,1) + alpha."""
-    roots, cp = _two_real_eigen(datum.N)
-    if cp.constant() != 1:  # det(N) = cp(0) for the 2x2 case
-        raise ModelError(f"S+ matrix must have determinant 1, got {cp.constant()}")
-    one = AlgebraicReal.from_rational(1)
-    big = [r for r in roots if one < r]
-    if len(big) != 1:
-        raise ModelError("S+ matrix needs eigenvalues alpha > 1 and 1/alpha")
-    alpha = big[0]
-    inv = alg_reciprocal(alpha)
-    if not any(r == inv for r in roots):
-        raise ModelError("S+ eigenvalues must be alpha and 1/alpha")
-    spectra = (
-        (((AlgebraicReal.from_rational(1)), 1),),
-        ((inv, 1), (alpha, 1)),
-        ((inv, 1), (alpha, 1)),
-        (((AlgebraicReal.from_rational(1)), 1),),
-    )
-    model = FiberModel(3, EigenDescriptor(3, (1, 2, 2, 1), spectra), name="splus")
-    return model, alpha
+    """S+ fiber model (dims 1,2,2,1; eigenvalues alpha and 1/alpha) + alpha."""
+    return _make_spm(datum, 1, "splus")
 
 
 def make_sminus(datum: SpmDatum):
-    """S- eigen-descriptor fiber model (dims 1,2,2,1) + alpha."""
-    roots, cp = _two_real_eigen(datum.N)
-    if cp.constant() != -1:
-        raise ModelError(f"S- matrix must have determinant -1, got {cp.constant()}")
-    one = AlgebraicReal.from_rational(1)
-    big = [r for r in roots if one < r]
-    if len(big) != 1:
-        raise ModelError("S- matrix needs eigenvalues alpha > 1 and -1/alpha")
-    alpha = big[0]
-    neg_inv = alg_neg(alg_reciprocal(alpha))
-    if not any(r == neg_inv for r in roots):
-        raise ModelError("S- eigenvalues must be alpha and -1/alpha")
-    spectra = (
-        (((AlgebraicReal.from_rational(1)), 1),),
-        ((neg_inv, 1), (alpha, 1)),
-        ((alg_reciprocal(alpha), 1), (alg_neg(alpha), 1)),
-        (((AlgebraicReal.from_rational(1)), 1),),
-    )
-    model = FiberModel(3, EigenDescriptor(3, (1, 2, 2, 1), spectra), name="sminus")
-    return model, alpha
+    """S- fiber model (dims 1,2,2,1; N has eigenvalues alpha and -1/alpha, N^-1
+    has 1/alpha and -alpha) + alpha."""
+    return _make_spm(datum, -1, "sminus")
 
 
 def make_hopf() -> FiberModel:
     """S^1 x S^3 viewed as the trivial mapping torus of S^3: fiber cohomology
     dims (1, 0, 0, 1), identity actions."""
-    one = AlgebraicReal.from_rational(1)
-    spectra = (((one, 1),), (), (), ((one, 1),))
-    return FiberModel(3, EigenDescriptor(3, (1, 0, 0, 1), spectra), name="hopf")
+    ident, empty = Matrix.from_rows([[1]]), Matrix(0, 0, [])
+    return FiberModel((ident, empty, empty, ident), name="hopf")
 
 
 def make_kato(n: int):

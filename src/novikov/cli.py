@@ -23,6 +23,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import (
+    DEFAULT_S0_MATRIX,
     S0Datum,
     SpmDatum,
     abelian_algebra,
@@ -36,6 +37,7 @@ from .catalog import (
     make_splus,
     ot_algebra,
     s0_algebra,
+    s0_alpha,
     splus_algebra,
     splus_coframe_model,
 )
@@ -297,7 +299,7 @@ def _instantiated_s0(invert: bool):
     """S0 algebra with r matched to the distinguished alpha (alpha = e^{2r});
     the log is a float rationalized for the cone module only.  The inverse
     parameter keeps the algebra and negates the Lee covector."""
-    _, alpha = default_s0()
+    alpha = s0_alpha(S0Datum(DEFAULT_S0_MATRIX))
     r = Fraction(math.log(alpha.to_float()) / 2).limit_denominator(10 ** 9)
     model = s0_algebra().instantiate({"r": r, "s": Fraction(1)})
     theta = tuple(-c for c in model.theta) if invert else None

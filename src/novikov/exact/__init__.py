@@ -9,7 +9,6 @@ from .algebraic import (
     isolate_real_roots,
     alg_eq,
     alg_cmp,
-    alg_neg,
     alg_power,
     alg_reciprocal,
 )
@@ -18,6 +17,7 @@ from .ratfunc import coefficient, coefficient_field, substitution
 from .matrices import (
     Matrix,
     char_poly,
+    companion,
     exterior_power,
     exterior_square_cyclic,
     nf_rank,
@@ -28,9 +28,9 @@ from .matrices import (
 
 __all__ = [
     "Rat", "IntPoly", "sturm_sequence", "count_roots",
-    "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp", "alg_neg",
+    "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp",
     "alg_power", "alg_reciprocal", "NumberField", "NFElem", "coefficient",
     "coefficient_field", "substitution",
-    "Matrix", "char_poly", "exterior_power", "exterior_square_cyclic",
+    "Matrix", "char_poly", "companion", "exterior_power", "exterior_square_cyclic",
     "nf_rank", "nullspace", "poly_at_matrix", "rank",
 ]

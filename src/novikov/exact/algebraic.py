@@ -242,15 +242,9 @@ def alg_reciprocal(lam: AlgebraicReal) -> AlgebraicReal:
     return AlgebraicReal(p, (1 / hi, 1 / lo), None)
 
 
-def alg_neg(lam: AlgebraicReal) -> AlgebraicReal:
-    p = lam.minpoly.compose_neg().primitive()
-    lo, hi = lam.interval
-    return AlgebraicReal(p, (-hi, -lo))
-
-
 def alg_power(alpha: AlgebraicReal, k: int) -> AlgebraicReal:
     """alpha^k as an exact algebraic number."""
-    from .matrices import Matrix, char_poly  # matrices imports this module
+    from .matrices import char_poly, companion  # matrices imports this module
 
     if k == 0:
         return AlgebraicReal.from_rational(1)
@@ -260,15 +254,7 @@ def alg_power(alpha: AlgebraicReal, k: int) -> AlgebraicReal:
         return alpha
     # alpha^k is an eigenvalue of C^k for the companion matrix C of the
     # minimal polynomial; isolate it against an interval power of alpha.
-    deg = alpha.minpoly.degree
-    lead = Fraction(alpha.minpoly.leading())
-    monic = [Fraction(c) / lead for c in alpha.minpoly.coeffs]
-    comp = [[Fraction(0)] * deg for _ in range(deg)]
-    for i in range(1, deg):
-        comp[i][i - 1] = Fraction(1)
-    for i in range(deg):
-        comp[i][deg - 1] = -monic[i]
-    mat = Matrix.from_rows(comp)
+    mat = companion(alpha.minpoly)
     power = mat
     for _ in range(k - 1):
         power = power.matmul(mat)

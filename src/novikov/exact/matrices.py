@@ -144,6 +144,16 @@ def char_poly(m: Matrix) -> IntPoly:
     return IntPoly(list(reversed(ints)))
 
 
+def companion(p: IntPoly) -> Matrix:
+    """Companion matrix of p over Fraction: ones below the diagonal and the
+    monic p's negated low coefficients in the last column; its
+    characteristic polynomial is p / leading(p)."""
+    n, lead = p.degree, p.leading()
+    return Matrix(n, n, [Fraction(int(r == c + 1)) if c < n - 1
+                         else Fraction(-p.coeffs[r], lead)
+                         for r in range(n) for c in range(n)])
+
+
 def poly_at_matrix(p: IntPoly, m: Matrix) -> Matrix:
     """D^deg(p) * p(M) for a rational matrix M, by Horner's rule in integer
     arithmetic on D*M (D clears the entries' denominators); it has the kernel

@@ -11,8 +11,8 @@ against golden profiles in the tests rather than trusted abstractly.
 
 ``kappa_k`` needs no arithmetic in Q(lam): p, the minimal polynomial of
 1/lam, is irreducible, so ``dim_Q ker p(Phi_k) = deg(p) * kappa_k``, one rank
-over Q.  A torus monodromy is its exterior-power actions, built once when
-the model is made.
+over Q.  Every fiber model is the gluing map's actions on H^k(F; Q): a torus
+monodromy is its exterior powers, built once when the model is made.
 """
 
 from __future__ import annotations
@@ -50,34 +50,33 @@ def _check_fiber_dim(n):
 
 
 @dataclass(frozen=True)
-class ConjugatePair:
-    """Opaque marker for a complex-conjugate eigenvalue pair; never equal to
-    any real Lee parameter."""
+class FiberModel:
+    """The gluing map's rational actions Phi_k on H^k(F; Q), k = 0..n:
+    square matrices over int or Fraction, the identity on H^0 and +-1 on
+    H^n."""
 
-    tag: str = "conjugate"
-
-
-@dataclass(frozen=True)
-class ExplicitActions:
-    """Explicit rational matrices Phi_k on each H^k(F), with declared dims."""
-
-    dim: int
-    actions: tuple  # actions[k] is a Matrix over Fraction or int of size dim H^k
+    actions: tuple
+    name: str = ""
 
     def __post_init__(self):
-        if len(self.actions) != self.dim + 1:
+        if not self.actions:
             raise ModelError("need one action per degree 0..n")
+        _check_fiber_dim(self.dim_fiber)
         for k, m in enumerate(self.actions):
             if m.rows != m.cols:
                 raise ModelError(f"action in degree {k} is not square")
         if self.actions[0].entries != [Fraction(1)]:
             raise ModelError("H^0 action must be the 1x1 identity")
-        top = self.actions[self.dim]
+        top = self.actions[-1]
         if top.rows != 1 or top.entries[0] not in (Fraction(1), Fraction(-1)):
             raise ModelError("H^n action must be [1] or [-1]")
 
+    @property
+    def dim_fiber(self):
+        return len(self.actions) - 1
 
-def torus_monodromy(phi1) -> ExplicitActions:
+
+def torus_monodromy(phi1, name="") -> FiberModel:
     """Fiber T^n with the gluing automorphism acting on H^1 by the integer
     matrix phi1 (rows, acting on the coordinate coframe basis): Phi_k is its
     k-th exterior power, kept over int."""
@@ -93,53 +92,7 @@ def torus_monodromy(phi1) -> ExplicitActions:
     det = actions[n].entries[0]  # Lambda^n(M) = [det M]
     if det not in (1, -1):
         raise ModelError(f"monodromy must be invertible over Z, det = {det}")
-    return ExplicitActions(n, actions)
-
-
-@dataclass(frozen=True)
-class EigenDescriptor:
-    """Per-degree eigenvalue lists (AlgebraicReal or ConjugatePair, each with a
-    positive int multiplicity); multiplicities must sum to the declared H^k
-    dimension."""
-
-    dim: int
-    h_dims: tuple
-    spectra: tuple  # spectra[k] = tuple of (AlgebraicReal | ConjugatePair, mult)
-
-    def __post_init__(self):
-        if len(self.h_dims) != self.dim + 1 or len(self.spectra) != self.dim + 1:
-            raise ModelError("need eigenvalue data per degree 0..n")
-        for k, spec in enumerate(self.spectra):
-            total = 0
-            for ev, mult in spec:
-                if type(mult) is not int or mult < 1:
-                    raise ModelError(f"degree {k}: multiplicity {mult!r} is not "
-                                     "a positive integer")
-                total += (2 * mult) if isinstance(ev, ConjugatePair) else mult
-            if total != self.h_dims[k]:
-                raise ModelError(
-                    f"degree {k}: multiplicities sum to {total}, declared {self.h_dims[k]}")
-
-
-@dataclass(frozen=True)
-class FiberModel:
-    dim_fiber: int
-    mode: ExplicitActions | EigenDescriptor
-    name: str = ""
-
-    def __post_init__(self):
-        m = self.mode
-        if not isinstance(m, (ExplicitActions, EigenDescriptor)):
-            raise ModelError(f"unknown fiber mode {type(m).__name__}")
-        if m.dim != self.dim_fiber:
-            raise ModelError("mode dimension does not match fiber dimension")
-        _check_fiber_dim(self.dim_fiber)
-
-    def h_dim(self, k):
-        m = self.mode
-        if isinstance(m, ExplicitActions):
-            return m.actions[k].rows
-        return m.h_dims[k]
+    return FiberModel(actions, name)
 
 
 @dataclass(frozen=True)
@@ -179,13 +132,7 @@ def kappa(model: FiberModel, lam: AlgebraicReal, k: int) -> int:
         raise ModelError(f"degree {k} out of range 0..{n}")
     if lam.sign() <= 0:
         raise ModelError("Lee parameter must be positive")
-    mode = model.mode
-    if isinstance(mode, EigenDescriptor):
-        target = alg_reciprocal(lam)
-        # conjugate pairs never match a real lambda
-        return sum(mult for ev, mult in mode.spectra[k]
-                   if not isinstance(ev, ConjugatePair) and alg_eq(ev, target))
-    phi = mode.actions[k]
+    phi = model.actions[k]
     p = lam.minpoly.reversed().primitive()
     return (phi.rows - rank(poly_at_matrix(p, phi))) // p.degree
 
@@ -202,14 +149,9 @@ def twisted_betti(model: FiberModel, lam: AlgebraicReal) -> BettiProfile:
 
 def exceptional_lambdas(model: FiberModel):
     """The finite set of positive lam with a nonzero profile: reciprocals of
-    the positive real eigenvalues of every Phi_k; sorted, deduplicated."""
+    the positive real roots of every char_poly(Phi_k); sorted, deduplicated."""
     found = []
-    mode = model.mode
-    if isinstance(mode, EigenDescriptor):
-        eigen = [ev for spec in mode.spectra for ev, _ in spec
-                 if not isinstance(ev, ConjugatePair)]
-    else:
-        eigen = [r for phi in mode.actions for r, _ in isolate_real_roots(char_poly(phi))]
+    eigen = [r for phi in model.actions for r, _ in isolate_real_roots(char_poly(phi))]
     for ev in eigen:
         if ev.sign() <= 0:
             continue

@@ -7,7 +7,14 @@ Three document types, selected by the top-level "type" key:
   rational ``actions`` matrices or per-degree ``spectra`` of eigenvalue specs
   ``"rational:<p>/<q>"``, ``"poly:<c0,c1,...>@(<lo>,<hi>)"`` and
   ``"conjugate_pair:<mult>"`` (the first two optionally ``[spec, mult]``);
-  ``dim``, ``h_dims`` and multiplicities are JSON integers.
+  ``dim``, ``h_dims`` and multiplicities are JSON integers.  Spectra load as
+  block-diagonal rational actions: m companion blocks of the minimal
+  polynomial p of real eigenvalues listed with multiplicity m, which also
+  take p's complex roots from the declared conjugate pairs, and a rotation
+  block for each pair left over.  So a spectrum must be closed under Galois
+  conjugation: every real root of p listed, all with one multiplicity.
+  Either way H^0 must act as [1] and H^dim as [1] or [-1], and no H^k may
+  exceed ``MAX_H_DIM``.
 * ``lie_algebra``: ``dim``, optional ``params``, a bracket list
   ``{"i": .., "j": .., "coeffs": {"k": expr}}`` with 1-based generator
   indices, plus ``theta``, ``J``, ``coframe`` and ``named_forms``.
@@ -25,24 +32,34 @@ import sympy as sp
 from sympy.polys.polyerrors import CoercionFailed
 
 from .chevalley import InvariantForm, LieAlgebraModel, validate
-from .exact import AlgebraicReal, IntPoly, Matrix, coefficient, coefficient_field
-from .mapping_torus import (
-    ConjugatePair,
-    EigenDescriptor,
-    ExplicitActions,
-    FiberModel,
-    ModelError,
-    torus_monodromy,
+from .exact import (
+    AlgebraicReal,
+    IntPoly,
+    Matrix,
+    alg_eq,
+    coefficient,
+    coefficient_field,
+    companion,
+    isolate_real_roots,
 )
+from .mapping_torus import FiberModel, ModelError, torus_monodromy
 
 
 class SchemaError(ValueError):
     """The document does not match the model-file schema."""
 
 
+_PAIR = object()  # what parse_eigenvalue_spec returns for a conjugate pair
+
+# Each H^k is a dense matrix, and char_poly's cost grows as the fourth power
+# of its size: `scan` on an 80-dimensional H^1 takes about 1.6 s on a shared
+# 2-core VM.  The largest H^k of a torus fiber within MAX_FIBER_DIM is 20.
+MAX_H_DIM = 64
+
+
 def parse_eigenvalue_spec(text: str):
-    """One eigenvalue spec; returns AlgebraicReal or ConjugatePair with its
-    multiplicity."""
+    """One eigenvalue spec; returns an AlgebraicReal, or _PAIR for
+    conjugate pairs, with its multiplicity."""
     if not isinstance(text, str):
         raise SchemaError(f"eigenvalue spec must be a string, got {text!r}")
     head, _, rest = text.partition(":")
@@ -58,7 +75,7 @@ def parse_eigenvalue_spec(text: str):
             raise SchemaError(f"bad conjugate_pair spec {text!r}") from exc
         if mult < 1:
             raise SchemaError("conjugate_pair multiplicity must be positive")
-        return ConjugatePair(), mult
+        return _PAIR, mult
     if head == "poly":
         coeff_part, _, interval_part = rest.partition("@")
         try:
@@ -115,10 +132,60 @@ def _load_torus_monodromy(doc):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise SchemaError("torus_monodromy: matrix must be a list of rows")
     try:
-        mode = torus_monodromy(rows)
-        return FiberModel(mode.dim, mode, name=doc.get("name", ""))
+        return torus_monodromy(rows, doc.get("name", ""))
     except (ModelError, ValueError, TypeError) as exc:
         raise SchemaError(f"torus_monodromy: {exc}") from exc
+
+
+def _spectrum_blocks(k, spec_list, size):
+    """The diagonal blocks of a rational action of the declared size with
+    the given spectrum."""
+    groups = {}  # minimal polynomial -> [(eigenvalue, multiplicity)]
+    pairs = 0
+    for item in spec_list:
+        text, mult = item if isinstance(item, list) else (item, None)
+        ev, own = parse_eigenvalue_spec(text)
+        if ev is _PAIR:
+            if mult is not None:
+                raise SchemaError("conjugate_pair carries its own multiplicity")
+            pairs += own
+            continue
+        mult = own if mult is None else mult
+        if type(mult) is not int or mult < 1:
+            raise SchemaError(f"degree {k}: multiplicity {mult!r} is not a "
+                              "positive integer")
+        groups.setdefault(ev.minpoly.coeffs, []).append((ev, mult))
+    # before any block is built, so that no multiplicity sizes an allocation
+    total = 2 * pairs + sum(m for listed in groups.values() for _, m in listed)
+    if total != size:
+        raise SchemaError(f"degree {k}: multiplicities sum to {total}, declared {size}")
+    blocks = []
+    for listed in groups.values():
+        p = listed[0][0].minpoly
+        roots = [r for r, _ in isolate_real_roots(p)]
+        # an unlisted root counts 0, so one multiplicity means all are listed
+        mults = {sum(m for ev, m in listed if alg_eq(ev, r)) for r in roots}
+        if len(mults) != 1:
+            raise SchemaError(f"degree {k}: the real roots of {list(p.coeffs)} must "
+                              "all be listed, with one multiplicity")
+        (mult,) = mults
+        pairs -= mult * (p.degree - len(roots)) // 2
+        blocks += [companion(p)] * mult
+    if pairs < 0:
+        raise SchemaError(f"degree {k}: too few conjugate pairs for the complex "
+                          "roots of the listed minimal polynomials")
+    return blocks + [companion(IntPoly((1, 0, 1)))] * pairs  # [[0, -1], [1, 0]]
+
+
+def _block_diagonal(blocks):
+    size = sum(b.rows for b in blocks)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b.to_rows()):
+            rows[at + i][at:at + b.cols] = row
+        at += b.rows
+    return Matrix.from_rows(rows)
 
 
 def _load_fiber_descriptor(doc):
@@ -130,34 +197,26 @@ def _load_fiber_descriptor(doc):
     h_dims = tuple(doc["h_dims"])
     if type(dim) is not int or any(type(h) is not int for h in h_dims):
         raise SchemaError("fiber_descriptor: dim and h_dims must be integers")
+    if len(h_dims) != dim + 1:
+        raise SchemaError(f"fiber_descriptor: h_dims needs {dim + 1} entries for "
+                          f"dim {dim}, got {len(h_dims)}")
+    if any(h > MAX_H_DIM for h in h_dims):
+        raise SchemaError(f"fiber_descriptor: H^k dimension capped at {MAX_H_DIM}")
     try:
+        per_degree = doc["actions"] if "actions" in doc else doc["spectra"]
+        if len(per_degree) != dim + 1:
+            raise SchemaError(f"need {dim + 1} degrees for dim {dim}, got {len(per_degree)}")
         if "actions" in doc:
             acts = tuple(
                 Matrix.from_rows([[Fraction(str(x)) for x in row] for row in mat])
-                for mat in doc["actions"])
-            for k, (m, h) in enumerate(zip(acts, h_dims)):
-                if m.rows != h:
-                    raise SchemaError(
-                        f"fiber_descriptor: degree {k} action is {m.rows}x{m.cols}, "
-                        f"declared dim {h}")
-            mode = ExplicitActions(dim, acts)
+                for mat in per_degree)
         else:
-            spectra = []
-            for spec_list in doc["spectra"]:
-                entries = []
-                for item in spec_list:
-                    if isinstance(item, list):
-                        text, mult = item
-                        ev, _ = parse_eigenvalue_spec(text)
-                        if isinstance(ev, ConjugatePair):
-                            raise SchemaError(
-                                "conjugate_pair carries its own multiplicity")
-                        entries.append((ev, mult))
-                    else:
-                        entries.append(parse_eigenvalue_spec(item))
-                spectra.append(tuple(entries))
-            mode = EigenDescriptor(dim, h_dims, tuple(spectra))
-        return FiberModel(dim, mode, name=doc.get("name", ""))
+            acts = tuple(_block_diagonal(_spectrum_blocks(k, spec_list, h))
+                         for k, (spec_list, h) in enumerate(zip(per_degree, h_dims)))
+        for k, (m, h) in enumerate(zip(acts, h_dims)):
+            if m.rows != h:
+                raise SchemaError(f"degree {k} has dimension {m.rows}, declared {h}")
+        return FiberModel(acts, doc.get("name", ""))
     except (ModelError, ValueError, TypeError) as exc:
         raise SchemaError(f"fiber_descriptor: {exc}") from exc
 

@@ -9,7 +9,6 @@ from novikov.exact import (
     IntPoly,
     alg_cmp,
     alg_eq,
-    alg_neg,
     alg_reciprocal,
     isolate_real_roots,
 )
@@ -17,6 +16,10 @@ from novikov.exact import (
 
 def sqrt2():
     return AlgebraicReal.from_poly(IntPoly((-2, 0, 1)), Fraction(1), Fraction(2))
+
+
+def neg_sqrt2():
+    return AlgebraicReal.from_poly(IntPoly((-2, 0, 1)), Fraction(-2), Fraction(-1))
 
 
 def test_from_rational():
@@ -50,7 +53,8 @@ def test_to_float_saturates_beyond_float_range():
     assert AlgebraicReal.from_rational(Fraction(1, big)).to_float() == 0.0
     root = AlgebraicReal.from_poly(IntPoly((-2 * big * big, 0, 1)), big, 2 * big)
     assert root.to_float() == math.inf
-    assert alg_neg(root).to_float() == -math.inf
+    neg_root = AlgebraicReal.from_poly(IntPoly((-2 * big * big, 0, 1)), -2 * big, -big)
+    assert neg_root.to_float() == -math.inf
 
 
 def test_refined_keeps_root():
@@ -97,7 +101,7 @@ def test_refined_matches_fraction_bisection():
 
 def test_sign():
     assert sqrt2().sign() == 1
-    assert alg_neg(sqrt2()).sign() == -1
+    assert neg_sqrt2().sign() == -1
     assert AlgebraicReal.from_rational(0).sign() == 0
 
 
@@ -106,7 +110,7 @@ def test_eq_and_cmp():
     b = AlgebraicReal.from_poly(IntPoly((-2, 0, 1)), Fraction(1, 2), Fraction(3, 2))
     assert alg_eq(a, b)
     assert a == b
-    neg = alg_neg(a)
+    neg = neg_sqrt2()
     assert alg_cmp(neg, a) < 0
     assert alg_cmp(a, a) == 0
     assert neg < a
@@ -126,8 +130,10 @@ def test_reciprocal():
 
 
 def test_neg_of_rational():
-    assert alg_neg(AlgebraicReal.from_rational(Fraction(3, 4))).as_rational() == \
-        Fraction(-3, 4)
+    neg = AlgebraicReal.from_rational(Fraction(-3, 4))
+    assert neg.as_rational() == Fraction(-3, 4) and neg.sign() == -1
+    assert alg_cmp(neg, AlgebraicReal.from_rational(Fraction(3, 4))) < 0
+    assert alg_cmp(neg_sqrt2(), neg) < 0
 
 
 def test_isolate_known():

@@ -69,7 +69,7 @@ def test_spm_datum_validation():
 def test_make_splus_default():
     model, alpha = default_splus()
     assert abs(alpha.to_float() - 2.618033988749895) < 1e-12
-    assert model.h_dim(1) == 2 and model.h_dim(0) == 1
+    assert model.actions[1].rows == 2 and model.actions[0].rows == 1
 
 
 def test_make_splus_rejects_det_minus_one():
@@ -92,7 +92,7 @@ def test_make_sminus_rejects_det_one():
 
 def test_hopf_and_kato():
     hopf = make_hopf()
-    assert hopf.h_dim(1) == 0
+    assert hopf.actions[1].rows == 0
     transform = make_kato(4)
     lam = AlgebraicReal.from_rational(2)
     assert transform(twisted_betti(hopf, lam)).betti == (0, 0, 4, 0, 0)

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 import novikov
-from novikov.cli import _instantiated_s0, build_parser, main
+from novikov.cli import _instantiated_s0, build_parser, main, resolve_model
 from novikov.catalog import default_s0, ot_algebra
 from novikov.chevalley import wedge_basis
 from novikov.lck_cone import _j_invariant_subbasis, kernel_basis
-from novikov.exact import alg_eq, alg_power, alg_reciprocal
+from novikov.exact import AlgebraicReal, IntPoly, alg_eq, alg_power, alg_reciprocal
 
 
 def run(capsys, *argv):
@@ -198,6 +198,30 @@ def test_scan_hopf(capsys):
     assert len(rows) == 1 and rows[0]["lambda"]["approx"] == 1.0
 
 
+def test_scan_spm_prints_the_exceptional_set(capsys):
+    """Each printed lambda is its minimal polynomial and an isolating interval;
+    for S+ and S- they must denote 1/alpha, 1 and alpha."""
+    approx = {"splus": [0.38196601125010515, 1.0, 2.618033988749895],
+              "sminus": [0.6180339887498949, 1.0, 1.618033988749895]}
+    minpolys = {"splus": [[1, -3, 1], [-1, 1], [1, -3, 1]],
+                "sminus": [[-1, 1, 1], [-1, 1], [-1, -1, 1]]}
+    betti = {"splus": [[0, 1, 2, 1, 0], [1, 1, 0, 1, 1], [0, 1, 2, 1, 0]],
+             "sminus": [[0, 1, 1, 0, 0], [1, 1, 0, 1, 1], [0, 0, 1, 1, 0]]}
+    for name in ("splus", "sminus"):
+        code, out, _ = run(capsys, "scan", f"{name}:default")
+        assert code == 0
+        rows = last_json(out)
+        assert [r["lambda"]["approx"] for r in rows] == approx[name]
+        assert [r["lambda"]["minpoly"] for r in rows] == minpolys[name]
+        assert [r["betti"] for r in rows] == betti[name]
+        alpha = resolve_model(f"{name}:default").alpha
+        want = [alg_reciprocal(alpha), AlgebraicReal.from_rational(1), alpha]
+        for row, lam in zip(rows, want):
+            lo, hi = (Fraction(x) for x in row["lambda"]["interval"])
+            assert alg_eq(AlgebraicReal.from_poly(IntPoly(row["lambda"]["minpoly"]), lo, hi),
+                          lam), (name, row)
+
+
 def test_scan_rejects_algebras(capsys):
     code, _, _ = run(capsys, "scan", "splus-algebra")
     assert code == 2
@@ -256,10 +280,31 @@ def test_verify_corrupted_model_file(capsys, tmp_path):
         dict(FIBER_DOC, dim=True, h_dims=[1, 1], spectra=[["rational:1"], ["rational:1"]]),
         dict(FIBER_DOC, h_dims=[1, 2, 2, 1.0]),
         # multiplicities are positive JSON integers, even where they sum right
-        dict(FIBER_DOC, dim=1, h_dims=[1, 1], spectra=[
-            ["rational:1"], [["rational:2", 2], ["rational:3", -1]]]),
-        dict(FIBER_DOC, dim=1, h_dims=[1, 1], spectra=[["rational:1"], [["rational:2", 1.7]]]),
-        dict(FIBER_DOC, dim=1, h_dims=[1, 1], spectra=[["rational:1"], [["rational:2", True]]]),
+        dict(FIBER_DOC, dim=2, h_dims=[1, 1, 1], spectra=[
+            ["rational:1"], [["rational:2", 2], ["rational:3", -1]], ["rational:1"]]),
+        dict(FIBER_DOC, dim=2, h_dims=[1, 1, 1], spectra=[
+            ["rational:1"], [["rational:2", 1.7]], ["rational:1"]]),
+        dict(FIBER_DOC, dim=2, h_dims=[1, 1, 1], spectra=[
+            ["rational:1"], [["rational:2", True]], ["rational:1"]]),
+        # one h_dim and one spectrum per degree
+        {"type": "fiber_descriptor", "dim": 2, "h_dims": [1, 2],
+         "actions": [[[1]], [[2, 1], [1, 1]], [[1]]]},
+        {"type": "fiber_descriptor", "dim": 2, "h_dims": [1, 2, 1, 7, 9],
+         "actions": [[[1]], [[2, 1], [1, 1]], [[1]]]},
+        # a spectrum is that of a rational action: closed under Galois
+        # conjugation (phi without -1/phi), with enough conjugate pairs for
+        # the complex roots of x^3 - x - 1, [1] on H^0 and [1] or [-1] on top
+        dict(FIBER_DOC, dim=2, h_dims=[1, 1, 1], spectra=[
+            ["rational:1"], ["poly:-1,-1,1@(1,2)"], ["rational:1"]]),
+        dict(FIBER_DOC, dim=2, h_dims=[1, 1, 1], spectra=[
+            ["rational:1"], ["poly:-1,-1,0,1@(1,2)"], ["rational:1"]]),
+        dict(FIBER_DOC, dim=1, h_dims=[1, 1], spectra=[["rational:3"], ["rational:1"]]),
+        dict(FIBER_DOC, dim=1, h_dims=[1, 1], spectra=[["rational:1"], ["rational:5"]]),
+        dict(FIBER_DOC, dim=1, h_dims=[1, 1], spectra=[["rational:1"]] * 3),
+        dict(FIBER_DOC, dim=-1, h_dims=[], spectra=[]),  # no H^0
+        # each H^k becomes a dense matrix, so its dimension is capped
+        dict(FIBER_DOC, dim=2, h_dims=[1, 66, 1], spectra=[
+            ["rational:1"], ["conjugate_pair:33"], ["rational:1"]]),
     ]
     for doc in wrong_types:
         path.write_text(json.dumps(doc))
@@ -299,6 +344,19 @@ def test_cone_s0_at_alpha_lck(capsys):
     doc = last_json(out)
     assert doc["verdict"] == "feasible"
     assert doc["lambda_min"] > 0.05
+
+
+def test_s0_alpha_for_the_cone_builds_no_fiber_model(monkeypatch):
+    """--at-alpha needs alpha alone: no exterior power of the S0 monodromy."""
+    import novikov.mapping_torus as mt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exterior power built to read alpha")
+
+    monkeypatch.setattr(mt, "exterior_power", refuse)
+    for invert in (False, True):
+        model, theta = _instantiated_s0(invert)
+        assert model.params == () and (theta is None) == (not invert)
 
 
 def assert_exact_s0_certificate(doc, kind):

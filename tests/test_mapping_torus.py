@@ -1,15 +1,21 @@
 import json
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb
 
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from novikov.exact import (
     AlgebraicReal,
+    IntPoly,
     Matrix,
     NumberField,
+    alg_cmp,
+    alg_eq,
     alg_reciprocal,
     char_poly,
     exterior_power,
@@ -18,9 +24,6 @@ from novikov.exact import (
 )
 from novikov.mapping_torus import (
     BettiProfile,
-    ConjugatePair,
-    EigenDescriptor,
-    ExplicitActions,
     FiberModel,
     ModelError,
     blow_up,
@@ -30,11 +33,28 @@ from novikov.mapping_torus import (
     torus_monodromy,
     twisted_betti,
 )
-from novikov.catalog import default_s0, default_sminus, default_splus, make_hopf
+from novikov.catalog import (
+    SpmDatum,
+    default_s0,
+    default_sminus,
+    default_splus,
+    make_hopf,
+    make_sminus,
+    make_splus,
+)
+from novikov.modelfile import load_model_dict
 
 
 def rational(q):
     return AlgebraicReal.from_rational(Fraction(q))
+
+
+def poly_spec(x):
+    """A model-file eigenvalue spec for the algebraic number x."""
+    if x.is_rational():
+        return f"rational:{x.as_rational()}"
+    lo, hi = x.interval
+    return f"poly:{','.join(map(str, x.minpoly.coeffs))}@({lo},{hi})"
 
 
 # -- model validation --------------------------------------------------------
@@ -53,24 +73,17 @@ def test_explicit_actions_checks_ends():
     ident = Matrix.from_rows([[Fraction(1)]])
     bad = Matrix.from_rows([[Fraction(2)]])
     with pytest.raises(ModelError):
-        ExplicitActions(1, (bad, ident))
+        FiberModel((bad, ident))
     with pytest.raises(ModelError):
-        ExplicitActions(1, (ident, bad))
-    ExplicitActions(1, (ident, ident))
-
-
-def test_eigen_descriptor_multiplicity_sum():
-    one = rational(1)
-    with pytest.raises(ModelError):
-        EigenDescriptor(1, (1, 2), (((one, 1),), ((one, 1),)))
-    # a conjugate pair counts twice
-    EigenDescriptor(1, (1, 2), (((one, 1),), ((ConjugatePair(), 1),)))
+        FiberModel((ident, bad))
+    assert FiberModel((ident, ident)).dim_fiber == 1
 
 
 def test_fiber_dim_cap():
     with pytest.raises(ModelError):
-        FiberModel(7, torus_monodromy(tuple(tuple(int(i == j) for j in range(7))
-                                            for i in range(7))))
+        torus_monodromy(tuple(tuple(int(i == j) for j in range(7)) for i in range(7)))
+    with pytest.raises(ModelError):
+        FiberModel((Matrix.from_rows([[1]]),) * 8)
 
 
 def test_betti_profile_rejects_negative():
@@ -119,7 +132,7 @@ def test_hopf_vanishes_off_one():
 def test_torus_identity_gives_binomials():
     for n in (2, 3):
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        model = FiberModel(n, torus_monodromy(ident))
+        model = torus_monodromy(ident)
         betti = twisted_betti(model, rational(1)).betti
         assert betti == tuple(comb(n + 1, k) for k in range(n + 2))
         assert twisted_betti(model, rational(2)).betti == (0,) * (n + 2)
@@ -144,17 +157,16 @@ def test_kappa_matches_eigen_reciprocal():
 
 
 def test_mode_consistency_monodromy_vs_descriptor():
-    """A T^2 bundle with all-real spectrum: the matrix mode and the descriptor
-    mode must produce identical profiles."""
+    """A T^2 bundle with all-real spectrum: the torus monodromy and its
+    spectrum loaded from a descriptor file must produce identical profiles."""
     rows = ((2, 1), (1, 1))
-    mono_model = FiberModel(2, torus_monodromy(rows))
+    mono_model = torus_monodromy(rows)
     cp = char_poly(Matrix.from_rows([[Fraction(x) for x in r] for r in rows]))
     roots = [r for r, _ in isolate_real_roots(cp)]
     one = rational(1)
-    spectra = (((one, 1),),
-               tuple((r, 1) for r in roots),
-               ((one, 1),))
-    desc_model = FiberModel(2, EigenDescriptor(2, (1, 2, 1), spectra))
+    desc_model = load_model_dict({
+        "type": "fiber_descriptor", "dim": 2, "h_dims": [1, 2, 1],
+        "spectra": [["rational:1"], [poly_spec(r) for r in roots], ["rational:1"]]})
     lams = [one, roots[0], roots[1], rational(Fraction(5, 7))]
     lams += [alg_reciprocal(r) for r in roots]
     for lam in lams:
@@ -298,7 +310,7 @@ def parity_monodromies():
     Jordan block and a hyperbolic Jordan block (geometric < algebraic
     multiplicity at an irrational eigenvalue)."""
     rng = random.Random(29)
-    monos = {"s0:default": default_s0()[0].mode.actions[1].to_rows(),
+    monos = {"s0:default": default_s0()[0].actions[1].to_rows(),
              "identity 4": identity(4),
              "hyperbolic x2": block_diag(HYPERBOLIC, HYPERBOLIC),
              "hyperbolic x3": unimodular_conjugate(
@@ -313,14 +325,14 @@ def parity_monodromies():
 
 
 def explicit_twin(rows, phis):
-    """The same actions conjugated by diag(1, 2, ...), as ExplicitActions:
+    """The same actions conjugated by diag(1, 2, ...), as a FiberModel:
     kernel dimensions agree, and the entries get denominators."""
     acts = []
     for phi in phis:
         n = phi.rows
         acts.append(Matrix(n, n, [phi[i, j] * Fraction(i + 1, j + 1)
                                   for i in range(n) for j in range(n)]))
-    return FiberModel(len(rows), ExplicitActions(len(rows), tuple(acts)))
+    return FiberModel(tuple(acts))
 
 
 def test_kappa_matches_number_field_oracle():
@@ -330,7 +342,7 @@ def test_kappa_matches_number_field_oracle():
     cases = {"rational": 0, "simple": 0, "repeated": 0, "defective": 0}
     for name, rows in parity_monodromies().items():
         n = len(rows)
-        model = FiberModel(n, torus_monodromy(rows))
+        model = torus_monodromy(rows)
         phis = [exterior_power(Matrix.from_rows([[Fraction(x) for x in r] for r in rows]),
                                k, one=Fraction(1)) for k in range(n + 1)]
         twin = explicit_twin(rows, phis)
@@ -382,7 +394,7 @@ def test_phi_is_computed_once_per_model(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(mt, name, counted(name, getattr(mt, name)))
-    model = FiberModel(5, torus_monodromy(rows))
+    model = torus_monodromy(rows)
     # the model is made with one exterior power per degree
     assert calls == {"exterior_power": 6, "char_poly": 0}
     for lam in (rational(2), rational(1)):
@@ -400,9 +412,9 @@ def test_phi_is_computed_once_per_model(monkeypatch):
 def test_torus_monodromy_is_its_exterior_powers(monkeypatch):
     for name, rows in parity_monodromies().items():
         n = len(rows)
-        mode = torus_monodromy(rows)
-        assert mode.dim == n and len(mode.actions) == n + 1, name
-        for k, phi in enumerate(mode.actions):
+        model = torus_monodromy(rows)
+        assert model.dim_fiber == n and len(model.actions) == n + 1, name
+        for k, phi in enumerate(model.actions):
             want = exterior_power(Matrix.from_rows(rows), k, one=1)
             assert (phi.rows, phi.cols, phi.entries) == \
                 (want.rows, want.cols, want.entries), (name, k)
@@ -418,3 +430,121 @@ def test_torus_monodromy_is_its_exterior_powers(monkeypatch):
     monkeypatch.setattr(mt, "exterior_power", refuse)
     with pytest.raises(ModelError, match="capped at 6"):
         torus_monodromy(identity(7))
+
+
+# -- the eigenvalue-descriptor oracle -----------------------------------------
+# A fiber given by per-degree eigenvalue lists (real eigenvalue, multiplicity):
+# kappa_k(lam) is the multiplicity of 1/lam in degree k, and the exceptional
+# set is the reciprocals of the positive listed eigenvalues.  Every fiber model
+# is now its rational actions; these must agree with the lists.
+
+def descriptor_kappa(spectra, lam, k):
+    target = alg_reciprocal(lam)
+    return sum(mult for ev, mult in spectra[k] if alg_eq(ev, target))
+
+
+def descriptor_exceptional(spectra):
+    found = []
+    for spec in spectra:
+        for ev, _ in spec:
+            if ev.sign() > 0 and not any(alg_eq(alg_reciprocal(ev), x) for x in found):
+                found.append(alg_reciprocal(ev))
+    return sorted(found, key=cmp_to_key(alg_cmp))
+
+
+def assert_matches_descriptor(model, spectra, name):
+    exc = exceptional_lambdas(model)
+    want = descriptor_exceptional(spectra)
+    assert len(exc) == len(want), name
+    assert all(alg_eq(a, b) for a, b in zip(exc, want)), name
+    lams = [x for lam in exc for x in (lam, alg_reciprocal(lam))]
+    lams += [rational(q) for q in (1, 2, Fraction(1, 3))]
+    for lam in lams:
+        for k in range(model.dim_fiber + 1):
+            assert kappa(model, lam, k) == descriptor_kappa(spectra, lam, k), (name, lam, k)
+
+
+def alg_from_sympy(x):
+    """x, a real algebraic sympy number, from its minimal polynomial and a
+    rational interval of width 2^-19 around its float value."""
+    mp = sp.Poly(sp.minimal_polynomial(x, _X), _X)
+    mid = Fraction(float(x))
+    return AlgebraicReal.from_poly(IntPoly([int(c) for c in reversed(mp.all_coeffs())]),
+                                   mid - Fraction(1, 2 ** 20), mid + Fraction(1, 2 ** 20))
+
+
+def test_catalog_matches_descriptor_oracle():
+    """S+ and S- were the descriptors ((1), (1/a, a), (1/a, a), (1)) and
+    ((1), (-1/a, a), (1/a, -a), (1)), a the eigenvalue of N above 1; Hopf was
+    ((1), (), (), (1))."""
+    one = [(rational(1), 1)]
+    cases = [("splus", make_splus, rows) for rows in (None, ((3, 1), (2, 1)))]
+    cases += [("sminus", make_sminus, rows) for rows in (None, ((2, 1), (1, 0)))]
+    for name, maker, rows in cases:
+        model, alpha = (default_splus() if name == "splus" else default_sminus()) \
+            if rows is None else maker(SpmDatum(rows))
+        n_rows = model.actions[1].to_rows()
+        a = max(r for r in sp.Matrix(n_rows).eigenvals() if r.is_real)
+        assert alg_eq(alpha, alg_from_sympy(a)), name
+        sign = 1 if name == "splus" else -1
+        h1 = [(alg_from_sympy(sign / a), 1), (alg_from_sympy(a), 1)]
+        h2 = [(alg_from_sympy(1 / a), 1), (alg_from_sympy(sign * a), 1)]
+        assert_matches_descriptor(model, (one, h1, h2, one), (name, rows))
+    assert_matches_descriptor(make_hopf(), (one, [], [], one), "hopf")
+
+
+# irreducible polynomials, lowest coefficient first, with real roots of both
+# signs, repeated degrees and complex pairs (x^3 - x - 1 and x^4 - x - 1)
+SPECTRUM_POLYS = [(-2, 1), (-1, 2), (1, 1), (-3, 2), (5, 3), (1, -3, 1), (-1, -1, 1),
+                  (-2, 0, 1), (-1, -1, 0, 1), (-1, -3, 0, 1), (-1, -1, 0, 0, 1)]
+
+
+def spectrum_doc(plan):
+    """A fiber_descriptor file and its eigenvalue lists from a plan: per middle
+    degree a list of (polynomial index, multiplicity, written as [spec, m]?)
+    and a number of extra conjugate pairs, then the sign on the top degree."""
+    degrees, top = plan
+    one = [(rational(1), 1)]
+    texts, spectra, h_dims = [["rational:1"]], [one], [1]
+    for entries, extra in degrees:
+        text, spec, pairs, size = [], [], extra, 2 * extra
+        for index, mult, as_list in entries:
+            coeffs = SPECTRUM_POLYS[index]
+            p = sp.Poly(list(reversed(coeffs)), _X)
+            roots = [rational(Fraction(-coeffs[0], coeffs[1]))] if p.degree() == 1 else \
+                [AlgebraicReal.from_poly(IntPoly(coeffs), lo, hi) for (lo, hi), _ in p.intervals()]
+            for r in roots:
+                spec.append((r, mult))
+                text += [[poly_spec(r), mult]] if as_list else [poly_spec(r)] * mult
+            pairs += mult * (p.degree() - len(roots)) // 2
+            size += mult * p.degree()
+        if pairs:
+            text.append(f"conjugate_pair:{pairs}")
+        texts.append(text)
+        spectra.append(spec)
+        h_dims.append(size)
+    texts.append([f"rational:{top}"])
+    spectra.append([(rational(top), 1)])
+    h_dims.append(1)
+    doc = {"type": "fiber_descriptor", "dim": len(h_dims) - 1, "h_dims": h_dims,
+           "spectra": texts}
+    return doc, spectra
+
+
+SPECTRUM_PLANS = st.tuples(
+    st.lists(st.tuples(
+        st.lists(st.tuples(st.integers(0, len(SPECTRUM_POLYS) - 1), st.integers(1, 2),
+                           st.booleans()), max_size=3),
+        st.integers(0, 2)), min_size=1, max_size=3),
+    st.sampled_from((1, -1)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@example(([([(9, 2, True), (9, 1, False), (6, 1, True)], 1), ([(5, 2, False)], 0)], -1))
+@example(([([(10, 1, True), (1, 2, False), (1, 1, True)], 0)], 1))
+@given(SPECTRUM_PLANS)
+def test_galois_closed_spectra_match_descriptor_oracle(plan):
+    doc, spectra = spectrum_doc(plan)
+    model = load_model_dict(doc)
+    assert [m.rows for m in model.actions] == doc["h_dims"]
+    assert_matches_descriptor(model, spectra, doc)

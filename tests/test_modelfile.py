@@ -7,8 +7,9 @@ import sympy as sp
 from novikov.catalog import default_s0, default_splus
 from novikov.chevalley import twisted_ce_cohomology
 from novikov.exact import AlgebraicReal
-from novikov.mapping_torus import ConjugatePair, FiberModel, twisted_betti
+from novikov.mapping_torus import FiberModel, twisted_betti
 from novikov.modelfile import (
+    _PAIR,
     SchemaError,
     _parse_expr,
     load_model,
@@ -42,7 +43,7 @@ def test_parse_eigenvalue_specs():
     assert isinstance(ev, AlgebraicReal) and mult == 1
     assert ev.as_rational() == 1.5
     ev, mult = parse_eigenvalue_spec("conjugate_pair:2")
-    assert isinstance(ev, ConjugatePair) and mult == 2
+    assert ev is _PAIR and mult == 2
     ev, mult = parse_eigenvalue_spec("poly:-2,0,1@(1,2)")
     assert abs(ev.to_float() - 2 ** 0.5) < 1e-9
 
@@ -71,7 +72,7 @@ def test_fiber_descriptor_with_actions():
     doc = {"type": "fiber_descriptor", "dim": 2, "h_dims": [1, 2, 1],
            "actions": [[[1]], [[2, 1], [1, 1]], [[1]]]}
     model = load_model_dict(doc)
-    assert model.h_dim(1) == 2
+    assert model.actions[1].rows == 2
 
 
 def test_fiber_descriptor_spec_with_multiplicity():
@@ -79,7 +80,7 @@ def test_fiber_descriptor_spec_with_multiplicity():
            "spectra": [[["rational:1", 1]], [["rational:2", 2]],
                        ["conjugate_pair:1"], ["rational:1"]]}
     model = load_model_dict(doc)
-    assert model.h_dim(1) == 2
+    assert model.actions[1].rows == 2
 
 
 def test_lie_algebra_roundtrip():
@@ -183,6 +184,46 @@ def test_spectra_and_actions_mutually_exclusive():
     doc2 = {"type": "fiber_descriptor", "dim": 3, "h_dims": [1, 2, 2, 1]}
     with pytest.raises(SchemaError):
         load_model_dict(doc2)
+
+
+def test_eigen_descriptor_multiplicity_sum():
+    doc = {"type": "fiber_descriptor", "dim": 2, "h_dims": [1, 2, 1],
+           "spectra": [["rational:1"], ["rational:1"], ["rational:1"]]}
+    with pytest.raises(SchemaError, match="degree 1: multiplicities sum to 1, declared 2"):
+        load_model_dict(doc)
+    # a conjugate pair counts twice
+    load_model_dict(dict(doc, spectra=[["rational:1"], ["conjugate_pair:1"], ["rational:1"]]))
+
+
+def test_spectra_must_be_those_of_rational_actions():
+    def load(h1, spec):
+        load_model_dict({"type": "fiber_descriptor", "dim": 2, "h_dims": [1, h1, 1],
+                         "spectra": [["rational:1"], spec, ["rational:1"]]})
+
+    phi, psi = "poly:-1,-1,1@(1,2)", "poly:-1,-1,1@(-1,0)"  # roots of x^2 - x - 1
+    with pytest.raises(SchemaError, match="real roots of .* must all be listed"):
+        load(1, [phi])
+    with pytest.raises(SchemaError, match="real roots of .* must all be listed"):
+        load(3, [[phi, 2], psi])
+    with pytest.raises(SchemaError, match="too few conjugate pairs"):
+        load(1, ["poly:-1,-1,0,1@(1,2)"])
+    load(2, [phi, psi])
+    load(6, [[phi, 2], [psi, 2], "conjugate_pair:1"])
+    load(3, ["poly:-1,-1,0,1@(1,2)", "conjugate_pair:1"])
+
+
+def test_spectrum_sizes_are_checked_before_any_block_is_built(monkeypatch):
+    import novikov.modelfile as mf
+
+    def refuse(p):
+        raise AssertionError("block built before the multiplicities were summed")
+
+    monkeypatch.setattr(mf, "companion", refuse)
+    for spec in ([["rational:2", 10 ** 12]], ["conjugate_pair:1000000000000"]):
+        doc = {"type": "fiber_descriptor", "dim": 1, "h_dims": [1, 1],
+               "spectra": [spec, ["rational:1"]]}
+        with pytest.raises(SchemaError, match="multiplicities sum to"):
+            load_model_dict(doc)
 
 
 def test_multiplicity_sum_checked():
