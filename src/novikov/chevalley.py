@@ -174,6 +174,9 @@ class LieAlgebraModel:
         for (i, j), comps in self.brackets.items():
             if not 0 <= i < j < self.dim:
                 raise LieModelError(f"bad bracket index pair ({i}, {j})")
+            if any(k not in range(self.dim) for k in comps):
+                raise LieModelError(f"bracket ({i}, {j}) has a component index "
+                                    f"outside 0..{self.dim - 1}: {list(comps)}")
             bk[(i, j)] = {k: v for k, c in comps.items() if (v := conv(c))}
         object.__setattr__(self, "brackets", bk)
         th = self.theta if self.theta is not None else (0,) * self.dim

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: rationals, integer polynomials, real algebraic
-numbers, number-field and rational-function-field linear algebra."""
+numbers, and linear algebra over Q, Q(params) and Q(lambda) (sympy's ``ANP``,
+which only the tests' oracles use)."""
 
 from fractions import Fraction as Rat
 
@@ -12,7 +13,7 @@ from .algebraic import (
     alg_power,
     alg_reciprocal,
 )
-from .numberfield import NumberField, NFElem
+from .numberfield import NumberField
 from .ratfunc import coefficient, coefficient_field, substitution
 from .matrices import (
     Matrix,
@@ -29,7 +30,7 @@ from .matrices import (
 __all__ = [
     "Rat", "IntPoly", "sturm_sequence", "count_roots",
     "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp",
-    "alg_power", "alg_reciprocal", "NumberField", "NFElem", "coefficient",
+    "alg_power", "alg_reciprocal", "NumberField", "coefficient",
     "coefficient_field", "substitution",
     "Matrix", "char_poly", "companion", "exterior_power", "exterior_square_cyclic",
     "nf_rank", "nullspace", "poly_at_matrix", "rank",

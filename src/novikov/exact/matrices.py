@@ -1,10 +1,10 @@
 """Dense matrices over the artifact's scalar fields and their exact linear algebra.
 
-Entries may be ints, Fractions, NFElem, or elements of sympy's Q(params); the
-generic operations below only assume ring arithmetic (+, -, *) plus, where rank
-is needed, exact division.  ``rank`` and ``nullspace`` eliminate a matrix of
-int and Fraction entries fraction-free, in ints, and any other matrix over its
-field.  An entry is false exactly when it is zero.
+Entries may be ints, Fractions, or elements of sympy's Q(params) or Q(lambda)
+(``ANP``); the generic operations below only assume ring arithmetic (+, -, *)
+plus, where rank is needed, exact division.  ``rank`` and ``nullspace``
+eliminate a matrix of int and Fraction entries fraction-free, in ints, and any
+other matrix over its field.  An entry is false exactly when it is zero.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .numberfield import NFElem
 from .polynomials import IntPoly
 
 
@@ -70,7 +69,7 @@ class Matrix:
         return f"Matrix({self.to_rows()!r})"
 
 
-def exterior_power(m: Matrix, k: int, one=None) -> Matrix:
+def exterior_power(m: Matrix, k: int) -> Matrix:
     """Matrix of the induced map on the k-th exterior power, wedge basis
     ordered lexicographically on index subsets.  The entries are the k-minors,
     built order by order, each by Laplace expansion along its first row from
@@ -81,9 +80,7 @@ def exterior_power(m: Matrix, k: int, one=None) -> Matrix:
     if not 0 <= k <= n:
         raise ValueError(f"exterior power degree {k} out of range 0..{n}")
     if k == 0:
-        if one is None:
-            one = _one_like(m.entries[0]) if m.entries else 1
-        return Matrix(1, 1, [one])
+        return Matrix(1, 1, [_one_like(m.entries[0]) if m.entries else 1])
     # minors[rows, cols] of order j, for the row sets that end some k-subset
     minors = {((r,), (c,)): m[r, c] for r in range(k - 1, n) for c in range(n)}
     for j in range(2, k + 1):
@@ -104,7 +101,7 @@ def exterior_power(m: Matrix, k: int, one=None) -> Matrix:
 
 
 def _one_like(x):
-    return x.field.one() if isinstance(x, NFElem) else x - x + 1
+    return x - x + 1
 
 
 def exterior_square_cyclic(m: Matrix) -> Matrix:
@@ -191,7 +188,7 @@ def _echelon(m: Matrix):
     Over Q (int and Fraction entries) it is fraction-free: each row is scaled
     by the lcm of its entries' denominators and then eliminated in ints by
     Bareiss's update, whose division by the previous pivot is exact (every
-    entry stays a minor of the scaled matrix).  Other entries (NFElem,
+    entry stays a minor of the scaled matrix).  Other entries (Q(lambda),
     Q(params)) are eliminated with field division, ints taken as Fractions."""
     rational = all(type(x) is int or type(x) is Fraction for x in m.entries)
     if rational:
@@ -232,7 +229,7 @@ def _integer_row(row):
 
 def rank(m: Matrix) -> int:
     """Rank by ``_echelon``: fraction-free over int and Fraction entries,
-    field elimination over NFElem and Q(params) entries."""
+    field elimination over Q(lambda) and Q(params) entries."""
     return len(_echelon(m)[1])
 
 

@@ -96,10 +96,6 @@ class IntPoly:
         """Coefficient reversal x^n p(1/x); constant term must be nonzero."""
         return IntPoly(list(reversed(self.coeffs)))
 
-    def compose_neg(self):
-        """p(-x)."""
-        return IntPoly([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
-
     def to_sympy(self):
         return sp.Poly(list(reversed(self.coeffs)), _X)
 

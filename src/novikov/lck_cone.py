@@ -63,13 +63,11 @@ class TamingCertificate:
         })
 
 
-def kernel_basis(model: LieAlgebraModel, theta=None):
+def kernel_basis(model: LieAlgebraModel):
     """Exact basis of ker d_theta on invariant 2-forms.  Parameters must be
     instantiated to rationals beforehand."""
     if model.params:
         raise LieModelError("instantiate parameters before cone computations")
-    if theta is not None:
-        model = replace(model, theta=theta)
     mat = d_theta_matrix(model, 2)
     basis = nullspace(mat)
     return [InvariantForm(model.dim, 2, tuple(vec)) for vec in basis]
@@ -125,6 +123,13 @@ def _j_invariant_subbasis(model, basis):
             for vec in combo]
 
 
+def _cone_basis(model, kind):
+    """The basis the cone is searched in, and certificate coefficients are
+    given in: the kernel basis, cut to its J-invariant forms for 'lck'."""
+    basis = kernel_basis(model)
+    return _j_invariant_subbasis(model, basis) if kind == "lck" else basis
+
+
 def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
                        tol=FEASIBILITY_TOL, restarts=DEFAULT_RESTARTS,
                        max_iters=DEFAULT_MAX_ITERS, seed=0) -> TamingCertificate:
@@ -138,9 +143,7 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if theta is not None:
         model = replace(model, theta=theta)
-    basis = kernel_basis(model)
-    if kind == "lck":
-        basis = _j_invariant_subbasis(model, basis)
+    basis = _cone_basis(model, kind)
     if not basis:
         return TamingCertificate([], 0.0, kind, False, reason="kernel is zero")
     jmat = _j_float(model)
@@ -227,16 +230,11 @@ def _ascent(basis, jmat, kind, tol, restarts, max_iters, seed) -> TamingCertific
 
 
 def certificate_form(model: LieAlgebraModel, cert: TamingCertificate,
-                     theta=None, max_denominator=10**6) -> InvariantForm:
+                     max_denominator=10**6) -> InvariantForm:
     """Exact reconstruction: rationalize the certificate coefficients in the
-    kernel basis; the result is d_theta-closed exactly by construction."""
-    if theta is not None:
-        model = replace(model, theta=theta)
-    basis = kernel_basis(model)
-    if cert.kind == "lck":
-        basis = _j_invariant_subbasis(model, basis)
+    cone's basis; the result is d_theta-closed exactly by construction."""
     form = InvariantForm.zero(model.dim, 2)
-    for c, b in zip(cert.coefficients, basis):
+    for c, b in zip(cert.coefficients, _cone_basis(model, cert.kind)):
         q = Fraction(c).limit_denominator(max_denominator)
         form = form + b.scale(q)
     return form

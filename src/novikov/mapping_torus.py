@@ -88,7 +88,7 @@ def torus_monodromy(phi1, name="") -> FiberModel:
         raise ModelError("monodromy entries must be integers")
     _check_fiber_dim(n)  # before Lambda^k, whose size grows as binomial(n, k)
     m = Matrix.from_rows(rows)
-    actions = tuple(exterior_power(m, k, one=1) for k in range(n + 1))
+    actions = tuple(exterior_power(m, k) for k in range(n + 1))
     det = actions[n].entries[0]  # Lambda^n(M) = [det M]
     if det not in (1, -1):
         raise ModelError(f"monodromy must be invertible over Z, det = {det}")

@@ -244,17 +244,13 @@ def _load_lie_algebra(doc):
                 raise SchemaError(f"bracket entry: bad component index {k}")
             comps[ki] = _parse_expr(expr, params, "bracket coefficient")
         brackets[(i - 1, j - 1)] = comps
+    # LieAlgebraModel checks the shapes of theta and J
     theta = None
     if "theta" in doc:
-        if len(doc["theta"]) != dim:
-            raise SchemaError("lie_algebra: theta needs one entry per covector")
         theta = tuple(_parse_expr(c, params, "theta") for c in doc["theta"])
     jmat = None
     if "J" in doc:
-        rows = doc["J"]
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise SchemaError("lie_algebra: J must be a dim x dim matrix")
-        jmat = tuple(tuple(_parse_expr(c, params, "J entry") for c in r) for r in rows)
+        jmat = tuple(tuple(_parse_expr(c, params, "J entry") for c in r) for r in doc["J"])
     named = {}
     for name, spec in doc.get("named_forms", {}).items():
         _require_keys(spec, ["degree", "coeffs"], [], f"named form {name!r}")

@@ -216,9 +216,8 @@ def test_criterion_13_exact_algebra_properties():
         b = Matrix.from_rows([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
                               for _ in range(n)])
         for k in range(n + 1):
-            assert exterior_power(a.matmul(b), k, one=Fraction(1)) == \
-                exterior_power(a, k, one=Fraction(1)).matmul(
-                    exterior_power(b, k, one=Fraction(1)))
+            assert exterior_power(a.matmul(b), k) == \
+                exterior_power(a, k).matmul(exterior_power(b, k))
 
     # Lambda^2 cofactor identity on 3x3
     done = 0

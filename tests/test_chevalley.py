@@ -294,6 +294,14 @@ def test_coefficients_must_lie_in_the_model_field():
         LieAlgebraModel(dim=2, brackets=model.brackets)
 
 
+def test_bracket_components_must_be_basis_indices():
+    # [e0, e1] = e5 or e(-1) names no basis vector, like a bad index pair
+    for k in (5, -1, 2):
+        with pytest.raises(LieModelError, match="component index"):
+            LieAlgebraModel(dim=2, brackets={(0, 1): {k: 1}})
+    assert LieAlgebraModel(dim=2, brackets={(0, 1): {1: 1}}).brackets == {(0, 1): {1: 1}}
+
+
 def test_instantiate_rejects_names_that_are_not_parameters():
     with pytest.raises(LieModelError, match="alpha"):
         ot_algebra(1).instantiate({"alpha": 2})

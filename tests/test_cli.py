@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import novikov
 from novikov.cli import _instantiated_s0, build_parser, main, resolve_model
 from novikov.catalog import default_s0, ot_algebra
 from novikov.chevalley import wedge_basis
-from novikov.lck_cone import _j_invariant_subbasis, kernel_basis
+from novikov.lck_cone import _cone_basis
 from novikov.exact import AlgebraicReal, IntPoly, alg_eq, alg_power, alg_reciprocal
 
 
@@ -272,6 +273,10 @@ def test_verify_corrupted_model_file(capsys, tmp_path):
         dict(ALGEBRA_DOC, named_forms={"w": {"degree": 2, "coeffs": {"a,b": "1"}}}),
         dict(ALGEBRA_DOC, params=5),
         dict(ALGEBRA_DOC, theta=5),
+        # theta and J have the model's dimension
+        dict(ALGEBRA_DOC, theta=["1"]),
+        dict(ALGEBRA_DOC, J=[["0", "-1"], ["1"]]),
+        dict(ALGEBRA_DOC, J=[["0", "-1"]]),
         dict(ALGEBRA_DOC, dim=True, brackets=[]),
         dict(ALGEBRA_DOC, coframe="no"),
         {"type": "torus_monodromy", "matrix": [[2.9, 1], [1, 1]]},
@@ -312,6 +317,9 @@ def test_verify_corrupted_model_file(capsys, tmp_path):
             code, _, err = run(capsys, command, str(path))
             assert code == 2 and "schema error:" in err, (doc, command, err)
             assert "Traceback" not in err
+            for key in ("theta", "J"):
+                if isinstance(doc.get(key), list):
+                    assert key in err, (doc, command, err)
     # a lie_algebra that fails validation is still a model error
     path.write_text(json.dumps(dict(ALGEBRA_DOC, dim=3, brackets=[
         {"i": 1, "j": 2, "coeffs": {"3": "1"}}, {"i": 1, "j": 3, "coeffs": {"2": "1"}},
@@ -364,9 +372,7 @@ def assert_exact_s0_certificate(doc, kind):
     kernel (J-invariant for lck) at lambda = 1/alpha, by the forms'
     antisymmetric matrices and the model's J."""
     model, theta = _instantiated_s0(invert=True)
-    basis = kernel_basis(model, theta)
-    if kind == "lck":
-        basis = _j_invariant_subbasis(model, basis)
+    basis = _cone_basis(replace(model, theta=theta), kind)
     n = model.dim
     v = [Fraction(c) for c in doc["certificate"]]
     jv = model.apply_J(v)

@@ -20,8 +20,8 @@ from novikov.lck_cone import (
     FEASIBILITY_TOL,
     TamingCertificate,
     _ascent,
+    _cone_basis,
     _j_float,
-    _j_invariant_subbasis,
     _rank_one_certificate,
     certificate_form,
     form_to_matrix,
@@ -230,11 +230,9 @@ def test_certificate_is_exact_on_s0_at_inverse_alpha():
         assert cert.coefficients == [] and cert.lambda_min == 0.0
         v = cert.certificate
         assert any(v)
-        basis = kernel_basis(model, theta)
-        if kind == "lck":
-            basis = _j_invariant_subbasis(model, basis)
-        for form in basis:
-            assert d_theta_apply(replace(model, theta=theta), form).is_zero()
+        flipped = replace(model, theta=theta)
+        for form in _cone_basis(flipped, kind):
+            assert d_theta_apply(flipped, form).is_zero()
             assert omega_v_jv(model, form, v) == 0
 
 
@@ -243,7 +241,7 @@ def test_ascent_survives_a_step_onto_the_origin():
     # has eigenvalues [0, 0, 1, 1]; a restart from x = -1 steps onto x = 0
     # (np.linalg.LinAlgError before the ascent stopped there)
     model, theta = s0_at_inverse_alpha()
-    basis = _j_invariant_subbasis(model, kernel_basis(model, theta))
+    basis = _cone_basis(replace(model, theta=theta), "lck")
     assert len(basis) == 1
     cert = _ascent(basis, _j_float(model), "lck", FEASIBILITY_TOL,
                    restarts=8, max_iters=300, seed=0)
@@ -289,9 +287,7 @@ def almost_abelian_with_j(draw):
 @given(almost_abelian_with_j())
 def test_rank_one_certificate_agrees_with_the_ascent(data):
     model, kind = data
-    basis = kernel_basis(model)
-    if kind == "lck":
-        basis = _j_invariant_subbasis(model, basis)
+    basis = _cone_basis(model, kind)
     if not basis:
         return
     search = _ascent(basis, _j_float(model), kind, FEASIBILITY_TOL,

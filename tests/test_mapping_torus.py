@@ -343,8 +343,8 @@ def test_kappa_matches_number_field_oracle():
     for name, rows in parity_monodromies().items():
         n = len(rows)
         model = torus_monodromy(rows)
-        phis = [exterior_power(Matrix.from_rows([[Fraction(x) for x in r] for r in rows]),
-                               k, one=Fraction(1)) for k in range(n + 1)]
+        over_q = Matrix.from_rows([[Fraction(x) for x in r] for r in rows])
+        phis = [exterior_power(over_q, k) for k in range(n + 1)]
         twin = explicit_twin(rows, phis)
         charpolys = [sp.Matrix(phi.to_rows()).charpoly(_X).as_expr() for phi in phis]
         # the exceptional set: reciprocals of the distinct positive real eigenvalues
@@ -415,7 +415,7 @@ def test_torus_monodromy_is_its_exterior_powers(monkeypatch):
         model = torus_monodromy(rows)
         assert model.dim_fiber == n and len(model.actions) == n + 1, name
         for k, phi in enumerate(model.actions):
-            want = exterior_power(Matrix.from_rows(rows), k, one=1)
+            want = exterior_power(Matrix.from_rows(rows), k)
             assert (phi.rows, phi.cols, phi.entries) == \
                 (want.rows, want.cols, want.entries), (name, k)
             assert all(type(x) is int for x in phi.entries), (name, k)

@@ -11,7 +11,6 @@ from novikov.exact import (
     AlgebraicReal,
     IntPoly,
     Matrix,
-    NFElem,
     NumberField,
     char_poly,
     coefficient,
@@ -41,9 +40,18 @@ def test_exterior_power_shapes():
     rng = random.Random(1)
     m = rand_matrix(rng, 4)
     for k in range(5):
-        ek = exterior_power(m, k, one=Fraction(1))
+        ek = exterior_power(m, k)
         assert ek.rows == ek.cols == comb(4, k)
-    assert exterior_power(m, 0, one=Fraction(1)).entries == [Fraction(1)]
+    assert exterior_power(m, 0).entries == [Fraction(1)]
+    # Lambda^0 is [1], in the entries' own type over Z, Q and Q(lambda)
+    nf = NumberField(AlgebraicReal.from_poly(IntPoly((-2, 0, 1)), Fraction(1), Fraction(2)))
+    for entry, one in ((3, 1), (Fraction(1, 2), Fraction(1)), (nf.gen(), nf.one())):
+        (got,) = exterior_power(Matrix(1, 1, [entry]), 0).entries
+        assert type(got) is type(one) and got == one, entry
+    field = coefficient_field(("a",))
+    a = coefficient(field, sp.Symbol("a"))
+    assert exterior_power(Matrix(1, 1, [a]), 0).entries == [coefficient(field, 1)]
+    assert exterior_power(Matrix(0, 0, []), 0).entries == [1]
 
 
 def _perm_sign(perm):
@@ -102,9 +110,8 @@ def test_exterior_functoriality():
         a, b = rand_matrix(rng, n), rand_matrix(rng, n)
         ab = a.matmul(b)
         for k in range(n + 1):
-            lhs = exterior_power(ab, k, one=Fraction(1))
-            rhs = exterior_power(a, k, one=Fraction(1)).matmul(
-                exterior_power(b, k, one=Fraction(1)))
+            lhs = exterior_power(ab, k)
+            rhs = exterior_power(a, k).matmul(exterior_power(b, k))
             assert lhs == rhs, (n, k)
 
 
@@ -112,7 +119,7 @@ def test_top_exterior_power_is_determinant():
     rng = random.Random(5)
     for _ in range(10):
         m = rand_matrix(rng, 3)
-        det = exterior_power(m, 3, one=Fraction(1)).entries[0]
+        det = exterior_power(m, 3).entries[0]
         assert char_poly(m)(0) * (-1) ** 3 == det
 
 
@@ -142,7 +149,7 @@ def test_exterior_square_cyclic_matches_lex_up_to_basis():
     # (e1^e2, e1^e3, e2^e3) by a permutation with one sign flip
     rng = random.Random(11)
     m = rand_matrix(rng, 3)
-    lex = exterior_power(m, 2, one=Fraction(1))
+    lex = exterior_power(m, 2)
     cyc = exterior_square_cyclic(m)
     # change of basis: lex index 0 <-> cyclic 2, lex 1 <-> -cyclic 1, lex 2 <-> cyclic 0
     perm = [(0, 2, 1), (1, 1, -1), (2, 0, 1)]
@@ -272,7 +279,7 @@ def rref_nullspace(m):
                 rows[r] = [a - x * b for a, b in zip(rows[r], rows[rk])]
         pivots.append(col)
     x = rows[0][0] if m.rows and m.cols else Fraction(0)
-    one = x.field.one() if isinstance(x, NFElem) else x - x + 1
+    one = x - x + 1
     zero = one - one
     basis = []
     for f in (c for c in range(m.cols) if c not in pivots):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy.polys.polyerrors import NotInvertible
 
 from novikov.exact import (
     AlgebraicReal,
@@ -29,27 +30,26 @@ def test_basic_arithmetic():
     nf = field_sqrt2()
     x = nf.gen()
     two = nf.scalar(2)
-    assert (x * x - two).is_zero()
-    assert (x + (-x)).is_zero()
-    assert (nf.one() * x - x).is_zero()
-    assert ((x + nf.one()) * (x - nf.one()) - (x * x - nf.one())).is_zero()
+    assert x * x == two
+    assert x + (-x) == nf.zero()
+    assert x and not x - x  # false exactly at zero
+    assert nf.one() * x == x
+    assert (x + nf.one()) * (x - nf.one()) == x * x - nf.one()
 
 
 def test_reduce():
     nf = field_rho()
-    # x^3 reduces to x + 1
-    cube = nf.reduce([Fraction(0), Fraction(0), Fraction(0), Fraction(1)])
-    assert cube.rep == (Fraction(1), Fraction(1), Fraction(0))
+    x = nf.gen()
+    assert x * x * x == x + nf.one()
 
 
 def test_inverse():
     nf = field_rho()
     x = nf.gen()
     for elem in (x, x * x, x + nf.one(), x * x - nf.scalar(3) * x + nf.one()):
-        prod = elem * elem.inverse()
-        assert (prod - nf.one()).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        nf.zero().inverse()
+        assert elem * (nf.one() / elem) == nf.one()
+    with pytest.raises(NotInvertible):
+        nf.one() / nf.zero()
 
 
 def random_fields(rng, count):
@@ -69,37 +69,29 @@ def random_fields(rng, count):
 def test_inverse_on_random_fields():
     rng = random.Random(5)
     for nf in random_fields(rng, 24):
+        x = nf.gen()
         for _ in range(10):
-            elem = nf.reduce([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                              for _ in range(nf.degree)])
-            if elem.is_zero():
+            elem = nf.zero()
+            for _ in range(nf.degree):  # Horner: a residue of degree < deg
+                elem = elem * x + nf.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            if not elem:
                 continue
-            inv = elem.inverse()
-            assert len(inv.rep) == nf.degree
-            assert all(type(c) is Fraction for c in inv.rep)
-            assert (elem * inv - nf.one()).is_zero()
+            assert elem * (nf.one() / elem) == nf.one()
 
 
 def test_division():
     nf = field_sqrt2()
     x = nf.gen()
-    assert ((x / x) - nf.one()).is_zero()
+    assert x / x == nf.one()
     half_x = x / nf.scalar(2)
-    assert (half_x + half_x - x).is_zero()
+    assert half_x + half_x == x
 
 
 def test_degree_one_field():
     nf = NumberField(AlgebraicReal.from_rational(Fraction(3, 2)))
     g = nf.gen()
-    assert g.rep == (Fraction(3, 2),)
-    assert (g * g.inverse() - nf.one()).is_zero()
-
-
-def test_to_float():
-    nf = field_sqrt2()
-    x = nf.gen()
-    val = (x * x + x).to_float()
-    assert abs(val - (2 + 2 ** 0.5)) < 1e-9
+    assert g == nf.scalar(Fraction(3, 2))
+    assert g * (nf.one() / g) == nf.one()
 
 
 def test_nf_rank_known():

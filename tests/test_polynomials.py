@@ -47,10 +47,9 @@ def test_content_primitive():
     assert IntPoly((2, -4)).primitive().coeffs == (-1, 2)
 
 
-def test_reversed_and_compose_neg():
+def test_reversed():
     p = IntPoly((-1, -1, 0, 1))
     assert p.reversed().coeffs == (1, 0, -1, -1)
-    assert p.compose_neg()(2) == p(-2)
 
 
 def test_irreducibility():
