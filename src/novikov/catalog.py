@@ -15,7 +15,7 @@ from functools import partial
 
 import sympy as sp
 
-from .chevalley import InvariantForm, LieAlgebraModel, validate
+from .chevalley import InvariantForm, LieAlgebraModel, check_lie_dim, validate
 from .exact import AlgebraicReal, Matrix, char_poly, isolate_real_roots
 from .mapping_torus import FiberModel, ModelError, blow_up, torus_monodromy
 
@@ -204,6 +204,7 @@ def ot_algebra(s: int, alpha_list=None) -> LieAlgebraModel:
     theta is a generic combination of the A-duals with symbolic coefficients."""
     if s < 1:
         raise ModelError("OT algebras need s >= 1")
+    check_lie_dim(2 * s + 2)
     if alpha_list is None:
         alpha_params = tuple(f"alpha{i+1}" for i in range(s))
         alphas = sp.symbols(alpha_params)
@@ -241,6 +242,7 @@ def ot_algebra(s: int, alpha_list=None) -> LieAlgebraModel:
 def abelian_algebra(n: int = 4) -> LieAlgebraModel:
     """Abelian reference algebra; even dimensions carry the standard complex
     structure J e_{2i+1} = e_{2i+2}."""
+    check_lie_dim(n)
     jmat = None
     if n % 2 == 0:
         rows = [[0] * n for _ in range(n)]

@@ -26,6 +26,17 @@ class LieModelError(ValueError):
     pass
 
 
+# k-forms have C(dim, k) coefficients: `cohomology` takes 2.6 s on abelian12 and
+# 4.7 s on ot:5 (shared 2-core VM), while abelian20's d_theta has ~3e10 entries.
+MAX_LIE_DIM = 12
+
+
+def check_lie_dim(dim):
+    """Refuse a dimension above MAX_LIE_DIM, before anything sized by it is built."""
+    if dim > MAX_LIE_DIM:
+        raise LieModelError(f"Lie algebra dimension capped at {MAX_LIE_DIM}")
+
+
 @lru_cache(maxsize=None)
 def wedge_basis(n, k):
     return tuple(combinations(range(n), k))
@@ -161,6 +172,7 @@ class LieAlgebraModel:
     def __post_init__(self):
         if self.dim < 1:
             raise LieModelError("dim must be a positive integer")
+        check_lie_dim(self.dim)
         K = self.field
 
         def conv(c):
@@ -459,17 +471,6 @@ def harmonic_dims(model: LieAlgebraModel):
 
 # -- obstruction search ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
-    """Nonzero X with [X, JX] = 0, theta(X) = 0, theta(JX) = 0: every invariant
-    d_theta-exact 2-form vanishes on (X, JX), so none tames J."""
-
-    vector: tuple  # Fractions
-
-    def __iter__(self):
-        return iter(self.vector)
-
-
 def _is_certificate(model, vec):
     if not any(vec):
         return False
@@ -480,8 +481,10 @@ def _is_certificate(model, vec):
 
 
 def obstruction_search(model: LieAlgebraModel, samples=2000, seed=0):
-    """Search order: basis vectors, two-term integer combinations with
-    coefficients in [-4, 4], then a seeded sample of bounded rational
+    """A nonzero X, as a tuple of Fractions, with [X, JX] = 0, theta(X) = 0 and
+    theta(JX) = 0: every invariant d_theta-exact 2-form vanishes on (X, JX), so
+    none tames J.  Search order: basis vectors, two-term integer combinations
+    with coefficients in [-4, 4], then a seeded sample of bounded rational
     combinations (denominators <= 4).  Returns None when the budget is
     exhausted; that is evidence of absence, not a proof."""
     n = model.dim
@@ -490,7 +493,7 @@ def obstruction_search(model: LieAlgebraModel, samples=2000, seed=0):
     for i in range(n):
         vec = tuple(Fraction(int(i == j)) for j in range(n))
         if _is_certificate(model, vec):
-            return ObstructionCertificate(vec)
+            return vec
     coeff_range = [Fraction(c) for c in range(-4, 5) if c]
     for i, j in combinations(range(n), 2):
         for a in coeff_range:
@@ -498,10 +501,10 @@ def obstruction_search(model: LieAlgebraModel, samples=2000, seed=0):
                 vec = [Fraction(0)] * n
                 vec[i], vec[j] = a, b
                 if _is_certificate(model, tuple(vec)):
-                    return ObstructionCertificate(tuple(vec))
+                    return tuple(vec)
     rng = random.Random(seed)
     for _ in range(samples):
         vec = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
         if _is_certificate(model, vec):
-            return ObstructionCertificate(vec)
+            return vec
     return None

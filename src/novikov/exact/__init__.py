@@ -2,8 +2,6 @@
 numbers, and linear algebra over Q, Q(params) and Q(lambda) (sympy's ``ANP``,
 which only the tests' oracles use)."""
 
-from fractions import Fraction as Rat
-
 from .polynomials import IntPoly, sturm_sequence, count_roots
 from .algebraic import (
     AlgebraicReal,
@@ -28,7 +26,7 @@ from .matrices import (
 )
 
 __all__ = [
-    "Rat", "IntPoly", "sturm_sequence", "count_roots",
+    "IntPoly", "sturm_sequence", "count_roots",
     "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp",
     "alg_power", "alg_reciprocal", "NumberField", "coefficient",
     "coefficient_field", "substitution",

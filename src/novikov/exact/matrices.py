@@ -3,8 +3,8 @@
 Entries may be ints, Fractions, or elements of sympy's Q(params) or Q(lambda)
 (``ANP``); the generic operations below only assume ring arithmetic (+, -, *)
 plus, where rank is needed, exact division.  ``rank`` and ``nullspace``
-eliminate a matrix of int and Fraction entries fraction-free, in ints, and any
-other matrix over its field.  An entry is false exactly when it is zero.
+eliminate an int or Fraction matrix in primitive integer rows, and any other
+matrix over its field.  An entry is false exactly when it is zero.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def exterior_power(m: Matrix, k: int) -> Matrix:
 
 
 def _one_like(x):
-    return x - x + 1
+    # not x - x + 1: a zero FracElement returns the int it is added to
+    return 1 + (x - x)
 
 
 def exterior_square_cyclic(m: Matrix) -> Matrix:
@@ -171,7 +172,8 @@ def poly_at_matrix(p: IntPoly, m: Matrix) -> Matrix:
 def _integer_rows(m: Matrix):
     """(D, the rows of D*M as ints), D the lcm of the entries' denominators."""
     d = math.lcm(*(x.denominator for x in m.entries))
-    return d, [[int(x * d) for x in m.row(r)] for r in range(m.rows)]
+    return d, [[x.numerator * (d // x.denominator) for x in m.row(r)]
+               for r in range(m.rows)]
 
 
 def _mat_mul(a, b):
@@ -185,17 +187,20 @@ def _echelon(m: Matrix):
     multiple of row i of Gaussian elimination over the entries' field with
     the same row swaps, so the rank, the pivots and the kernel are the same.
 
-    Over Q (int and Fraction entries) it is fraction-free: each row is scaled
-    by the lcm of its entries' denominators and then eliminated in ints by
-    Bareiss's update, whose division by the previous pivot is exact (every
-    entry stays a minor of the scaled matrix).  Other entries (Q(lambda),
-    Q(params)) are eliminated with field division, ints taken as Fractions."""
-    rational = all(type(x) is int or type(x) is Fraction for x in m.entries)
+    Over Q (int and Fraction entries) every row is kept primitive: scaled to
+    ints and divided by the gcd of its entries, and where it has x != 0 in the
+    pivot column replaced by the primitive part of piv*row - x*pivot_row.  Up
+    to sign it is the primitive part of Bareiss's row, so no entry outgrows
+    his.  Other entries (Q(lambda), Q(params)) are eliminated with field
+    division, ints taken as Fractions."""
+    kinds = set(map(type, m.entries))
+    rational = kinds <= {int, Fraction}
     if rational:
-        rows = [_integer_row(r) for r in m.to_rows()]
+        ints = m.to_rows() if kinds <= {int} else _integer_rows(m)[1]
+        rows = [_primitive(r) for r in ints]
     else:
         rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
-    pivots, prev = [], 1
+    pivots = []
     for col in range(m.cols):
         rk = len(pivots)
         if rk == m.rows:
@@ -210,26 +215,23 @@ def _echelon(m: Matrix):
             x = rows[r][col]
             if rational:
                 if x:
-                    rows[r] = [(piv * a - x * b) // prev for a, b in zip(rows[r], prow)]
-                elif piv != prev:  # rescaled all the same, to keep the division exact
-                    rows[r] = [piv * a // prev for a in rows[r]]
+                    rows[r] = _primitive([piv * a - x * b for a, b in zip(rows[r], prow)])
             elif x:
                 factor = x / piv
                 rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
-        prev = piv
         pivots.append(col)
     return rows, pivots
 
 
-def _integer_row(row):
-    """row times the lcm of its entries' denominators, as ints."""
-    d = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row]
+def _primitive(row):
+    """An int row divided by the gcd of its entries; a zero row stays zero."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rank(m: Matrix) -> int:
-    """Rank by ``_echelon``: fraction-free over int and Fraction entries,
-    field elimination over Q(lambda) and Q(params) entries."""
+    """Rank by ``_echelon``: primitive integer rows over int and Fraction
+    entries, field elimination over Q(lambda) and Q(params) entries."""
     return len(_echelon(m)[1])
 
 

@@ -52,31 +52,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return IntPoly([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([other * c for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return IntPoly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
     def derivative(self):
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -149,7 +124,7 @@ def _sturm_remainder(a: IntPoly, b: IntPoly):
         if q:
             for j, c in enumerate(b.coeffs):
                 r[i + j] -= q * c
-    return _content_free(-IntPoly(r[:nb - 1]))
+    return _content_free(IntPoly([-c for c in r[:nb - 1]]))
 
 
 def sturm_sequence(p: IntPoly):

@@ -86,15 +86,6 @@ def form_to_matrix(form: InvariantForm):
     return w
 
 
-def positivity_check(form: InvariantForm, jmat) -> float:
-    """Smallest eigenvalue of Sym(omega(., J.))."""
-    import numpy as np
-
-    w = form_to_matrix(form)
-    m = w @ np.asarray(jmat, dtype=float)
-    return float(np.linalg.eigvalsh((m + m.T) / 2).min())
-
-
 def _require_j(model):
     if model.J is None:
         raise LieModelError("cone feasibility needs a complex structure J")

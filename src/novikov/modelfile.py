@@ -31,7 +31,7 @@ from fractions import Fraction
 import sympy as sp
 from sympy.polys.polyerrors import CoercionFailed
 
-from .chevalley import InvariantForm, LieAlgebraModel, validate
+from .chevalley import InvariantForm, LieAlgebraModel, check_lie_dim, validate
 from .exact import (
     AlgebraicReal,
     IntPoly,
@@ -228,6 +228,7 @@ def _load_lie_algebra(doc):
     dim = doc["dim"]
     if type(dim) is not int:
         raise SchemaError("lie_algebra: dim must be an integer")
+    check_lie_dim(dim)
     params = tuple(doc.get("params", ()))
     if not all(isinstance(p, str) for p in params) or len(set(params)) != len(params):
         raise SchemaError("lie_algebra: params must be distinct names")

@@ -147,7 +147,7 @@ def test_isolate_known():
 
 
 def test_isolate_multiplicity():
-    p = IntPoly((1, -2, 1)) * IntPoly((-3, 1))  # (x-1)^2 (x-3)
+    p = IntPoly((-3, 7, -5, 1))  # (x-1)^2 (x-3)
     roots = isolate_real_roots(p)
     by_val = {round(r.to_float()): m for r, m in roots}
     assert by_val == {1: 2, 3: 1}

@@ -454,9 +454,8 @@ def test_obstruction_on_catalog_models():
     for model, expect_index in ((s0_algebra(), 2), (splus_algebra(), 0),
                                 (ot_algebra(1), 2)):
         cert = obstruction_search(model)
-        assert cert is not None
-        vec = list(cert)
-        assert vec[expect_index] != 0
+        assert type(cert) is tuple and all(type(c) is Fraction for c in cert)
+        assert cert[expect_index] != 0
 
 
 def test_obstruction_certificate_equations():

@@ -339,6 +339,32 @@ def test_zero_dimensional_lie_models_are_refused(capsys, tmp_path):
     assert code == 2 and err == "schema error: lie_algebra: dim must be a positive integer\n"
 
 
+def test_lie_model_dimension_is_capped(capsys, tmp_path, monkeypatch):
+    import novikov.chevalley as chevalley
+    import novikov.modelfile as mf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("model built before its dimension was checked")
+
+    # the cap comes before the model, its forms and its J are built
+    monkeypatch.setattr(chevalley.LieAlgebraModel, "__post_init__", refuse)
+    monkeypatch.setattr(mf.InvariantForm, "from_dict", refuse)
+    for spec in ("abelian13", "ot:6"):  # ot:<s> has dimension 2s + 2
+        code, out, err = run(capsys, "cohomology", spec)
+        assert code == 3 and out == "", spec
+        assert err == "model error: Lie algebra dimension capped at 12\n", spec
+    path = tmp_path / "dim13.json"
+    path.write_text(json.dumps({"type": "lie_algebra", "dim": 13, "brackets": [],
+                                "named_forms": {"w": {"degree": 6, "coeffs": {}}}}))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err == "schema error: lie_algebra: Lie algebra dimension capped at 12\n"
+    monkeypatch.undo()
+    with pytest.raises(chevalley.LieModelError, match="capped at 12"):
+        chevalley.LieAlgebraModel(dim=13)
+    assert chevalley.LieAlgebraModel(dim=chevalley.MAX_LIE_DIM).dim == 12
+
+
 def test_verify_needs_target(capsys):
     code, _, _ = run(capsys, "verify")
     assert code == 2

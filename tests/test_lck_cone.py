@@ -26,7 +26,6 @@ from novikov.lck_cone import (
     certificate_form,
     form_to_matrix,
     kernel_basis,
-    positivity_check,
     taming_feasibility,
 )
 
@@ -68,15 +67,6 @@ def test_form_to_matrix_antisymmetric():
     w = form_to_matrix(form)
     assert np.allclose(w, -w.T)
     assert w[0, 1] == 2 and w[2, 3] == -1
-
-
-def test_positivity_check_standard_form():
-    model = abelian_algebra(4)
-    omega = InvariantForm.from_dict(4, 2, {(0, 1): 1, (2, 3): 1})
-    jmat = [[float(c) for c in row] for row in model.J]
-    # with the standard J the compatible form is +omega; its mirror is not
-    assert positivity_check(omega, jmat) > 0
-    assert positivity_check(-omega, jmat) < 0
 
 
 def test_taming_feasible_s0():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import sympy as sp
 from hypothesis import given, settings
@@ -43,14 +43,14 @@ def test_exterior_power_shapes():
         ek = exterior_power(m, k)
         assert ek.rows == ek.cols == comb(4, k)
     assert exterior_power(m, 0).entries == [Fraction(1)]
-    # Lambda^0 is [1], in the entries' own type over Z, Q and Q(lambda)
+    # Lambda^0 is [1], in the entries' own type over Z, Q, Q(lambda) and Q(params)
     nf = NumberField(AlgebraicReal.from_poly(IntPoly((-2, 0, 1)), Fraction(1), Fraction(2)))
-    for entry, one in ((3, 1), (Fraction(1, 2), Fraction(1)), (nf.gen(), nf.one())):
-        (got,) = exterior_power(Matrix(1, 1, [entry]), 0).entries
-        assert type(got) is type(one) and got == one, entry
     field = coefficient_field(("a",))
     a = coefficient(field, sp.Symbol("a"))
-    assert exterior_power(Matrix(1, 1, [a]), 0).entries == [coefficient(field, 1)]
+    for entry, one in ((3, 1), (Fraction(1, 2), Fraction(1)), (nf.gen(), nf.one()),
+                       (a, coefficient(field, 1))):
+        (got,) = exterior_power(Matrix(1, 1, [entry]), 0).entries
+        assert type(got) is type(one) and got == one, entry
     assert exterior_power(Matrix(0, 0, []), 0).entries == [1]
 
 
@@ -348,6 +348,9 @@ def test_nullspace_matches_rref_over_q_params():
                    coefficient(field, 0))
 
     assert_nullspace_parity(rng, 40, 4, 5, draw)
+    # every entry is in Q(a, b), the unit and the zero entries too
+    m = Matrix(1, 3, [a, b, coefficient(field, 0)])
+    assert {type(x) for vec in nullspace(m) for x in vec} == {type(a)}
 
 
 # -- fraction-free elimination over Q against the Fraction elimination --------
@@ -417,10 +420,10 @@ def rational_matrices(draw):
 
 
 def bareiss_rows(m):
-    """Oracle for the fraction-free rows: scale each row of m by the lcm of
-    its denominators; by Sylvester's identity, row k of Bareiss elimination
-    is the product of the first k pivots of ``fraction_echelon`` on the
-    scaled matrix times its row k."""
+    """Bareiss's rows, a bound on the size of the fraction-free rows: scale
+    each row of m by the lcm of its denominators; by Sylvester's identity,
+    row k of Bareiss elimination is the product of the first k pivots of
+    ``fraction_echelon`` on the scaled matrix times its row k."""
     scaled = [[x * lcm(*(y.denominator for y in row)) for x in row] for row in m.to_rows()]
     rows, pivots = fraction_echelon(Matrix(m.rows, m.cols, [x for r in scaled for x in r]))
     out, factor = [], 1
@@ -438,11 +441,23 @@ def test_fraction_free_elimination_matches_the_fraction_oracle(m):
     want_rows, want_pivots = fraction_echelon(m)
     assert pivots == want_pivots
     assert all(type(x) is int for row in rows for x in row)
-    # a wrong divisor keeps most ranks but not the rows; one that still
-    # divides exactly (an older pivot) only breaks Sylvester's identity
+    # a wrong update keeps most ranks but not the rows
     assert all(is_nonzero_multiple(a, b) for a, b in zip(rows, want_rows))
-    assert rows == bareiss_rows(m)
+    # rows are primitive, so no entry outgrows Bareiss's row
+    assert all(gcd(*row) in (0, 1) for row in rows)
+    for row, bound in zip(rows, bareiss_rows(m)):
+        assert max(map(abs, row), default=0) <= max(map(abs, bound), default=0)
     assert rank(m) == len(want_pivots)
     got = nullspace(m)
     assert got == rref_nullspace(m)
     assert all(type(x) is Fraction for vec in got for x in vec)
+
+
+def test_rows_without_the_pivot_column_are_left_primitive_and_untouched():
+    # a row with 0 in the pivot column is never rescaled by the pivot
+    diag = Matrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+    assert _echelon(diag) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2])
+    blocks = Matrix.from_rows([[2, 4, 0, 0], [6, 10, 0, 0],
+                               [0, 0, Fraction(4, 3), 2], [0, 0, 0, 9]])
+    assert _echelon(blocks) == ([[1, 2, 0, 0], [0, -1, 0, 0],
+                                 [0, 0, 2, 3], [0, 0, 0, 1]], [0, 1, 2, 3])
