@@ -100,6 +100,14 @@ def _parse_int_rows(text, what):
                        EXIT_USAGE) from exc
 
 
+def _parse_int(text, what):
+    """int(text), or exit 2: also where digits exceed Python's conversion limit."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise CliError(f"{what}, got {text!r}", EXIT_USAGE) from exc
+
+
 def resolve_model(spec: str) -> ResolvedModel:
     head, _, rest = spec.partition(":")
     if head == "s0":
@@ -115,11 +123,7 @@ def resolve_model(spec: str) -> ResolvedModel:
     if spec == "hopf":
         return ResolvedModel(spec, make_hopf())
     if head == "kato":
-        try:
-            n = int(rest)
-        except ValueError as exc:
-            raise CliError(f"kato needs an integer point count, got {rest!r}",
-                           EXIT_USAGE) from exc
+        n = _parse_int(rest, "kato needs an integer point count")
         return ResolvedModel(spec, make_hopf(), transform=make_kato(n))
     if spec == "s0-algebra":
         return ResolvedModel(spec, s0_algebra())
@@ -129,13 +133,10 @@ def resolve_model(spec: str) -> ResolvedModel:
         return ResolvedModel(spec, splus_coframe_model())
     m = re.fullmatch(r"abelian(\d+)", spec)
     if m:
-        return ResolvedModel(spec, abelian_algebra(int(m.group(1))))
+        n = _parse_int(m.group(1), "abelian needs an integer dimension")
+        return ResolvedModel(spec, abelian_algebra(n))
     if head == "ot":
-        try:
-            s = int(rest)
-        except ValueError as exc:
-            raise CliError(f"ot needs an integer s, got {rest!r}", EXIT_USAGE) from exc
-        return ResolvedModel(spec, ot_algebra(s))
+        return ResolvedModel(spec, ot_algebra(_parse_int(rest, "ot needs an integer s")))
     # otherwise: a model file path
     model = load_model(spec)
     name = getattr(model, "name", "") or spec

@@ -1,8 +1,8 @@
 """Real algebraic numbers as (irreducible minimal polynomial, isolating interval).
 
-Every decision (equality, sign, ordering) is made exactly by Sturm counts and
-interval bisection; floating point appears only in ``to_float``, which is a
-convenience approximation, never a decision path.
+Every decision (equality, sign, ordering) is made exactly by Sturm counts, root
+bounds and interval bisection; floating point appears only in ``to_float``, which
+is a convenience approximation, never a decision path.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .polynomials import (
     IntPoly,
@@ -97,12 +98,11 @@ class AlgebraicReal:
         if self.is_rational():
             q = self.as_rational()
             return (q > 0) - (q < 0)
-        if self.minpoly.constant() == 0:
-            raise ValueError("irreducible minpoly with zero constant term")
-        x = self
-        while x.interval[0] < 0 < x.interval[1]:
-            x = x.refined((x.interval[1] - x.interval[0]) / 2)
-        return 1 if x.interval[0] >= 0 else -1
+        lo, hi = self.interval
+        if lo < 0 < hi:
+            # 0 is not a root of an irreducible minpoly of degree >= 2
+            return -1 if count_roots(self.minpoly, lo, Fraction(0), self.sturm()) else 1
+        return 1 if lo >= 0 else -1
 
     def to_float(self) -> float:
         """An approximation for display; +-inf beyond the float range."""
@@ -139,29 +139,13 @@ class AlgebraicReal:
 
 
 def isolate_real_roots(p: IntPoly):
-    """All real roots of p as (AlgebraicReal, multiplicity), intervals pairwise
-    disjoint across factors."""
+    """All real roots of p as (AlgebraicReal, multiplicity), sorted by value;
+    roots of different factors may have overlapping intervals."""
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined roots")
-    roots = []
-    for factor, mult in factor_squarefree_irreducible(p):
-        roots.extend((r, mult) for r in _isolate_irreducible(factor))
-    # disjointness across distinct factors: refine overlapping pairs apart
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                a, b = roots[i][0], roots[j][0]
-                if a.minpoly == b.minpoly:
-                    continue  # bisection already separated same-factor roots
-                if a.interval[1] <= b.interval[0] or b.interval[1] <= a.interval[0]:
-                    continue
-                w = min(a.interval[1] - a.interval[0], b.interval[1] - b.interval[0]) / 2
-                roots[i] = (a.refined(w), roots[i][1])
-                roots[j] = (b.refined(w), roots[j][1])
-                changed = True
-    roots.sort(key=lambda rm: rm[0].interval[0])
+    roots = [(r, mult) for factor, mult in factor_squarefree_irreducible(p)
+             for r in _isolate_irreducible(factor)]
+    roots.sort(key=cmp_to_key(lambda a, b: alg_cmp(a[0], b[0])))
     return roots
 
 
@@ -177,13 +161,12 @@ def _isolate_irreducible(p: IntPoly):
         n = count_roots(p, lo, hi, seq)
         if n == 0:
             continue
-        if n == 1 and all(sign_at(p, x.numerator, x.denominator) for x in (lo, hi)):
+        if n == 1:  # p has no rational roots, so neither endpoint is one
             out.append(AlgebraicReal(p, (lo, hi), seq))
             continue
         mid = (lo + hi) / 2
         stack.append((lo, mid))
         stack.append((mid, hi))
-    out.sort(key=lambda r: r.interval[0])
     return out
 
 
@@ -216,30 +199,22 @@ def alg_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
 
 
 def alg_reciprocal(lam: AlgebraicReal) -> AlgebraicReal:
-    """1/lam: reversed minimal polynomial, reciprocal isolating interval."""
+    """1/lam: reversed minimal polynomial, reciprocal isolating interval.  The
+    roots of the reversed p lie in (-B, B) for B its root bound, so |lam| > 1/B:
+    the interval is cut there on lam's side of 0 before it is inverted."""
     if lam.is_rational():
         q = lam.as_rational()
         if q == 0:
             raise ZeroDivisionError("reciprocal of zero")
         return AlgebraicReal.from_rational(1 / q)
     p = lam.minpoly.reversed().primitive()
-    x = lam
-    while x.interval[0] < 0 < x.interval[1]:
-        x = x.refined((x.interval[1] - x.interval[0]) / 2)
-    lo, hi = x.interval
-    # bisection can pin an endpoint at exactly 0; step it strictly past 0
-    # (the root itself is nonzero since the minpoly is irreducible)
-    if lo == 0:
-        cut = hi / 2
-        while count_roots(x.minpoly, cut, hi, x.sturm()) != 1:
-            cut /= 2
-        lo = cut
-    elif hi == 0:
-        cut = lo / 2
-        while count_roots(x.minpoly, lo, cut, x.sturm()) != 1:
-            cut /= 2
-        hi = cut
-    return AlgebraicReal(p, (1 / hi, 1 / lo), None)
+    cut = 1 / root_bound(p)
+    lo, hi = lam.interval
+    if lam.sign() > 0:
+        lo = max(lo, cut)
+    else:
+        hi = min(hi, -cut)
+    return AlgebraicReal(p, (1 / hi, 1 / lo))
 
 
 def alg_power(alpha: AlgebraicReal, k: int) -> AlgebraicReal:

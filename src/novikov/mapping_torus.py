@@ -28,7 +28,6 @@ from .exact import (
     Matrix,
     alg_cmp,
     alg_eq,
-    alg_reciprocal,
     char_poly,
     exterior_power,
     isolate_real_roots,
@@ -148,16 +147,15 @@ def twisted_betti(model: FiberModel, lam: AlgebraicReal) -> BettiProfile:
 
 
 def exceptional_lambdas(model: FiberModel):
-    """The finite set of positive lam with a nonzero profile: reciprocals of
-    the positive real roots of every char_poly(Phi_k); sorted, deduplicated."""
+    """The finite set of positive lam with a nonzero profile: lam * Phi_k - I
+    is singular exactly at the positive real roots of the reversed
+    char_poly(Phi_k), whose reversal drops the eigenvalue 0; sorted,
+    deduplicated."""
     found = []
-    eigen = [r for phi in model.actions for r, _ in isolate_real_roots(char_poly(phi))]
-    for ev in eigen:
-        if ev.sign() <= 0:
-            continue
-        lam = alg_reciprocal(ev)
-        if not any(alg_eq(lam, x) for x in found):
-            found.append(lam)
+    for phi in model.actions:
+        for lam, _ in isolate_real_roots(char_poly(phi).reversed()):
+            if lam.sign() > 0 and not any(alg_eq(lam, x) for x in found):
+                found.append(lam)
     found.sort(key=cmp_to_key(alg_cmp))
     return found
 

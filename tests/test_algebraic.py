@@ -82,7 +82,8 @@ def fraction_refined(x, width):
     return (lo, hi)
 
 
-def test_refined_matches_fraction_bisection():
+def random_numbers():
+    """sqrt(2), -7/3 and the real roots of random integer polynomials."""
     rng = random.Random(11)
     numbers = [sqrt2(), AlgebraicReal.from_rational(Fraction(-7, 3))]
     while len(numbers) < 60:
@@ -90,13 +91,39 @@ def test_refined_matches_fraction_bisection():
         p = IntPoly([rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((1, 2, -3))])
         if p.constant() != 0:
             numbers += [r for r, _ in isolate_real_roots(p)]
+    return numbers
+
+
+def test_refined_matches_fraction_bisection():
     widths = (Fraction(1, 2**60), Fraction(1, 3), Fraction(5, 7 * 2**20), 0.001)
-    for x in numbers:
+    for x in random_numbers():
         for width in widths:
             assert x.refined(width).interval == fraction_refined(x, width)
         lo, hi = fraction_refined(x, Fraction(1, 2**60))
         want = x.as_rational() if x.is_rational() else (lo + hi) / 2
         assert x.to_float() == float(want)
+
+
+def test_sign_and_reciprocal_match_floats():
+    for x in random_numbers():
+        value = x.to_float()
+        assert x.sign() == (value > 0) - (value < 0)
+        r = alg_reciprocal(x)
+        assert math.isclose(r.to_float(), 1 / value, rel_tol=1e-12)
+        assert alg_eq(alg_reciprocal(r), x)
+
+
+def test_sign_and_reciprocal_on_intervals_around_zero():
+    """One Sturm count decides the sign of an interval that straddles 0, and
+    the root bound cuts it away from 0 before it is inverted."""
+    p = IntPoly((-2, 0, 1))
+    for lo, hi, sign in ((-1, 2, 1), (-2, 1, -1), (0, 2, 1), (-2, 0, -1)):
+        x = AlgebraicReal.from_poly(p, lo, hi)
+        assert x.sign() == sign
+        r = alg_reciprocal(x)
+        assert all((end > 0) == (sign > 0) for end in r.interval)
+        assert abs(r.to_float() - sign / math.sqrt(2)) < 1e-12
+        assert alg_eq(alg_reciprocal(r), x)
 
 
 def test_sign():
@@ -153,17 +180,24 @@ def test_isolate_multiplicity():
     assert by_val == {1: 2, 3: 1}
 
 
-def test_isolate_is_sorted_and_disjoint():
+def test_isolate_is_sorted():
     rng = random.Random(7)
+    close = IntPoly((4002, 0, -4001, 0, 1000))  # (x^2 - 2)(1000 x^2 - 2001)
+    polys = [close]
     for _ in range(25):
         deg = rng.randint(1, 5)
-        coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [rng.randint(1, 6)]
-        roots = isolate_real_roots(IntPoly(tuple(coeffs)))
+        polys.append(IntPoly([rng.randint(-6, 6) for _ in range(deg)] + [rng.randint(1, 6)]))
+    for p in polys:
+        roots = isolate_real_roots(p)
         vals = [r.to_float() for r, _ in roots]
         assert vals == sorted(vals)
         for (a, _), (b, _) in zip(roots, roots[1:]):
-            assert a.interval[1] <= b.interval[0] or not alg_eq(a, b)
             assert alg_cmp(a, b) < 0
+    # sqrt(2) < sqrt(2.001) with overlapping isolating intervals: only
+    # alg_cmp orders the roots of the two factors
+    (a, _), (b, _) = isolate_real_roots(close)[2:]
+    assert a.minpoly == IntPoly((-2, 0, 1)) and b.minpoly == IntPoly((-2001, 0, 1000))
+    assert b.interval[0] < a.interval[1]
 
 
 def test_cubic_root_of_smallest_pisot_polynomial():

@@ -339,6 +339,15 @@ def test_zero_dimensional_lie_models_are_refused(capsys, tmp_path):
     assert code == 2 and err == "schema error: lie_algebra: dim must be a positive integer\n"
 
 
+def test_model_sizes_beyond_the_int_digit_limit_exit_2(capsys):
+    digits = "9" * 5000  # Python refuses int() of more than 4,300 digits
+    for spec, what in ((f"abelian{digits}", "abelian needs an integer dimension"),
+                       (f"ot:{digits}", "ot needs an integer s")):
+        code, out, err = run(capsys, "cohomology", spec)
+        assert code == 2 and out == "", what
+        assert err.startswith(f"error: {what}, got '999"), what
+
+
 def test_lie_model_dimension_is_capped(capsys, tmp_path, monkeypatch):
     import novikov.chevalley as chevalley
     import novikov.modelfile as mf

@@ -199,6 +199,27 @@ def test_exceptional_lambdas_splus():
     assert exc[0] == alg_reciprocal(alpha) and exc[2] == alpha
 
 
+def test_exceptional_lambdas_with_a_singular_middle_action():
+    """Zero, nilpotent, invertible and negative blocks in H^1: the reversed
+    char_poly drops the eigenvalue 0, and the result is the reciprocals of the
+    positive eigenvalues, by sympy's eigenvalues."""
+    h1 = [[0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 0],
+          [0, 0, 0, 2, 1, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 0, -3]]
+    doc = {"type": "fiber_descriptor", "dim": 2, "h_dims": [1, 6, 1],
+           "actions": [[[1]], h1, [[-1]]]}
+    model = load_model_dict(doc)
+    x = sp.Symbol("x")
+    want = {1 / ev for action in doc["actions"] for ev in sp.Matrix(action).eigenvals()
+            if ev.is_positive}
+    want = sorted(want, key=float)
+    exc = exceptional_lambdas(model)
+    assert len(exc) == len(want) == 3
+    for lam, w in zip(exc, want):
+        coeffs = sp.Poly(sp.minimal_polynomial(w, x), x).all_coeffs()
+        assert lam.minpoly == IntPoly([int(c) for c in reversed(coeffs)]).primitive()
+        assert abs(lam.to_float() - float(w)) < 1e-12
+
+
 def test_poincare_duality_random():
     rng = random.Random(17)
     models = [default_s0()[0], default_splus()[0], default_sminus()[0], make_hopf()]
