@@ -351,7 +351,7 @@ def cmd_cone(args):
         model, kind=args.kind, theta=theta, tol=args.tol,
         restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     print(f"kind        {cert.kind}")
-    if cert.certificate is None:
+    if cert.feasible or cert.certificate is None:
         print(f"lambda_min  {cert.lambda_min:.6g}")
     else:
         print("lambda_min  <= 0 (certified)")
@@ -393,7 +393,7 @@ def build_parser():
                    help="'zero' or comma-separated rational coefficients")
     p.add_argument("--at-alpha", action="store_true")
     p.add_argument("--at-inverse-alpha", action="store_true")
-    search_only = "; used only when no exact certificate of infeasibility is found"
+    search_only = "; used only when no exact certificate is found"
     p.add_argument("--tol", type=float, default=FEASIBILITY_TOL,
                    help="feasible when lambda_min exceeds this; 0 <= TOL < inf"
                         + search_only)

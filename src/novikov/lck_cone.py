@@ -8,9 +8,17 @@ omega(v, Jv) = 0 over Q for every kernel basis form omega.  Then Z = v v^T is
 positive semidefinite, nonzero and orthogonal to every Sym(omega_i(., J.)), so
 no combination is positive definite (theorem of alternatives for strict LMIs,
 Boyd & Vandenberghe, Convex Optimization, 5.8-5.9) and the verdict is
-"infeasible (certified)".  Otherwise a projected subgradient ascent decides in
-floating point: a feasible verdict carries a form that can be checked exactly,
-an uncertified infeasible verdict is evidence, not proof.
+"infeasible (certified)".  Feasibility is then sought as an exact certificate:
+a small integer combination x of the basis forms (a {-1, 0, 1} vector, at most
+MAX_CANDIDATES of them, by support size and then lexicographically) with
+Sym(omega(., J.)) positive definite over Q, every leading principal minor
+positive by fraction-free elimination (Sylvester's criterion).  Only when no
+candidate passes does a projected subgradient ascent decide in floating point;
+a feasible ascent point is rationalised and checked the same way.  A feasible
+verdict carries x in `certificate` (rational strings) and in `coefficients`
+(floats), with `lambda_min` the float smallest eigenvalue at x/|x|; a feasible
+verdict without a certificate, and an uncertified infeasible one, are float
+evidence, not proof, and say so.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations, islice, product
 
 from .chevalley import (
     InvariantForm,
@@ -32,16 +41,27 @@ from .exact import Matrix, exterior_power, nullspace
 FEASIBILITY_TOL = 1e-6
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITERS = 5000
+# Candidates of the exact feasibility search.  Every feasible query of the
+# tests and the benchmark passes by the 29th (support 2); the bound keeps a
+# fruitless search to a few milliseconds on the kernels seen there.
+MAX_CANDIDATES = 256
+# Denominators at which a feasible ascent point is rationalised.  They stay
+# at most 10**6, so a float coefficient reads back to the same fraction under
+# limit_denominator(10**6).
+RATIONALISE_DENOMINATORS = (10 ** 2, 10 ** 4, 10 ** 6)
 
 
 @dataclass
 class TamingCertificate:
-    coefficients: list  # floats, in the kernel-basis coordinate space
-    lambda_min: float  # 0.0 when certified: the bound lambda_min <= 0
+    coefficients: list  # floats, in the cone-basis coordinate space
+    lambda_min: float  # 0.0 when certified infeasible: the bound lambda_min <= 0
     kind: str  # "taming" | "lck"
     feasible: bool
     reason: str = ""
-    certificate: list = None  # Fractions v with omega(v, Jv) = 0 on the kernel
+    # Fractions: when feasible, the coefficients x of a form with
+    # Sym(omega(., J.)) positive definite; when infeasible, a vector v with
+    # omega(v, Jv) = 0 on the kernel
+    certificate: list = None
 
     @property
     def verdict(self):
@@ -126,8 +146,11 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
                        max_iters=DEFAULT_MAX_ITERS, seed=0) -> TamingCertificate:
     """Decide whether some kernel form omega has Sym(omega(., J.)) positive
     definite: by an exact rank-one certificate of infeasibility when a basis
-    vector gives one, otherwise by the restarted ascent of `_ascent`, which
-    calls the search feasible when lambda_min exceeds tol (0 <= tol < inf)."""
+    vector gives one, then by an exact certificate of feasibility when a small
+    integer combination gives one, otherwise by the restarted ascent of
+    `_ascent`, which calls the search feasible when lambda_min exceeds tol
+    (0 <= tol < inf); its feasible point is certified if a rationalisation
+    of it passes the exact check."""
     if kind not in ("taming", "lck"):
         raise ValueError("kind must be 'taming' or 'lck'")
     if not 0 <= tol < math.inf:
@@ -137,14 +160,98 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
     basis = _cone_basis(model, kind)
     if not basis:
         return TamingCertificate([], 0.0, kind, False, reason="kernel is zero")
-    jmat = _j_float(model)
+    _require_j(model)
     v = _rank_one_certificate(model, basis)
     if v is not None:
         shown = ", ".join(map(str, v))
         return TamingCertificate(
             [], 0.0, kind, False, certificate=v,
             reason=f"omega(v, Jv) = 0 over Q for v = ({shown}) and every kernel form")
-    return _ascent(basis, jmat, kind, tol, restarts, max_iters, seed)
+    mats = _integer_sym_matrices(model, basis)
+    for x in _candidates(len(basis)):
+        if _combination_is_positive_definite(mats, x):
+            return _certified(model, basis, kind, x, "the integer combination")
+    jmat = _j_float(model)
+    cert = _ascent(basis, jmat, kind, tol, restarts, max_iters, seed)
+    if not cert.feasible:
+        return cert
+    for den in RATIONALISE_DENOMINATORS:
+        x = [Fraction(c).limit_denominator(den) for c in cert.coefficients]
+        if _combination_is_positive_definite(mats, x):
+            return _certified(model, basis, kind, x,
+                              f"the ascent point rationalised at denominator {den}")
+    return replace(cert, reason=(
+        f"lambda_min > tol in floating point; no rationalisation up to "
+        f"denominator {RATIONALISE_DENOMINATORS[-1]} passes the exact check, "
+        "so this is evidence, not proof"))
+
+
+def _certified(model, basis, kind, x, source) -> TamingCertificate:
+    """Feasible verdict backed by the exact check on the coefficients x, with
+    lambda_min the float smallest eigenvalue at x/|x| (one eigh)."""
+    import numpy as np
+
+    x = [Fraction(c) for c in x]
+    unit = np.array([float(c) for c in x])
+    unit /= np.linalg.norm(unit)
+    mats = _float_sym_matrices(basis, _j_float(model))
+    lam = np.linalg.eigh(np.tensordot(unit, mats, axes=1))[0][0]
+    shown = ", ".join(map(str, x))
+    reason = (f"Sym(omega(., J.)) is positive definite over Q at {source} "
+              f"x = ({shown}) of the basis forms: every leading principal "
+              "minor is positive (fraction-free Sylvester criterion)")
+    return TamingCertificate([float(c) for c in x], float(lam), kind, True,
+                             reason=reason, certificate=x)
+
+
+def _integer_sym_matrices(model, basis):
+    """The matrices Sym(omega_i(., J.)) = (W_i J + (W_i J)^T) / 2 of the basis
+    forms over Q, times one common denominator, as integer rows.  A common
+    positive factor leaves every combination's definiteness as it is."""
+    n = model.dim
+    jrows = model.J
+    mats = []
+    for form in basis:
+        wj = [[Fraction(0)] * n for _ in range(n)]  # W J, row by row
+        for (i, k), c in zip(wedge_basis(n, 2), form.coeffs):
+            if c:
+                for t in range(n):
+                    wj[i][t] += c * jrows[k][t]
+                    wj[k][t] -= c * jrows[i][t]
+        mats.append([[(wj[u][t] + wj[t][u]) / 2 for t in range(n)] for u in range(n)])
+    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+    return [[[int(x * den) for x in row] for row in m] for m in mats]
+
+
+def _candidates(d):
+    """The nonzero {-1, 0, 1} vectors of length d by support size, then
+    lexicographically by support and signs (+1 before -1); at most
+    MAX_CANDIDATES of them."""
+    every = ([dict(zip(support, signs)).get(i, 0) for i in range(d)]
+             for size in range(1, d + 1)
+             for support in combinations(range(d), size)
+             for signs in product((1, -1), repeat=size))
+    return islice(every, MAX_CANDIDATES)
+
+
+def _combination_is_positive_definite(mats, x):
+    """Whether sum x_i mats[i] is positive definite, for rational x, exactly:
+    x is scaled to integers and the sum's leading principal minors are the
+    pivots of fraction-free (Bareiss) elimination without row exchanges."""
+    den = math.lcm(*(Fraction(c).denominator for c in x))
+    xs = [int(Fraction(c) * den) for c in x]
+    n = len(mats[0])
+    a = [[sum(c * m[u][t] for c, m in zip(xs, mats) if c) for t in range(n)]
+         for u in range(n)]
+    prev = 1
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return True
 
 
 def _pairing(form: InvariantForm, v, jv):
@@ -166,18 +273,24 @@ def _rank_one_certificate(model, basis):
     return None
 
 
-def _ascent(basis, jmat, kind, tol, restarts, max_iters, seed) -> TamingCertificate:
-    """Maximize lambda_min(Sym(omega(., J.))) over the unit sphere of the
-    kernel-coefficient space by projected subgradient ascent with restarts.
-    Its infeasible verdict is evidence, not proof."""
+def _float_sym_matrices(basis, jmat):
+    """Sym(omega(., J.)) of every basis form, in floats, stacked."""
     import numpy as np
 
     mats = []
     for b in basis:
         m = form_to_matrix(b) @ jmat
         mats.append((m + m.T) / 2)
-    mats = np.array(mats)
+    return np.array(mats)
 
+
+def _ascent(basis, jmat, kind, tol, restarts, max_iters, seed) -> TamingCertificate:
+    """Maximize lambda_min(Sym(omega(., J.))) over the unit sphere of the
+    kernel-coefficient space by projected subgradient ascent with restarts.
+    Its infeasible verdict is evidence, not proof."""
+    import numpy as np
+
+    mats = _float_sym_matrices(basis, jmat)
     rng = np.random.default_rng(seed)
     dim = len(basis)
 
@@ -222,10 +335,15 @@ def _ascent(basis, jmat, kind, tol, restarts, max_iters, seed) -> TamingCertific
 
 def certificate_form(model: LieAlgebraModel, cert: TamingCertificate,
                      max_denominator=10**6) -> InvariantForm:
-    """Exact reconstruction: rationalize the certificate coefficients in the
-    cone's basis; the result is d_theta-closed exactly by construction."""
+    """Exact reconstruction in the cone's basis: the certified coefficients of
+    a feasible verdict as they are, otherwise the float coefficients
+    rationalized.  The result is d_theta-closed exactly by construction."""
+    if cert.feasible and cert.certificate is not None:
+        coeffs = cert.certificate
+    else:
+        coeffs = [Fraction(c).limit_denominator(max_denominator)
+                  for c in cert.coefficients]
     form = InvariantForm.zero(model.dim, 2)
-    for c, b in zip(cert.coefficients, _cone_basis(model, cert.kind)):
-        q = Fraction(c).limit_denominator(max_denominator)
+    for q, b in zip(coeffs, _cone_basis(model, cert.kind)):
         form = form + b.scale(q)
     return form

@@ -1,12 +1,15 @@
 """Acceptance gate: thirteen criteria, one per test, each reporting a single
-pass line.  Criteria 1-11 and 13 are exact; criterion 12 is numerical and its
-infeasible half is evidence, not proof."""
+pass line.  Criteria 1-11 and 13 are exact.  Both verdicts of criterion 12
+are certified exactly, the infeasible one by a rank-one v and the feasible
+one by a rational form with Sym(omega(., J.)) positive definite; only its
+lambda_min bounds are floating point."""
 
 import random
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+import sympy as sp
 
 from novikov.catalog import (
     abelian_algebra,
@@ -30,6 +33,7 @@ from novikov.chevalley import (
     obstruction_search,
     twisted_ce_cohomology,
     wedge,
+    wedge_basis,
 )
 from novikov.exact import (
     AlgebraicReal,
@@ -45,7 +49,7 @@ from novikov.exact import (
     sturm_sequence,
     count_roots,
 )
-from novikov.lck_cone import taming_feasibility
+from novikov.lck_cone import certificate_form, taming_feasibility
 from novikov.mapping_torus import euler_char, twisted_betti
 
 
@@ -196,13 +200,28 @@ def test_criterion_12_cone_feasibility():
     feas = taming_feasibility(model, kind="lck", seed=0)
     assert feas.feasible
     assert feas.lambda_min > 0.05
+    # the certificate names a closed J-invariant form whose Sym(omega(., J.))
+    # sympy finds positive definite over Q
+    assert feas.certificate is not None
+    form = certificate_form(model, feas)
+    assert d_theta_apply(model, form).is_zero()
+    def q(c):
+        return sp.Rational(c.numerator, c.denominator)
+
+    w = sp.zeros(4, 4)
+    for (i, k), c in zip(wedge_basis(4, 2), form.coeffs):
+        w[i, k], w[k, i] = q(c), -q(c)
+    jm = sp.Matrix(4, 4, lambda u, t: q(model.J[u][t]))
+    assert jm.T * w * jm == w
+    assert ((w * jm + (w * jm).T) / 2).is_positive_definite
     flipped = tuple(-c for c in model.theta)
     infeas = taming_feasibility(model, kind="taming", theta=flipped, seed=0)
     assert not infeas.feasible
     assert infeas.lambda_min <= 1e-6
     assert infeas.verdict == "infeasible (certified)"
-    report(12, "S0 cone: LCK-feasible at lambda = alpha (lambda_min > 0.05); "
-               "taming at 1/alpha infeasible (certified by a rank-one v)")
+    report(12, "S0 cone: LCK-feasible at lambda = alpha (lambda_min > 0.05, "
+               "certified by an exact positive definite form); taming at "
+               "1/alpha infeasible (certified by a rank-one v)")
 
 
 def test_criterion_13_exact_algebra_properties():

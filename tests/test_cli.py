@@ -389,6 +389,31 @@ def test_cone_s0_at_alpha_lck(capsys):
     assert doc["lambda_min"] > 0.05
 
 
+@pytest.mark.parametrize("argv", [
+    ("cone", "s0-algebra", "--at-alpha", "--kind", "lck"),
+    ("cone", "abelian4", "--theta", "zero"),
+])
+def test_certified_feasible_cone_calls_eigh_at_most_once(capsys, monkeypatch, argv):
+    """An exact certificate settles these; one eigh gives lambda_min at it."""
+    import numpy as np
+
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    code, out, _ = run(capsys, *argv)
+    doc = last_json(out)
+    assert code == 0 and doc["verdict"] == "feasible"
+    assert doc["certificate"] is not None
+    assert len(doc["certificate"]) == len(doc["coefficients"])
+    assert "lambda_min  0.707107" in out
+    assert len(calls) <= 1
+
+
 def test_s0_alpha_for_the_cone_builds_no_fiber_model(monkeypatch):
     """--at-alpha needs alpha alone: no exterior power of the S0 monodromy."""
     import novikov.mapping_torus as mt

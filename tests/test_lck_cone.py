@@ -5,10 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novikov.catalog import abelian_algebra, default_s0, s0_algebra, splus_algebra
+from novikov import lck_cone
+from novikov.catalog import (
+    abelian_algebra,
+    default_s0,
+    ot_algebra,
+    s0_algebra,
+    splus_algebra,
+)
 from novikov.chevalley import (
     InvariantForm,
     LieAlgebraModel,
@@ -18,8 +26,11 @@ from novikov.chevalley import (
 )
 from novikov.lck_cone import (
     FEASIBILITY_TOL,
+    MAX_CANDIDATES,
     TamingCertificate,
     _ascent,
+    _candidates,
+    _combination_is_positive_definite,
     _cone_basis,
     _j_float,
     _rank_one_certificate,
@@ -32,6 +43,30 @@ from novikov.lck_cone import (
 
 def s0_at(r, s=Fraction(1, 3)):
     return s0_algebra().instantiate({"r": Fraction(r), "s": Fraction(s)})
+
+
+def rational(c):
+    return sp.Rational(c.numerator, c.denominator)
+
+
+def assert_exactly_certified(model, cert):
+    """A feasible verdict with an exact certificate: the form it names is
+    d_theta-closed, J-invariant for 'lck', and Sym(omega(., J.)) is positive
+    definite by sympy, from the form's antisymmetric matrix W and J; none of
+    it reads the module's integer matrices or its Sylvester check."""
+    assert cert.verdict == "feasible" and cert.certificate is not None
+    assert cert.coefficients == [float(c) for c in cert.certificate]
+    form = certificate_form(model, cert)
+    assert d_theta_apply(model, form).is_zero()
+    n = model.dim
+    w = sp.zeros(n, n)
+    for (i, k), c in zip(wedge_basis(n, 2), form.coeffs):
+        w[i, k], w[k, i] = rational(c), -rational(c)
+    jm = sp.Matrix(n, n, lambda u, t: rational(Fraction(model.J[u][t])))
+    if cert.kind == "lck":
+        assert jm.T * w * jm == w  # omega(J., J.) = omega
+    wj = w * jm
+    assert ((wj + wj.T) / 2).is_positive_definite
 
 
 def test_kernel_basis_is_exactly_closed():
@@ -81,6 +116,15 @@ def test_lck_feasible_s0():
     cert = taming_feasibility(model, kind="lck")
     assert cert.feasible
     assert abs(cert.lambda_min - 2 ** -0.5) < 1e-6
+
+
+def test_s0_verdicts_carry_exact_certificates():
+    model = s0_at(Fraction(1, 2))
+    for kind, x in (("taming", ["1", "0", "0", "1"]), ("lck", ["1", "1"])):
+        cert = taming_feasibility(model, kind=kind)
+        assert json.loads(cert.to_json())["certificate"] == x
+        assert "positive definite over Q" in cert.reason
+        assert_exactly_certified(model, cert)
 
 
 def test_lck_certificate_is_J_invariant_and_closed():
@@ -285,10 +329,103 @@ def test_rank_one_certificate_agrees_with_the_ascent(data):
     cert = taming_feasibility(model, kind=kind, restarts=4, max_iters=300, seed=0)
     v = _rank_one_certificate(model, basis)
     if v is None:
-        assert cert.to_json() == search.to_json()
+        assert cert.feasible == search.feasible
+        if cert.feasible:
+            assert_exactly_certified(model, cert)
+        else:
+            assert cert.to_json() == search.to_json()
         return
     assert cert.certificate == v and any(v)
     for form in basis:
         assert d_theta_apply(model, form).is_zero()
         assert omega_v_jv(model, form, v) == 0
     assert not search.feasible
+
+
+@st.composite
+def catalog_point(draw):
+    """A catalog algebra with J at a drawn rational point, its Lee form
+    kept, negated or (abelian4) drawn."""
+    value = st.sampled_from((Fraction(-3, 2), Fraction(-1, 2), Fraction(0),
+                             Fraction(1, 3), Fraction(2), Fraction(5, 7)))
+    family = draw(st.sampled_from(("s0", "ot1", "splus", "abelian4")))
+    if family == "s0":
+        model = s0_algebra().instantiate({"r": draw(value), "s": draw(value)})
+    elif family == "ot1":
+        model = ot_algebra(1).instantiate({"alpha1": draw(value), "r1": draw(value)})
+    elif family == "splus":
+        model = splus_algebra(draw(value))
+    else:
+        model = replace(abelian_algebra(4),
+                        theta=tuple(draw(value) for _ in range(4)))
+    sign = draw(st.sampled_from((1, -1)))
+    model = replace(model, theta=tuple(sign * c for c in model.theta))
+    return model, draw(st.sampled_from(("taming", "lck")))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(catalog_point())
+def test_exact_search_agrees_with_the_ascent_on_catalog_models(data):
+    model, kind = data
+    cert = taming_feasibility(model, kind=kind, restarts=4, max_iters=300, seed=0)
+    basis = _cone_basis(model, kind)
+    if not basis:
+        assert not cert.feasible
+        return
+    search = _ascent(basis, _j_float(model), kind, FEASIBILITY_TOL,
+                     restarts=4, max_iters=300, seed=0)
+    assert cert.feasible == search.feasible
+    if cert.feasible:
+        assert_exactly_certified(model, cert)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
+    st.integers(0, 4), st.just(n))))
+def test_sylvester_check_matches_sympy(data):
+    entries, shift, n = data
+    # A^T A + shift I is often positive definite, sometimes only semidefinite
+    a = sp.Matrix(n, n, entries)
+    m = a.T * a + shift * sp.eye(n) - sp.eye(n)
+    mats = [[[int(m[u, t]) for t in range(n)] for u in range(n)]]
+    for x in ([1], [-1], [Fraction(2, 3)]):
+        want = (x[0] * m).is_positive_definite
+        assert _combination_is_positive_definite(mats, x) == want
+
+
+def test_candidates_by_support_then_lexicographically():
+    assert list(_candidates(2)) == [[1, 0], [-1, 0], [0, 1], [0, -1],
+                                    [1, 1], [1, -1], [-1, 1], [-1, -1]]
+    assert len(list(_candidates(4))) == 80  # every nonzero {-1, 0, 1}^4
+    assert len(list(_candidates(15))) == MAX_CANDIDATES
+
+
+def test_ascent_point_is_rationalised_when_no_candidate_passes():
+    # a positive form on abelian6's 15-dimensional taming kernel needs three
+    # basis forms, past the MAX_CANDIDATES of support at most two
+    model = abelian_algebra(6)
+    cert = taming_feasibility(model, kind="taming", restarts=4, max_iters=300)
+    assert "ascent point rationalised" in cert.reason
+    assert_exactly_certified(model, cert)
+
+
+def test_uncertified_feasible_verdict_says_so(monkeypatch):
+    monkeypatch.setattr(lck_cone, "_combination_is_positive_definite",
+                        lambda mats, x: False)
+    model = s0_at(Fraction(1, 2))
+    cert = taming_feasibility(model, kind="lck", restarts=4, max_iters=300)
+    assert cert.verdict == "feasible" and cert.certificate is None
+    assert "evidence, not proof" in cert.reason
+    assert json.loads(cert.to_json())["certificate"] is None
+
+
+def test_certified_infeasible_verdicts_build_no_float_j(monkeypatch):
+    def refuse(model):
+        raise AssertionError("float J built for a certified infeasible verdict")
+
+    monkeypatch.setattr(lck_cone, "_j_float", refuse)
+    model, theta = s0_at_inverse_alpha()
+    for kind in ("taming", "lck"):
+        cert = taming_feasibility(model, kind=kind, theta=theta)
+        assert cert.verdict == "infeasible (certified)"
