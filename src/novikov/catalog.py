@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-import sympy as sp
-
 from .chevalley import InvariantForm, LieAlgebraModel, check_lie_dim, validate
-from .exact import AlgebraicReal, Matrix, char_poly, isolate_real_roots
+from .exact import AlgebraicReal, Matrix, char_poly, coefficient_field, isolate_real_roots
 from .mapping_torus import FiberModel, ModelError, blow_up, torus_monodromy
 
 DEFAULT_S0_MATRIX = ((0, 0, 1), (1, 0, 1), (0, 1, 0))  # companion of x^3 - x - 1
@@ -129,7 +127,7 @@ def _check(model):
 def s0_algebra() -> LieAlgebraModel:
     """Solvable algebra of the S0 surface, basis (A, X, Y1, Y2), parameters
     r, s; Lee covector theta = -2r * (A-dual); Tricerri form attached."""
-    r, s = sp.symbols("r s")
+    r, s = coefficient_field(("r", "s")).gens
     omega = InvariantForm.from_dict(4, 2, {(0, 1): -1, (2, 3): -1})
     model = LieAlgebraModel(
         dim=4,
@@ -153,8 +151,8 @@ def s0_algebra() -> LieAlgebraModel:
 def splus_algebra(a=None) -> LieAlgebraModel:
     """Solvmanifold algebra of S+/S-, basis (e1..e4), theta = e4-dual; the
     complex structure carries the real parameter a."""
-    av = sp.Symbol("a") if a is None else a
     params = ("a",) if a is None else ()
+    av = coefficient_field(params).gens[0] if a is None else a
     model = LieAlgebraModel(
         dim=4,
         params=params,
@@ -205,14 +203,12 @@ def ot_algebra(s: int, alpha_list=None) -> LieAlgebraModel:
     if s < 1:
         raise ModelError("OT algebras need s >= 1")
     check_lie_dim(2 * s + 2)
-    if alpha_list is None:
-        alpha_params = tuple(f"alpha{i+1}" for i in range(s))
-        alphas = sp.symbols(alpha_params)
-    else:
-        if len(alpha_list) != s:
-            raise ModelError("alpha_list must have one entry per A generator")
-        alphas = alpha_list
-        alpha_params = ()
+    if alpha_list is not None and len(alpha_list) != s:
+        raise ModelError("alpha_list must have one entry per A generator")
+    alpha_params = tuple(f"alpha{i+1}" for i in range(s)) if alpha_list is None else ()
+    theta_params = tuple(f"r{i+1}" for i in range(s))
+    gens = coefficient_field(alpha_params + theta_params).gens
+    alphas = gens[:s] if alpha_list is None else alpha_list
     dim = 2 * s + 2
     c1, c2 = 2 * s, 2 * s + 1
     brackets = {}
@@ -220,8 +216,7 @@ def ot_algebra(s: int, alpha_list=None) -> LieAlgebraModel:
         brackets[(i, s + i)] = {s + i: 1}
         brackets[(i, c1)] = {c1: Fraction(-1, 2), c2: alphas[i]}
         brackets[(i, c2)] = {c1: -alphas[i], c2: Fraction(-1, 2)}
-    theta_params = tuple(f"r{i+1}" for i in range(s))
-    theta = sp.symbols(theta_params) + (0,) * (dim - s)
+    theta = gens[-s:] + (0,) * (dim - s)
     jrows = [[0] * dim for _ in range(dim)]
     for i in range(s):  # J A_i = B_i, J B_i = -A_i
         jrows[s + i][i] = 1

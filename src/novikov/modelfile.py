@@ -19,17 +19,32 @@ Three document types, selected by the top-level "type" key:
   ``{"i": .., "j": .., "coeffs": {"k": expr}}`` with 1-based generator
   indices, plus ``theta``, ``J``, ``coframe`` and ``named_forms``.
 
-Unknown keys are rejected.  Expressions must be rational functions of the
-declared parameters.
+Unknown keys are rejected.  A Lie-model coefficient is a JSON number, read
+as written (0.1 is 1/10), or a string of this grammar, evaluated straight
+into Q(params) and never run as Python:
+
+* integer and decimal literals (``3``, ``-3/2``, ``1e3``, ``.5``, ``2.50``),
+  read exactly;
+* the declared parameter names;
+* unary ``+`` and ``-``, and binary ``+``, ``-``, ``*`` and ``/``, with
+  parentheses;
+* ``x**n`` or ``x^n``, where n is an integer literal with at most one sign.
+
+Everything else (calls, attributes, other names, a division by an expression
+that is 0) is a SchemaError, and so is a string of more than
+``MAX_EXPR_LEN`` characters, an exponent, or a product of the exponents of
+nested powers, above ``MAX_EXPONENT`` in absolute value, a decimal exponent
+above ``MAX_EXPR_LEN``, and an intermediate numerator or denominator that
+could have more than ``MAX_TERMS`` terms.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 from fractions import Fraction
-
-import sympy as sp
-from sympy.polys.polyerrors import CoercionFailed
+from math import comb
 
 from .chevalley import InvariantForm, LieAlgebraModel, check_lie_dim, validate
 from .exact import (
@@ -102,28 +117,113 @@ def _require_keys(doc, required, optional, what):
         raise SchemaError(f"{what}: unknown keys {sorted(unknown)}")
 
 
+# Caps of the coefficient grammar; see the module docstring.
+MAX_EXPR_LEN = 1000
+MAX_EXPONENT = 64
+MAX_TERMS = 4096
+
+# each operator, with a bound on the terms of its result's numerator and
+# denominator from the terms of its operands' numerators and denominators
+_BINARY = {
+    ast.Add: (operator.add, lambda xn, xd, yn, yd: max(xn * yd + yn * xd, xd * yd)),
+    ast.Sub: (operator.sub, lambda xn, xd, yn, yd: max(xn * yd + yn * xd, xd * yd)),
+    ast.Mult: (operator.mul, lambda xn, xd, yn, yd: max(xn * yn, xd * yd)),
+    ast.Div: (operator.truediv, lambda xn, xd, yn, yd: max(xn * yd, xd * yn)),
+}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _decimal(text):
+    """A decimal literal, read exactly.  Its exponent is capped, so that 1eN
+    is no longer than an integer literal that fits in MAX_EXPR_LEN."""
+    if abs(int(text.lower().partition("e")[2] or 0)) > MAX_EXPR_LEN:
+        raise ValueError(f"the exponent of {text} exceeds {MAX_EXPR_LEN}")
+    return Fraction(text)
+
+
+def _terms(x):
+    return (1, 1) if type(x) is Fraction else (len(x.numer), len(x.denom))
+
+
+def _exponent(node):
+    """The value of an integer literal with at most one sign."""
+    sign = 1
+    if type(node) is ast.UnaryOp and type(node.op) in _UNARY:
+        sign = -1 if type(node.op) is ast.USub else 1
+        node = node.operand
+    if type(node) is not ast.Constant or type(node.value) is not int:
+        raise ValueError("an exponent must be an integer literal")
+    return sign * node.value
+
+
+def _evaluate(node, src, params, field, room):
+    """The value of a node of the grammar, a Fraction or an element of field;
+    room is what the exponents of the powers around the node leave to its
+    own."""
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) is ast.Pow:
+        e = _exponent(node.right)
+        if abs(e) > room:
+            raise ValueError(f"exponents multiply to more than {MAX_EXPONENT}")
+        x = _evaluate(node.left, src, params, field, room // max(abs(e), 1))
+        if e == 0:  # sympy's zero polynomial refuses the power 0
+            return Fraction(1)
+        if max(comb(t + abs(e) - 1, abs(e)) for t in _terms(x)) > MAX_TERMS:
+            raise ValueError(f"a power has more than {MAX_TERMS} terms")
+        return x ** e if e > 0 else 1 / x ** -e
+    if kind is ast.BinOp and type(node.op) in _BINARY:
+        op, bound = _BINARY[type(node.op)]
+        x = _evaluate(node.left, src, params, field, room)
+        y = _evaluate(node.right, src, params, field, room)
+        if type(x) is not type(y):  # a Fraction and a field element
+            x, y = coefficient(field, x), coefficient(field, y)
+        if bound(*_terms(x), *_terms(y)) > MAX_TERMS:
+            raise ValueError(f"an intermediate result has more than {MAX_TERMS} terms")
+        return op(x, y)
+    if kind is ast.UnaryOp and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_evaluate(node.operand, src, params, field, room))
+    if kind is ast.Name:
+        # ast normalises identifiers (NFKC); a parameter is matched as written
+        name = node.id if src.isascii() else ast.get_source_segment(src, node)
+        if name not in params:
+            raise ValueError(f"{name!r} is not a declared parameter")
+        return field.gens[params.index(name)]
+    if kind is ast.Constant and type(node.value) is int:
+        return Fraction(node.value)
+    if kind is ast.Constant and type(node.value) is float:
+        return _decimal(ast.get_source_segment(src, node))
+    raise ValueError(f"{ast.get_source_segment(src, node)!r} is not in the grammar")
+
+
+def _read(text, params, field):
+    """text, a string of the grammar or a JSON number, as a Fraction or an
+    element of field."""
+    if type(text) is int:
+        return Fraction(text)
+    if type(text) is float:  # as written: Fraction(0.1) is not 1/10
+        return _decimal(repr(text))
+    if not isinstance(text, str):
+        raise ValueError("not a string or a number")
+    src = text.replace("^", "**").strip()
+    return _evaluate(ast.parse(src, mode="eval").body, src, params, field, MAX_EXPONENT)
+
+
 def _parse_expr(text, params, what):
-    # most coefficients are plain rationals, which Fraction reads as sympy
-    # would; not JSON numbers (Fraction(0.1) is not 1/10) nor non-ASCII digits
-    # (Fraction reads them, sympy refuses them)
-    if isinstance(text, str) and text.isascii():
-        try:
-            return coefficient(coefficient_field(params), Fraction(text))
-        except (ValueError, ZeroDivisionError):
-            pass
+    """A model-file coefficient, a string of the grammar or a JSON number, as
+    an element of Q(params): a Fraction without parameters."""
+    if isinstance(text, str) and len(text) > MAX_EXPR_LEN:
+        raise SchemaError(f"{what}: an expression of {len(text)} characters; "
+                          f"the cap is {MAX_EXPR_LEN}")
+    field = coefficient_field(params)
     try:
-        expr = sp.sympify(text, rational=True)
-    except (sp.SympifyError, SyntaxError, TypeError) as exc:
-        raise SchemaError(f"{what}: cannot parse expression {text!r}") from exc
-    free = {str(s) for s in getattr(expr, "free_symbols", ())}
-    extra = free - set(params)
-    if extra:
-        raise SchemaError(f"{what}: undeclared parameters {sorted(extra)} in {text!r}")
-    try:
-        return coefficient(coefficient_field(params), expr)
-    except CoercionFailed as exc:
+        return coefficient(field, _read(text, params, field))
+    except (ValueError, SyntaxError, ZeroDivisionError, MemoryError,
+            RecursionError) as exc:
+        reason = ("division by zero" if isinstance(exc, ZeroDivisionError)
+                  else f"cannot parse it: {exc.msg}" if isinstance(exc, SyntaxError)
+                  else str(exc) or "nested too deeply")
         raise SchemaError(f"{what}: {text!r} is not a rational function of the "
-                          f"declared parameters") from exc
+                          f"declared parameters ({reason})") from exc
 
 
 def _load_torus_monodromy(doc):

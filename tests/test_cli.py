@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -372,6 +373,35 @@ def test_lie_model_dimension_is_capped(capsys, tmp_path, monkeypatch):
     with pytest.raises(chevalley.LieModelError, match="capped at 12"):
         chevalley.LieAlgebraModel(dim=13)
     assert chevalley.LieAlgebraModel(dim=chevalley.MAX_LIE_DIM).dim == 12
+
+
+def coefficient_doc(text):
+    return {"type": "lie_algebra", "dim": 2, "params": ["a"],
+            "brackets": [{"i": 1, "j": 2, "coeffs": {"2": text}}]}
+
+
+def test_a_coefficient_runs_no_code(capsys, tmp_path):
+    sentinel = tmp_path / "sentinel"
+    path = tmp_path / "evil.json"
+    text = f"a + __import__('pathlib').Path({str(sentinel)!r}).touch() or 0"
+    path.write_text(json.dumps(coefficient_doc(text)))
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert code == 2 and out == "" and err.startswith("schema error:")
+    assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "a**(10**10)", "a.b", "f(a)", "sqrt(2)", "pi", "a/(a-a)",
+    "-" * 100000 + "a", "+".join(["a"] * 200000)])
+def test_coefficients_outside_the_grammar_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(coefficient_doc(text)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("schema error: bracket coefficient:") and "Traceback" not in err
+    assert len(err) < 300  # a long coefficient is not echoed
 
 
 def test_verify_needs_target(capsys):

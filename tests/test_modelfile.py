@@ -1,21 +1,44 @@
+import ast
 import json
+import pathlib
+import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+import sympy.parsing.sympy_parser
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.polyerrors import CoercionFailed
 
-from novikov.catalog import default_s0, default_splus
-from novikov.chevalley import twisted_ce_cohomology
-from novikov.exact import AlgebraicReal
-from novikov.mapping_torus import FiberModel, twisted_betti
+from novikov import catalog, modelfile
+from novikov.catalog import (
+    abelian_algebra,
+    default_s0,
+    default_splus,
+    ot_algebra,
+    s0_algebra,
+    splus_algebra,
+    splus_coframe_model,
+)
+from novikov.chevalley import twisted_ce_cohomology, validate
+from novikov.exact import AlgebraicReal, coefficient_field
+from novikov.mapping_torus import FiberModel, ModelError, twisted_betti
 from novikov.modelfile import (
     _PAIR,
+    MAX_EXPONENT,
+    MAX_EXPR_LEN,
+    MAX_TERMS,
     SchemaError,
     _parse_expr,
     load_model,
     load_model_dict,
     parse_eigenvalue_spec,
 )
+
+TESTS = pathlib.Path(__file__).parent
 
 
 S0_DOC = {"type": "torus_monodromy", "name": "s0file",
@@ -139,26 +162,187 @@ def test_coefficient_outside_the_field_rejected(tmp_path, capsys):
 
 
 def sympy_parse(text, params):
-    """_parse_expr's answer through sympy alone, which a sympy expression
-    always takes: the coefficient, or SchemaError."""
+    """The oracle of the grammar: what sympify reads from text, converted into
+    Q(params) by sympy, or SchemaError where that fails.  Where text divides
+    by an expression that is 0, sympy may still answer (1/(1/0) is 0, and
+    (1/0)**0 is 1), and it drops a name that cancels (0*c is 0); the grammar
+    refuses both, and so does the oracle, which reads them off sympy's
+    unevaluated expression."""
+    field = coefficient_field(params)
     try:
-        return _parse_expr(sp.sympify(text, rational=True), params, "coefficient")
-    except (sp.SympifyError, SyntaxError, TypeError, SchemaError):
+        tree = sp.sympify(text, rational=True, evaluate=False)
+        if {str(x) for x in getattr(tree, "free_symbols", ())} - set(params):
+            return SchemaError
+        if any(p.exp.is_negative and sp.cancel(p.base.doit()) == 0
+               for p in getattr(tree, "atoms", lambda _: ())(sp.Pow)):
+            return SchemaError
+        expr = sp.sympify(text, rational=True)
+        if params:
+            return field.convert(expr)
+        q = QQ.convert(expr)
+        return Fraction(int(q.numerator), int(q.denominator))
+    except (sp.SympifyError, SyntaxError, TypeError, AttributeError, CoercionFailed):
         return SchemaError
 
 
-@pytest.mark.parametrize("params", [(), ("a",)])
-@pytest.mark.parametrize("text", [
-    "0", "-3/2", " 7 ", "1e3", "1_0", "1/0", "+5", ".5", "2.50", "1 / 2", "3/-4",
-    "nan", "inf", "\u0663", "2*a", 0.1, 3, -2.5])
-def test_coefficients_parse_as_sympy_parses_them(text, params):
+def assert_parses_as_sympy_parses(text, params):
     want = sympy_parse(text, params)
     if want is SchemaError:
         with pytest.raises(SchemaError):
             _parse_expr(text, params, "coefficient")
     else:
         got = _parse_expr(text, params, "coefficient")
-        assert got == want and type(got) is type(want)
+        assert got == want and type(got) is type(want), (text, got, want)
+
+
+@pytest.mark.parametrize("params", [(), ("a",)])
+@pytest.mark.parametrize("text", [
+    "0", "-3/2", " 7 ", "1e3", "1_0", "1/0", "+5", ".5", "2.50", "1 / 2", "3/-4",
+    "nan", "inf", "\u0663", "2*a", 0.1, 3, -2.5, "0**0", "(a*0)**0", "(1/0)**0",
+    "1/(1/0)", "a^2 - 1/2", "2^3", "-a^-2"])
+def test_coefficients_parse_as_sympy_parses_them(text, params):
+    assert_parses_as_sympy_parses(text, params)
+
+
+def grammar_strings():
+    """Strings of the coefficient grammar in the parameters a and b: literals,
+    names, unary signs, + - * / with and without parentheses, and powers to
+    signed integer literals written with ** or ^."""
+    atoms = st.sampled_from(["a", "b", "0", "1", "2", "7", "1/2", ".5", "2.50", "1e2",
+                             "3/4", "10"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", "-", "*", " / "]), inner)
+            .map("".join),
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner)
+            .map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+            st.tuples(st.sampled_from(["-", "+"]), inner).map("".join),
+            st.tuples(inner, st.sampled_from(["**", "^"]), st.integers(-3, 3))
+            .map(lambda t: f"({t[0]}){t[1]}{t[2]}"),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grammar_strings())
+def test_grammar_strings_parse_as_sympy_parses_them(text):
+    assert_parses_as_sympy_parses(text, ("a", "b"))
+
+
+@pytest.fixture(scope="module")
+def lie_docs():
+    """Every lie_algebra document written as a dict literal in tests/, and
+    every one perfbench's generator writes for the Lie workloads at seeds 1
+    and 7."""
+    docs = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict):
+                try:
+                    doc = ast.literal_eval(node)
+                except ValueError:  # names and calls in it
+                    continue
+                if doc.get("type") == "lie_algebra":
+                    docs.append(doc)
+    perfbench = str(TESTS.parent / "perfbench")
+    sys.path.insert(0, perfbench)  # gen imports its sibling oracles
+    try:
+        import gen
+
+        with tempfile.TemporaryDirectory() as workdir:
+            for name in ("lie_generic", "lie_rational"):
+                for seed in (1, 7):
+                    workload = gen.build(name, seed, workdir)
+                    for path in sorted(pathlib.Path(workdir).glob("*.json")):
+                        docs.append(json.loads(path.read_text()))
+                    # and the documents its oracles read, such as ot(2)'s
+                    docs += [q.check[key] for q in workload.queries
+                             for key in ("doc", "generic") if key in q.check]
+    finally:
+        sys.path.remove(perfbench)
+    return docs
+
+
+def test_model_file_expressions_parse_as_sympy_parses_them(lie_docs):
+    seen = set()
+    for doc in lie_docs:
+        params = tuple(doc.get("params", ()))
+        texts = [c for b in doc["brackets"] for c in b["coeffs"].values()]
+        texts += doc.get("theta", []) + [c for row in doc.get("J", []) for c in row]
+        texts += [c for f in doc.get("named_forms", {}).values()
+                  for c in f["coeffs"].values()]
+        for text in texts:
+            if (text, params) not in seen:
+                seen.add((text, params))
+                assert_parses_as_sympy_parses(text, params)
+    # the generator's almost-abelian entries, its ot(1) and its rational points
+    assert any("+(" in text for text, _ in seen)
+    assert ("-alpha1", ("alpha1", "r1")) in seen
+    assert any("/" in text and not params for text, params in seen)
+
+
+def test_the_grammar_runs_no_code(tmp_path):
+    sentinel = tmp_path / "sentinel"
+    text = f"a + __import__('pathlib').Path({str(sentinel)!r}).touch() or 0"
+    with pytest.raises(SchemaError, match="not a rational function"):
+        _parse_expr(text, ("a",), "coefficient")
+    assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "a**(10**10)", "a**65", "a^-65", "(a**8)**9", "a**2.0", "a**b", "a**--1",
+    "a.b", "f(a)", "sqrt(2)", "pi", "a/(a-a)", "(a-a)**-1", "3!", "1j", "True",
+    "[a][0]", "a if a else 1", "lambda: a", "'a'", "1e1001", "*".join(["(a+1)**64"] * 65),
+    "-" * 10 ** 5 + "a", "+".join(["a"] * 200000), "-" * 999 + "a",
+    "(" * 300 + "a" + ")" * 300])
+def test_the_grammar_refuses(text):
+    with pytest.raises(SchemaError):
+        _parse_expr(text, ("a",), "coefficient")
+
+
+def test_the_grammar_caps():
+    assert _parse_expr("a**64", ("a",), "c") == coefficient_field(("a",)).gens[0] ** 64
+    assert _parse_expr("(a^8)^-8", ("a",), "c") == 1 / coefficient_field(("a",)).gens[0] ** 64
+    assert _parse_expr("1e1000", (), "c") == 10 ** 1000
+    assert _parse_expr("(a+b+1)**64", ("a", "b"), "c")  # 2,145 terms
+    for text in ("a" + "+a" * ((MAX_EXPR_LEN - 1) // 2), "9" * MAX_EXPR_LEN):
+        assert _parse_expr(text, ("a",), "c")
+        with pytest.raises(SchemaError, match=f"the cap is {MAX_EXPR_LEN}"):
+            _parse_expr(text + "+1", ("a",), "c")
+    for text in ("(a+b+1)**65", "(a+b+c+1)**64"):
+        with pytest.raises(SchemaError, match=f"more than {MAX_EXPONENT}|{MAX_TERMS} terms"):
+            _parse_expr(text, ("a", "b", "c"), "c")
+
+
+def test_models_load_without_sympify(monkeypatch, lie_docs):
+    """Loading every model file of the tests and of the generator, and building
+    every catalog model, parses nothing with sympy; catalog and modelfile
+    import no sympy at module level."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy parsed a coefficient")
+
+    monkeypatch.setattr(sp, "sympify", refuse)
+    monkeypatch.setattr(sp.parsing.sympy_parser, "parse_expr", refuse)
+    for doc in lie_docs:
+        try:
+            load_model_dict(doc)
+        except (SchemaError, ModelError):  # documents that are bad on purpose
+            pass
+    for build in (s0_algebra, splus_algebra, splus_coframe_model, abelian_algebra,
+                  lambda: splus_algebra(Fraction(1, 2)), lambda: ot_algebra(1),
+                  lambda: ot_algebra(2), lambda: ot_algebra(2, [1, Fraction(2, 3)])):
+        assert validate(build())
+    for module in (catalog, modelfile):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        imported = {alias.name for node in tree.body if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in tree.body
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {m for m in imported if m.split(".")[0] == "sympy"}, module.__name__
+        assert "sp" not in vars(module) and "sympy" not in vars(module)
 
 
 def test_json_numbers_are_read_as_written():

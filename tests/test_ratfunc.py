@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from sympy import QQ
+from sympy import QQ, ZZ, Rational
 from sympy.polys.polyerrors import CoercionFailed
 
 from novikov.catalog import ot_algebra
@@ -15,7 +15,15 @@ K = coefficient_field(("r", "s"))
 
 def test_no_parameters_is_qq():
     assert coefficient_field(()) == QQ
-    assert coefficient_field(("r", "s")) == QQ.frac_field(r, s)
+    # Q(r, s) as quotients of integer polynomials: the same field as
+    # QQ.frac_field, whose elements convert back unchanged
+    assert coefficient_field(("r", "s")) == ZZ.frac_field(r, s)
+    expr = (r / 2 - 3 * s ** 2) / (5 * r + Rational(1, 7))
+    x = coefficient(K, expr)
+    assert x.numer.ring.domain == ZZ
+    Q = QQ.frac_field(r, s)
+    assert Q.convert(x) == Q.convert(expr)
+    assert coefficient(K, Q.convert(expr)) == x
 
 
 def test_numbers():
