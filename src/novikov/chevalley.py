@@ -11,7 +11,7 @@ forbids d_theta-exact taming forms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -251,9 +251,10 @@ class LieAlgebraModel:
         try:
             sub = substitution(self.params, values)
             subs_all = lambda cs: tuple(map(sub, cs))
-            changes = dict(
+            return replace(
+                self,
                 params=tuple(p for p in self.params if p not in values),
-                brackets={ij: {k: v for k, c in comps.items() if (v := sub(c))}
+                brackets={ij: {k: sub(c) for k, c in comps.items()}
                           for ij, comps in self.brackets.items()},
                 theta=subs_all(self.theta),
                 J=None if self.J is None else tuple(map(subs_all, self.J)),
@@ -262,12 +263,6 @@ class LieAlgebraModel:
             )
         except (TypeError, ZeroDivisionError) as exc:
             raise LieModelError(f"cannot set {values}: {exc}") from exc
-        # the coefficients are in the new field already, so __post_init__'s
-        # checks and conversions are not run again
-        out = object.__new__(LieAlgebraModel)
-        for f in fields(self):
-            object.__setattr__(out, f.name, changes.get(f.name, getattr(self, f.name)))
-        return out
 
 
 # -- differential and Hodge operators --------------------------------------

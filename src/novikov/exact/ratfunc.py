@@ -41,7 +41,8 @@ def coefficient(field, x):
         return field.field.raw_new(ring.ground_new(x.numerator),
                                    ring.ground_new(x.denominator))
     if field is not QQ:
-        return field.convert(x)
+        # an element of field already, as substitution's images are
+        return x if getattr(x, "field", None) is field.field else field.convert(x)
     q = QQ.convert(x)
     return Fraction(int(q.numerator), int(q.denominator))
 
@@ -64,6 +65,7 @@ def substitution(params, values):
     def image(poly):  # {kept monomial: Fraction or int}
         out = {}
         for monom, c in poly.items():
+            c = int(c)  # a ground coefficient may be gmpy2's mpz
             for i, v in fixed:
                 c = c * v ** monom[i] if monom[i] else c
             key = tuple(monom[i] for i in keep)
@@ -76,7 +78,7 @@ def substitution(params, values):
             n, d = numer.get((), 0), denom.get((), 0)
             if not d:
                 raise ZeroDivisionError("a denominator vanishes")
-            return Fraction(n) / d
+            return Fraction(n.numerator * d.denominator, n.denominator * d.numerator)
         scale = lcm(*(q.denominator for q in chain(numer.values(), denom.values())))
         ring = field.field.ring
         n, d = (ring.from_dict({m: q.numerator * (scale // q.denominator)

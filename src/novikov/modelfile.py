@@ -226,6 +226,21 @@ def _parse_expr(text, params, what):
                           f"declared parameters ({reason})") from exc
 
 
+def _coefficient_reader(params):
+    """_parse_expr for the coefficients of one document, which reads each
+    distinct string once: a document repeats a few constants (J is mostly 0
+    and 1)."""
+    seen = {}
+
+    def read(text, what):
+        if type(text) is not str:
+            return _parse_expr(text, params, what)
+        if text not in seen:
+            seen[text] = _parse_expr(text, params, what)
+        return seen[text]
+    return read
+
+
 def _load_torus_monodromy(doc):
     _require_keys(doc, ["type", "matrix"], ["name"], "torus_monodromy")
     rows = doc["matrix"]
@@ -332,6 +347,7 @@ def _load_lie_algebra(doc):
     params = tuple(doc.get("params", ()))
     if not all(isinstance(p, str) for p in params) or len(set(params)) != len(params):
         raise SchemaError("lie_algebra: params must be distinct names")
+    parse = _coefficient_reader(params)
     brackets = {}
     for item in doc["brackets"]:
         _require_keys(item, ["i", "j", "coeffs"], [], "bracket entry")
@@ -343,15 +359,15 @@ def _load_lie_algebra(doc):
             ki = int(k) - 1
             if not 0 <= ki < dim:
                 raise SchemaError(f"bracket entry: bad component index {k}")
-            comps[ki] = _parse_expr(expr, params, "bracket coefficient")
+            comps[ki] = parse(expr, "bracket coefficient")
         brackets[(i - 1, j - 1)] = comps
     # LieAlgebraModel checks the shapes of theta and J
     theta = None
     if "theta" in doc:
-        theta = tuple(_parse_expr(c, params, "theta") for c in doc["theta"])
+        theta = tuple(parse(c, "theta") for c in doc["theta"])
     jmat = None
     if "J" in doc:
-        jmat = tuple(tuple(_parse_expr(c, params, "J entry") for c in r) for r in doc["J"])
+        jmat = tuple(tuple(parse(c, "J entry") for c in r) for r in doc["J"])
     named = {}
     for name, spec in doc.get("named_forms", {}).items():
         _require_keys(spec, ["degree", "coeffs"], [], f"named form {name!r}")
@@ -361,7 +377,7 @@ def _load_lie_algebra(doc):
             if len(set(idx)) != len(idx) or any(not 0 <= x < dim for x in idx) \
                     or list(idx) != sorted(idx) or len(idx) != spec["degree"]:
                 raise SchemaError(f"named form {name!r}: bad index set {subset!r}")
-            entries[idx] = _parse_expr(expr, params, f"named form {name!r}")
+            entries[idx] = parse(expr, f"named form {name!r}")
         named[name] = InvariantForm.from_dict(dim, spec["degree"], entries)
     if type(doc.get("coframe", False)) is not bool:
         raise SchemaError("lie_algebra: coframe must be true or false")

@@ -122,6 +122,23 @@ def test_lie_algebra_with_params_and_named_forms():
     assert not omega.is_zero()
 
 
+def test_a_document_parses_each_distinct_coefficient_once(monkeypatch):
+    parsed = []
+    parse = modelfile._parse_expr
+    monkeypatch.setattr(modelfile, "_parse_expr",
+                        lambda text, *rest: parsed.append(text) or parse(text, *rest))
+    doc = dict(SPLUS_ALGEBRA_DOC, J=[["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                                     ["0", "0", "0", "-1"], ["0", "0", "1", "0"]])
+    model = load_model_dict(doc)
+    assert sorted(parsed) == ["-1", "0", "1"]
+    assert model.J[0][1] == -1 and model.theta == (0, 0, 0, 1)
+    # a bad string is refused wherever it first stands
+    doc["J"] = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+                ["0", "0", "0", "-1"], ["0", "0", "1", "x"]]
+    with pytest.raises(SchemaError, match="J entry.*'x'"):
+        load_model_dict(doc)
+
+
 def test_unknown_type_rejected():
     with pytest.raises(SchemaError):
         load_model_dict({"type": "mystery"})
@@ -199,7 +216,8 @@ def assert_parses_as_sympy_parses(text, params):
 @pytest.mark.parametrize("text", [
     "0", "-3/2", " 7 ", "1e3", "1_0", "1/0", "+5", ".5", "2.50", "1 / 2", "3/-4",
     "nan", "inf", "\u0663", "2*a", 0.1, 3, -2.5, "0**0", "(a*0)**0", "(1/0)**0",
-    "1/(1/0)", "a^2 - 1/2", "2^3", "-a^-2"])
+    "1/(1/0)", "a^2 - 1/2", "2^3", "-a^-2", "2**-2", "-2^-3", "(1/2)**-2", "6/4/3",
+    "(2-2)**-1"])
 def test_coefficients_parse_as_sympy_parses_them(text, params):
     assert_parses_as_sympy_parses(text, params)
 

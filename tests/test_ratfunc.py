@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy as sp
@@ -7,7 +8,7 @@ from sympy.polys.polyerrors import CoercionFailed
 
 from novikov.catalog import ot_algebra
 from novikov.chevalley import twisted_ce_cohomology
-from novikov.exact import coefficient, coefficient_field
+from novikov.exact import coefficient, coefficient_field, substitution
 
 r, s = sp.symbols("r s")
 K = coefficient_field(("r", "s"))
@@ -24,6 +25,7 @@ def test_no_parameters_is_qq():
     Q = QQ.frac_field(r, s)
     assert Q.convert(x) == Q.convert(expr)
     assert coefficient(K, Q.convert(expr)) == x
+    assert coefficient(K, x) is x
 
 
 def test_numbers():
@@ -93,3 +95,24 @@ def test_to_float():
     assert float(coefficient(QQ, sp.Rational(1, 4))) == 0.25
     model = ot_algebra(1).instantiate({"alpha1": Fraction(2, 3), "r1": Fraction(1, 4)})
     assert [float(c) for c in model.theta] == [0.25, 0.0, 0.0, 0.0]
+
+
+class _Ground(int):
+    """A ground coefficient of another integer type, such as gmpy2's mpz,
+    which sympy's ZZ uses when gmpy2 is installed: the product of an mpz and
+    a Fraction is an mpq, so substitution must not compute with it."""
+
+    def _refuse(self, *_):
+        raise AssertionError("arithmetic on a ground coefficient")
+
+    __mul__ = __rmul__ = __add__ = __radd__ = __truediv__ = __rtruediv__ = _refuse
+
+
+def test_substitution_gives_fractions_whatever_the_ground_type():
+    # (3a + 1)/2 at a = 2/3, and at b = 2/3 where a stays
+    c = SimpleNamespace(numer={(1, 0): _Ground(3), (0, 0): _Ground(1)},
+                        denom={(0, 0): _Ground(2)})
+    value = substitution(("a", "b"), {"a": Fraction(2, 3), "b": 5})(c)
+    assert value == Fraction(3, 2) and type(value) is Fraction
+    a = coefficient_field(("a",)).gens[0]
+    assert substitution(("a", "b"), {"b": Fraction(2, 3)})(c) == (3 * a + 1) / 2
