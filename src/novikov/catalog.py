@@ -1,10 +1,15 @@
-"""Validated constructors for every model in scope.
+"""Constructors for every model in scope.
 
 Fiber-bundle side: the torus mapping torus S0, the surfaces S+ and S- (the
 actions N and N^-1 of a 2x2 integer matrix on H^1 and H^2 of the fiber), the
 Hopf fiber model and the Kato blow-up transformer.  Lie-algebra
 side: the S0 solvable algebra, the S+ algebra and its orthonormal coframe
 model, the Oeljeklaus-Toma family, and the abelian reference algebra.
+
+The Lie-algebra families are Lie algebras for every parameter value by
+construction and are not validated when built: ``test_validate_catalog_models``
+validates each one symbolically over Q(params).  ``validate`` runs on model
+files and in ``verify``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .chevalley import InvariantForm, LieAlgebraModel, check_lie_dim, validate
+from .chevalley import InvariantForm, LieAlgebraModel, check_lie_dim
 from .exact import AlgebraicReal, Matrix, char_poly, coefficient_field, isolate_real_roots
 from .mapping_torus import FiberModel, ModelError, blow_up, torus_monodromy
 
@@ -117,19 +122,12 @@ def make_kato(n: int):
 
 # -- Lie algebra models ------------------------------------------------------
 
-def _check(model):
-    report = validate(model)
-    if not report:
-        raise ModelError(f"model failed validation: {report.violations}")
-    return model
-
-
 def s0_algebra() -> LieAlgebraModel:
     """Solvable algebra of the S0 surface, basis (A, X, Y1, Y2), parameters
     r, s; Lee covector theta = -2r * (A-dual); Tricerri form attached."""
     r, s = coefficient_field(("r", "s")).gens
     omega = InvariantForm.from_dict(4, 2, {(0, 1): -1, (2, 3): -1})
-    model = LieAlgebraModel(
+    return LieAlgebraModel(
         dim=4,
         params=("r", "s"),
         brackets={
@@ -145,7 +143,6 @@ def s0_algebra() -> LieAlgebraModel:
         named_forms={"omega": omega},
         name="s0-algebra",
     )
-    return _check(model)
 
 
 def splus_algebra(a=None) -> LieAlgebraModel:
@@ -153,7 +150,7 @@ def splus_algebra(a=None) -> LieAlgebraModel:
     complex structure carries the real parameter a."""
     params = ("a",) if a is None else ()
     av = coefficient_field(params).gens[0] if a is None else a
-    model = LieAlgebraModel(
+    return LieAlgebraModel(
         dim=4,
         params=params,
         brackets={
@@ -169,7 +166,6 @@ def splus_algebra(a=None) -> LieAlgebraModel:
            (0, 0, 1, 0)),
         name="splus-algebra",
     )
-    return _check(model)
 
 
 def splus_coframe_model() -> LieAlgebraModel:
@@ -182,7 +178,7 @@ def splus_coframe_model() -> LieAlgebraModel:
         "h": InvariantForm.from_dict(4, 2, {(0, 1): 2}),
         "omega": InvariantForm.from_dict(4, 2, {(0, 1): 2, (2, 3): 2}),
     }
-    model = LieAlgebraModel(
+    return LieAlgebraModel(
         dim=4,
         brackets={
             (0, 2): {0: 1},
@@ -194,7 +190,6 @@ def splus_coframe_model() -> LieAlgebraModel:
         named_forms=named,
         name="splus-coframe",
     )
-    return _check(model)
 
 
 def ot_algebra(s: int, alpha_list=None) -> LieAlgebraModel:
@@ -223,7 +218,7 @@ def ot_algebra(s: int, alpha_list=None) -> LieAlgebraModel:
         jrows[i][s + i] = -1
     jrows[c2][c1] = 1  # J C1 = C2
     jrows[c1][c2] = -1
-    model = LieAlgebraModel(
+    return LieAlgebraModel(
         dim=dim,
         params=alpha_params + theta_params,
         brackets=brackets,
@@ -231,7 +226,6 @@ def ot_algebra(s: int, alpha_list=None) -> LieAlgebraModel:
         J=tuple(tuple(r) for r in jrows),
         name=f"ot-algebra-s{s}",
     )
-    return _check(model)
 
 
 def abelian_algebra(n: int = 4) -> LieAlgebraModel:
@@ -245,8 +239,7 @@ def abelian_algebra(n: int = 4) -> LieAlgebraModel:
             rows[i + 1][i] = 1
             rows[i][i + 1] = -1
         jmat = tuple(tuple(r) for r in rows)
-    return _check(LieAlgebraModel(dim=n, J=jmat, coframe_metric=True,
-                                  name=f"abelian{n}"))
+    return LieAlgebraModel(dim=n, J=jmat, coframe_metric=True, name=f"abelian{n}")
 
 
 def default_s0():

@@ -240,10 +240,12 @@ class LieAlgebraModel:
     def instantiate(self, mapping) -> "LieAlgebraModel":
         """Substitute parameters (names or sympy symbols) by rational numbers,
         ints or Fractions, through ``exact.substitution``; the parameters not
-        named stay symbolic.  A name that is not a parameter of the model, a
-        value that is not rational and a point where a denominator vanishes
-        raise LieModelError."""
+        named stay symbolic (an empty mapping returns the model).  A name that
+        is not a parameter, a value that is not rational and a point where a
+        denominator vanishes raise LieModelError."""
         values = {str(k): v for k, v in mapping.items()}
+        if not values:
+            return self
         unknown = sorted(set(values) - set(self.params))
         if unknown:
             raise LieModelError(f"not parameters of the model: {unknown}; "
@@ -416,7 +418,8 @@ def _generic_ranks(model: LieAlgebraModel):
     symbolic work is left, never the answer.  d_theta^2 = 0 holds on every
     model that passes ``validate`` (Jacobi, checked as d(d e^i) = 0 on
     covectors, and d theta = 0).  The point is applied by
-    ``model.instantiate``; a point where a denominator vanishes is redrawn."""
+    ``model.instantiate``; a point where a denominator vanishes is redrawn.
+    A model without parameters is its own point: one rank per degree."""
     n = model.dim
     for point in _seeded_points(len(model.params)):
         try:
@@ -427,18 +430,17 @@ def _generic_ranks(model: LieAlgebraModel):
     else:  # a pole at every point
         return [rank(d_theta_matrix(model, k)) for k in range(n)]
     r = [rank(d_theta_matrix(at, k)) for k in range(n)] + [0]  # r[-1] = r[n] = 0
-    return [r[k] if r[k] == min(comb(n, k + 1) - r[k + 1], comb(n, k) - r[k - 1])
+    return [r[k] if at is model
+            or r[k] == min(comb(n, k + 1) - r[k + 1], comb(n, k) - r[k - 1])
             else rank(d_theta_matrix(model, k)) for k in range(n)]
 
 
 def twisted_ce_cohomology(model: LieAlgebraModel):
-    """dim H^k(Lambda g*, d_theta) for k = 0..dim, over Q(params) when the
-    model has parameters: the dimensions for generic parameter values, with the
-    ranks pinned at a seeded rational point where they can be
-    (``_generic_ranks``)."""
+    """dim H^k(Lambda g*, d_theta) for k = 0..dim, over Q(params): the
+    dimensions for generic parameter values, with the ranks pinned at a seeded
+    rational point where they can be (``_generic_ranks``)."""
     n = model.dim
-    ranks = (_generic_ranks(model) if model.params
-             else [rank(d_theta_matrix(model, k)) for k in range(n)])
+    ranks = _generic_ranks(model)
     dims = []
     for k in range(n + 1):
         rk_out = ranks[k] if k < n else 0

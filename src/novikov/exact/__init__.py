@@ -19,7 +19,6 @@ from .matrices import (
     companion,
     exterior_power,
     exterior_square_cyclic,
-    nf_rank,
     nullspace,
     poly_at_matrix,
     rank,
@@ -31,5 +30,5 @@ __all__ = [
     "alg_power", "alg_reciprocal", "NumberField", "coefficient",
     "coefficient_field", "substitution",
     "Matrix", "char_poly", "companion", "exterior_power", "exterior_square_cyclic",
-    "nf_rank", "nullspace", "poly_at_matrix", "rank",
+    "nullspace", "poly_at_matrix", "rank",
 ]

@@ -235,11 +235,6 @@ def rank(m: Matrix) -> int:
     return len(_echelon(m)[1])
 
 
-def nf_rank(m: Matrix) -> int:
-    """Rank over the ambient number field Q(lambda)."""
-    return rank(m)
-
-
 def nullspace(m: Matrix):
     """Exact kernel basis (list of column vectors) over a field with exact
     division: per free column f, the kernel vector that is 1 at f and 0 at

@@ -4,17 +4,19 @@ Decides whether the kernel of d_theta on invariant 2-forms meets the open cone
 of J-taming (resp. J-compatible) positive forms.  The d_theta-closedness side
 is exact (the kernel basis is computed by rational elimination).  Infeasibility
 is first sought as an exact rank-one certificate: a vector v with
-omega(v, Jv) = 0 over Q for every kernel basis form omega.  Then Z = v v^T is
-positive semidefinite, nonzero and orthogonal to every Sym(omega_i(., J.)), so
-no combination is positive definite (theorem of alternatives for strict LMIs,
-Boyd & Vandenberghe, Convex Optimization, 5.8-5.9) and the verdict is
-"infeasible (certified)".  Feasibility is then sought as an exact certificate:
-a small integer combination x of the basis forms (a {-1, 0, 1} vector, at most
-MAX_CANDIDATES of them, by support size and then lexicographically) with
-Sym(omega(., J.)) positive definite over Q, every leading principal minor
-positive by fraction-free elimination (Sylvester's criterion).  Only when no
-candidate passes does a projected subgradient ascent decide in floating point;
-a feasible ascent point is rationalised and checked the same way.  A feasible
+omega(v, Jv) = 0 over Q for every kernel basis form omega, among the basis
+vectors and then a rational basis of ker theta cap ker(theta o J).  Then
+Z = v v^T is positive semidefinite, nonzero and orthogonal to every
+Sym(omega_i(., J.)), so no combination is positive definite (theorem of
+alternatives for strict LMIs, Boyd & Vandenberghe, Convex Optimization,
+5.8-5.9) and the verdict is "infeasible (certified)".  Feasibility is then
+sought as an exact certificate: a small integer combination x of the basis
+forms (a {-1, 0, 1} vector, at most MAX_CANDIDATES of them, by support size
+and then lexicographically) with Sym(omega(., J.)) positive definite over Q,
+every leading principal minor positive by fraction-free elimination
+(Sylvester's criterion).  Only when no candidate passes does a projected
+subgradient ascent decide in floating point; a feasible ascent point is
+rationalised and checked the same way.  A feasible
 verdict carries x in `certificate` (rational strings) and in `coefficients`
 (floats), with `lambda_min` the float smallest eigenvalue at x/|x|; a feasible
 verdict without a certificate, and an uncertified infeasible one, are float
@@ -27,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 
 from .chevalley import (
     InvariantForm,
@@ -145,12 +147,12 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
                        tol=FEASIBILITY_TOL, restarts=DEFAULT_RESTARTS,
                        max_iters=DEFAULT_MAX_ITERS, seed=0) -> TamingCertificate:
     """Decide whether some kernel form omega has Sym(omega(., J.)) positive
-    definite: by an exact rank-one certificate of infeasibility when a basis
-    vector gives one, then by an exact certificate of feasibility when a small
-    integer combination gives one, otherwise by the restarted ascent of
-    `_ascent`, which calls the search feasible when lambda_min exceeds tol
-    (0 <= tol < inf); its feasible point is certified if a rationalisation
-    of it passes the exact check."""
+    definite: by an exact rank-one certificate of infeasibility when
+    `_rank_one_certificate` finds one, then by an exact certificate of
+    feasibility when a small integer combination gives one, otherwise by the
+    restarted ascent of `_ascent`, which calls the search feasible when
+    lambda_min exceeds tol (0 <= tol < inf); its feasible point is certified
+    if a rationalisation of it passes the exact check."""
     if kind not in ("taming", "lck"):
         raise ValueError("kind must be 'taming' or 'lck'")
     if not 0 <= tol < math.inf:
@@ -261,12 +263,16 @@ def _pairing(form: InvariantForm, v, jv):
 
 
 def _rank_one_certificate(model, basis):
-    """A basis vector v = e_j with omega(v, Jv) = 0 exactly for every form in
-    `basis`, or None.  Z = v v^T is then a nonzero positive semidefinite
+    """A vector v with omega(v, Jv) = 0 exactly for every form in `basis`, or
+    None: a basis vector e_j, else one of a rational basis of
+    ker theta cap ker(theta o J), where every d_theta-exact form vanishes on
+    (v, Jv) if [v, Jv] = 0.  Z = v v^T is then a nonzero positive semidefinite
     matrix with <Z, Sym(omega(., J.))> = 0 on the span, which excludes a
     positive definite member."""
-    for j in range(model.dim):
-        v = [Fraction(int(i == j)) for i in range(model.dim)]
+    n = model.dim
+    units = ([Fraction(int(i == j)) for i in range(n)] for j in range(n))
+    theta_j = [sum(t * row[j] for t, row in zip(model.theta, model.J)) for j in range(n)]
+    for v in chain(units, nullspace(Matrix.from_rows([model.theta, theta_j]))):
         jv = model.apply_J(v)
         if all(_pairing(b, v, jv) == 0 for b in basis):
             return v

@@ -44,7 +44,7 @@ from novikov.exact import (
     exterior_power,
     exterior_square_cyclic,
     isolate_real_roots,
-    nf_rank,
+    rank,
     NumberField,
     sturm_sequence,
     count_roots,
@@ -265,7 +265,7 @@ def test_criterion_13_exact_algebra_properties():
         got = count_roots(p, Fraction(-30), Fraction(30), sturm_sequence(p))
         assert got == want, coeffs
 
-    # nf_rank vs float rank at 1e-9 on 100 random matrices over Q(sqrt2)
+    # exact rank vs float rank at 1e-9 on 100 random matrices over Q(sqrt2)
     nf = NumberField(AlgebraicReal.from_poly(IntPoly((-2, 0, 1)),
                                              Fraction(1), Fraction(2)))
     x = nf.gen()
@@ -277,8 +277,8 @@ def test_criterion_13_exact_algebra_properties():
             a_i, b_i = rng.randint(-3, 3), rng.randint(-3, 3)
             elems.append(nf.scalar(a_i) + nf.scalar(b_i) * x)
             floats.append(a_i + b_i * s2)
-        assert nf_rank(Matrix(rows, cols, elems)) == np.linalg.matrix_rank(
+        assert rank(Matrix(rows, cols, elems)) == np.linalg.matrix_rank(
             np.array(floats).reshape(rows, cols), tol=1e-9)
 
     report(13, "exterior functoriality, cofactor identity, Sturm vs float "
-               "oracle (100 polys), nf_rank vs float rank (100 matrices)")
+               "oracle (100 polys), exact rank vs float rank (100 matrices)")

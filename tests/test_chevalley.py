@@ -210,9 +210,17 @@ def test_delta_adjointness():
 # -- validation --------------------------------------------------------------
 
 def test_validate_catalog_models():
-    for model in (s0_algebra(), splus_algebra(), splus_coframe_model(),
-                  ot_algebra(1), ot_algebra(2), abelian_algebra(4)):
-        assert validate(model).ok
+    # the catalog builds its Lie algebras unchecked; this is their check.  Over
+    # Q(params) it holds for every parameter value: the coefficients are
+    # polynomials, so no value is a pole
+    models = [s0_algebra(), splus_algebra(), splus_algebra(Fraction(2, 3)),
+              splus_coframe_model()]
+    models += [ot_algebra(s) for s in range(1, 6)]
+    models += [ot_algebra(s, alpha_list=[Fraction(i + 2, 3) for i in range(s)])
+               for s in range(1, 6)]
+    models += [abelian_algebra(n) for n in range(1, 13)]
+    for model in models:
+        assert validate(model).ok, model.name
 
 
 def test_validate_reports_jacobi():

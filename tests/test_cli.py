@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import novikov
+from novikov import catalog, chevalley, cli, modelfile
 from novikov.cli import _instantiated_s0, build_parser, main, resolve_model
 from novikov.catalog import default_s0, ot_algebra
 from novikov.chevalley import wedge_basis
@@ -246,6 +247,44 @@ def test_verify_all_catalog(capsys):
     doc = last_json(out)
     assert doc["ok"] is True
     assert len(doc["models"]) >= 10
+
+
+CATALOG_ALGEBRAS = (["s0-algebra", "splus-algebra", "splus-coframe"]
+                    + [f"ot:{s}" for s in range(1, 6)]
+                    + [f"abelian{n}" for n in range(1, 13)])
+
+
+def count_validate(monkeypatch):
+    """The names of the models validated from now on, under every binding of
+    chevalley.validate."""
+    calls = []
+    original = chevalley.validate
+
+    def counted(model):
+        calls.append(model.name)
+        return original(model)
+
+    for module in (chevalley, cli, modelfile):
+        monkeypatch.setattr(module, "validate", counted)
+    return calls
+
+
+def test_catalog_algebras_are_built_without_validation(monkeypatch):
+    calls = count_validate(monkeypatch)
+    assert not hasattr(catalog, "validate")
+    for name in CATALOG_ALGEBRAS:
+        resolve_model(name)
+    assert calls == []
+
+
+def test_verify_validates_each_algebra_once(monkeypatch, capsys):
+    calls = count_validate(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--all-catalog")
+    assert code == 0
+    algebras = [m for m in last_json(out)["models"]
+                if m["checks"][0]["name"] == "structure_valid"]
+    assert len(algebras) == 6
+    assert len(calls) == len(set(calls)) == len(algebras)
 
 
 ALGEBRA_DOC = {"type": "lie_algebra", "dim": 2,

@@ -123,6 +123,23 @@ def test_catalog_cohomology_matches_full_elimination(model):
     assert twisted_ce_cohomology(model) == symbolic_cohomology(model)
 
 
+@pytest.mark.parametrize("model", [
+    abelian_algebra(4), abelian_algebra(3), splus_algebra(Fraction(2, 3)),
+    s0_algebra().instantiate({"r": Fraction(1, 2), "s": 1})], ids=lambda m: m.name)
+def test_a_model_without_parameters_runs_one_rank_per_degree(monkeypatch, model):
+    # abelian4 at theta = 0 leaves k = 0 unpinned by the bound: no rank of it
+    # may run a second time
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(chevalley, "rank", counted)
+    assert twisted_ce_cohomology(model) == symbolic_cohomology(model)
+    assert len(calls) == model.dim
+
+
 def test_ot2_runs_no_rank_over_the_parameters(monkeypatch):
     def rational_only(m):
         assert not any(isinstance(e, FracElement) for e in m.entries)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from novikov import lck_cone
@@ -379,6 +379,9 @@ def test_exact_search_agrees_with_the_ascent_on_catalog_models(data):
         assert_exactly_certified(model, cert)
 
 
+# ([1, 1, 0, 0], 0, 2) gives [[0, 1], [1, 0]]: elimination with a row swap
+# meets positive pivots there, so the check must refuse the swap
+@example(([1, 1, 0, 0], 0, 2))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n),
@@ -429,3 +432,23 @@ def test_certified_infeasible_verdicts_build_no_float_j(monkeypatch):
     for kind in ("taming", "lck"):
         cert = taming_feasibility(model, kind=kind, theta=theta)
         assert cert.verdict == "infeasible (certified)"
+
+
+@pytest.mark.parametrize("theta", [(1, 2, 3, 4), (1, 0, 0, 0), (3, -1, 2, 5)])
+def test_isotropic_vectors_of_theta_certify_abelian4(monkeypatch, theta):
+    # every kernel form is theta ^ alpha, which vanishes on (v, Jv) for v in
+    # ker theta cap ker(theta o J); no basis vector lies there for (1, 2, 3, 4)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ascent ran on a certifiable query")
+
+    monkeypatch.setattr(lck_cone, "_ascent", refuse)
+    model = abelian_algebra(4)
+    theta = tuple(map(Fraction, theta))
+    for kind in ("taming", "lck"):
+        cert = taming_feasibility(model, kind=kind, theta=theta)
+        assert cert.verdict == "infeasible (certified)"
+        v = cert.certificate
+        assert any(v)
+        flipped = replace(model, theta=theta)
+        for form in _cone_basis(flipped, kind):
+            assert omega_v_jv(model, form, v) == 0

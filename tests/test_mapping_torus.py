@@ -20,7 +20,7 @@ from novikov.exact import (
     char_poly,
     exterior_power,
     isolate_real_roots,
-    nf_rank,
+    rank,
 )
 from novikov.mapping_torus import (
     BettiProfile,
@@ -285,7 +285,7 @@ def nf_kappa(phi, lam):
     size = phi.rows
     entries = [gen * phi[i, j] - (nf.one() if i == j else nf.zero())
                for i in range(size) for j in range(size)]
-    return size - nf_rank(Matrix(size, size, entries))
+    return size - rank(Matrix(size, size, entries))
 
 
 def block_diag(*blocks):

@@ -11,7 +11,7 @@ from novikov.exact import (
     Matrix,
     NumberField,
     isolate_real_roots,
-    nf_rank,
+    rank,
 )
 from novikov.exact.polynomials import is_irreducible
 
@@ -99,11 +99,11 @@ def test_nf_rank_known():
     x = nf.gen()
     one, zero = nf.one(), nf.zero()
     ident = Matrix(3, 3, [one if i == j else zero for i in range(3) for j in range(3)])
-    assert nf_rank(ident) == 3
+    assert rank(ident) == 3
     # row 2 = x * row 1: rank 1
     m = Matrix(2, 2, [one, x, x, x * x])
-    assert nf_rank(m) == 1
-    assert nf_rank(Matrix(2, 2, [zero] * 4)) == 0
+    assert rank(m) == 1
+    assert rank(Matrix(2, 2, [zero] * 4)) == 0
 
 
 def test_nf_rank_against_float_svd():
@@ -124,7 +124,7 @@ def test_nf_rank_against_float_svd():
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             elems.append(nf.scalar(a) + nf.scalar(b) * x)
             floats.append(a + b * s2)
-        exact = nf_rank(Matrix(rows, cols, elems))
+        exact = rank(Matrix(rows, cols, elems))
         approx = np.linalg.matrix_rank(
             np.array(floats).reshape(rows, cols), tol=1e-9)
         assert exact == approx
