@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from sympy.polys.polyerrors import CoercionFailed
@@ -492,21 +492,13 @@ def obstruction_search(model: LieAlgebraModel, samples=2000, seed=0):
     n = model.dim
     if model.J is None:
         raise LieModelError("obstruction search needs a complex structure J")
-    for i in range(n):
-        vec = tuple(Fraction(int(i == j)) for j in range(n))
-        if _is_certificate(model, vec):
-            return vec
+    units = (tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
     coeff_range = [Fraction(c) for c in range(-4, 5) if c]
-    for i, j in combinations(range(n), 2):
-        for a in coeff_range:
-            for b in coeff_range:
-                vec = [Fraction(0)] * n
-                vec[i], vec[j] = a, b
-                if _is_certificate(model, tuple(vec)):
-                    return tuple(vec)
-    rng = random.Random(seed)
-    for _ in range(samples):
-        vec = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
-        if _is_certificate(model, vec):
-            return vec
-    return None
+    two_term = (tuple(a if k == i else b if k == j else Fraction(0) for k in range(n))
+                for i, j in combinations(range(n), 2)
+                for a in coeff_range for b in coeff_range)
+    rng = random.Random(seed)  # drawn from lazily, as the sample is reached
+    sampled = (tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
+               for _ in range(samples))
+    return next((vec for vec in chain(units, two_term, sampled)
+                 if _is_certificate(model, vec)), None)

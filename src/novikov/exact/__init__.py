@@ -19,6 +19,7 @@ from .matrices import (
     companion,
     exterior_power,
     exterior_square_cyclic,
+    is_positive_definite,
     nullspace,
     poly_at_matrix,
     rank,
@@ -30,5 +31,5 @@ __all__ = [
     "alg_power", "alg_reciprocal", "NumberField", "coefficient",
     "coefficient_field", "substitution",
     "Matrix", "char_poly", "companion", "exterior_power", "exterior_square_cyclic",
-    "nullspace", "poly_at_matrix", "rank",
+    "is_positive_definite", "nullspace", "poly_at_matrix", "rank",
 ]

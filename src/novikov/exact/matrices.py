@@ -209,24 +209,44 @@ def _echelon(m: Matrix):
         if pivot is None:
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        prow = rows[rk]
-        piv = prow[col]
-        for r in range(rk + 1, m.rows):
-            x = rows[r][col]
-            if rational:
-                if x:
-                    rows[r] = _primitive([piv * a - x * b for a, b in zip(rows[r], prow)])
-            elif x:
-                factor = x / piv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
+        if rational:
+            _reduce_below(rows, rk, col)
+        else:
+            prow = rows[rk]
+            for r in range(rk + 1, m.rows):
+                if x := rows[r][col]:
+                    factor = x / prow[col]
+                    rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
         pivots.append(col)
     return rows, pivots
+
+
+def _reduce_below(rows, k, col):
+    """Replace each int row below row k with x != 0 in column col by the
+    primitive part of piv*row - x*rows[k], piv = rows[k][col]."""
+    prow, piv = rows[k], rows[k][col]
+    for r in range(k + 1, len(rows)):
+        if x := rows[r][col]:
+            rows[r] = _primitive([piv * a - x * b for a, b in zip(rows[r], prow)])
 
 
 def _primitive(row):
     """An int row divided by the gcd of its entries; a zero row stays zero."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
+
+
+def is_positive_definite(rows) -> bool:
+    """Whether a symmetric int matrix (its rows) is positive definite, by
+    Sylvester's criterion: ``_reduce_below`` without row exchanges meets only
+    positive pivots.  While they are positive it keeps every row's sign, so a
+    pivot has the sign of a ratio of consecutive leading principal minors."""
+    rows = [list(r) for r in rows]
+    for k in range(len(rows)):
+        if rows[k][k] <= 0:
+            return False
+        _reduce_below(rows, k, k)
+    return True
 
 
 def rank(m: Matrix) -> int:

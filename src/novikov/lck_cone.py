@@ -2,25 +2,27 @@
 
 Decides whether the kernel of d_theta on invariant 2-forms meets the open cone
 of J-taming (resp. J-compatible) positive forms.  The d_theta-closedness side
-is exact (the kernel basis is computed by rational elimination).  Infeasibility
-is first sought as an exact rank-one certificate: a vector v with
-omega(v, Jv) = 0 over Q for every kernel basis form omega, among the basis
-vectors and then a rational basis of ker theta cap ker(theta o J).  Then
-Z = v v^T is positive semidefinite, nonzero and orthogonal to every
-Sym(omega_i(., J.)), so no combination is positive definite (theorem of
+is exact (the kernel basis is computed by rational elimination).  The cone is
+held as the matrices S_i = Sym(omega_i(., J.)) of its basis forms: integers
+over one common denominator, read as floats only by the ascent and lambda_min.
+Infeasibility is first sought as an exact rank-one certificate: a vector v
+with omega(v, Jv) = v^T S_i v = 0 for every i (for an empty basis, v = e_1),
+among the basis vectors and then a rational basis of ker theta cap
+ker(theta o J).  Then Z = v v^T is positive semidefinite, nonzero and
+orthogonal to every S_i, so no combination is positive definite (theorem of
 alternatives for strict LMIs, Boyd & Vandenberghe, Convex Optimization,
 5.8-5.9) and the verdict is "infeasible (certified)".  Feasibility is then
 sought as an exact certificate: a small integer combination x of the basis
 forms (a {-1, 0, 1} vector, at most MAX_CANDIDATES of them, by support size
-and then lexicographically) with Sym(omega(., J.)) positive definite over Q,
-every leading principal minor positive by fraction-free elimination
-(Sylvester's criterion).  Only when no candidate passes does a projected
-subgradient ascent decide in floating point; a feasible ascent point is
-rationalised and checked the same way.  A feasible
-verdict carries x in `certificate` (rational strings) and in `coefficients`
-(floats), with `lambda_min` the float smallest eigenvalue at x/|x|; a feasible
-verdict without a certificate, and an uncertified infeasible one, are float
-evidence, not proof, and say so.
+and then lexicographically) with sum x_i S_i positive definite, every leading
+principal minor positive by the elimination step of `rank` without row
+exchanges (Sylvester's criterion).  Only when no candidate passes does a
+projected subgradient ascent decide in floating point; a feasible ascent point
+is rationalised and checked the same way.  A feasible verdict carries x in
+`certificate` (rational strings) and in `coefficients` (floats), with
+`lambda_min` the float smallest eigenvalue at x/|x|; a feasible verdict
+without a certificate, and an uncertified infeasible one, are float evidence,
+not proof, and say so.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .chevalley import (
     d_theta_matrix,
     wedge_basis,
 )
-from .exact import Matrix, exterior_power, nullspace
+from .exact import Matrix, exterior_power, is_positive_definite, nullspace
 
 FEASIBILITY_TOL = 1e-6
 DEFAULT_RESTARTS = 64
@@ -95,37 +97,12 @@ def kernel_basis(model: LieAlgebraModel):
     return [InvariantForm(model.dim, 2, tuple(vec)) for vec in basis]
 
 
-def form_to_matrix(form: InvariantForm):
-    """Antisymmetric matrix W with W[u, v] = omega(e_u, e_v), as floats."""
-    import numpy as np  # numpy is loaded only where the cone needs floats
-
-    n = form.dim
-    w = np.zeros((n, n))
-    for (i, j), c in zip(wedge_basis(n, 2), form.coeffs):
-        v = float(c)
-        w[i, j] = v
-        w[j, i] = -v
-    return w
-
-
-def _require_j(model):
-    if model.J is None:
-        raise LieModelError("cone feasibility needs a complex structure J")
-    return model.J
-
-
-def _j_float(model):
-    import numpy as np
-
-    return np.array([[float(c) for c in row] for row in _require_j(model)])
-
-
 def _j_invariant_subbasis(model, basis):
     """Restrict a kernel basis to the J-invariant forms omega(J., J.) = omega,
     exactly over Q.  The coefficients of omega(J., J.) are Lambda^2(J)^T
     applied to those of omega, so the combinations sought span the kernel of
     (Lambda^2(J)^T - I) B, where B holds the basis forms as columns."""
-    jmat = Matrix.from_rows(_require_j(model))
+    jmat = Matrix.from_rows(model.J)
     if not basis:
         return []
     b = Matrix.from_rows(list(zip(*(form.coeffs for form in basis))))
@@ -159,36 +136,34 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if theta is not None:
         model = replace(model, theta=theta)
-    basis = _cone_basis(model, kind)
-    if not basis:
-        return TamingCertificate([], 0.0, kind, False, reason="kernel is zero")
-    _require_j(model)
-    v = _rank_one_certificate(model, basis)
+    if model.J is None:
+        raise LieModelError("cone feasibility needs a complex structure J")
+    mats, den = _integer_sym_matrices(model, _cone_basis(model, kind))
+    v = _rank_one_certificate(model, mats)
     if v is not None:
         shown = ", ".join(map(str, v))
         return TamingCertificate(
             [], 0.0, kind, False, certificate=v,
             reason=f"omega(v, Jv) = 0 over Q for v = ({shown}) and every kernel form")
-    mats = _integer_sym_matrices(model, basis)
-    for x in _candidates(len(basis)):
+    for x in _candidates(len(mats)):
         if _combination_is_positive_definite(mats, x):
-            return _certified(model, basis, kind, x, "the integer combination")
-    jmat = _j_float(model)
-    cert = _ascent(basis, jmat, kind, tol, restarts, max_iters, seed)
+            return _certified(_as_floats(mats, den), kind, x, "the integer combination")
+    floats = _as_floats(mats, den)
+    cert = _ascent(floats, kind, tol, restarts, max_iters, seed)
     if not cert.feasible:
         return cert
-    for den in RATIONALISE_DENOMINATORS:
-        x = [Fraction(c).limit_denominator(den) for c in cert.coefficients]
+    for d in RATIONALISE_DENOMINATORS:
+        x = [Fraction(c).limit_denominator(d) for c in cert.coefficients]
         if _combination_is_positive_definite(mats, x):
-            return _certified(model, basis, kind, x,
-                              f"the ascent point rationalised at denominator {den}")
+            return _certified(floats, kind, x,
+                              f"the ascent point rationalised at denominator {d}")
     return replace(cert, reason=(
         f"lambda_min > tol in floating point; no rationalisation up to "
         f"denominator {RATIONALISE_DENOMINATORS[-1]} passes the exact check, "
         "so this is evidence, not proof"))
 
 
-def _certified(model, basis, kind, x, source) -> TamingCertificate:
+def _certified(floats, kind, x, source) -> TamingCertificate:
     """Feasible verdict backed by the exact check on the coefficients x, with
     lambda_min the float smallest eigenvalue at x/|x| (one eigh)."""
     import numpy as np
@@ -196,8 +171,7 @@ def _certified(model, basis, kind, x, source) -> TamingCertificate:
     x = [Fraction(c) for c in x]
     unit = np.array([float(c) for c in x])
     unit /= np.linalg.norm(unit)
-    mats = _float_sym_matrices(basis, _j_float(model))
-    lam = np.linalg.eigh(np.tensordot(unit, mats, axes=1))[0][0]
+    lam = np.linalg.eigh(np.tensordot(unit, floats, axes=1))[0][0]
     shown = ", ".join(map(str, x))
     reason = (f"Sym(omega(., J.)) is positive definite over Q at {source} "
               f"x = ({shown}) of the basis forms: every leading principal "
@@ -207,11 +181,11 @@ def _certified(model, basis, kind, x, source) -> TamingCertificate:
 
 
 def _integer_sym_matrices(model, basis):
-    """The matrices Sym(omega_i(., J.)) = (W_i J + (W_i J)^T) / 2 of the basis
-    forms over Q, times one common denominator, as integer rows.  A common
-    positive factor leaves every combination's definiteness as it is."""
-    n = model.dim
-    jrows = model.J
+    """(mats, den): the matrices Sym(omega_i(., J.)) = (W_i J + (W_i J)^T) / 2
+    of the basis forms over Q, times their common denominator den, as integer
+    rows.  A common positive factor leaves every combination's definiteness,
+    and every zero of v^T S_i v, as it is."""
+    n, jrows = model.dim, model.J
     mats = []
     for form in basis:
         wj = [[Fraction(0)] * n for _ in range(n)]  # W J, row by row
@@ -222,7 +196,15 @@ def _integer_sym_matrices(model, basis):
                     wj[k][t] -= c * jrows[i][t]
         mats.append([[(wj[u][t] + wj[t][u]) / 2 for t in range(n)] for u in range(n)])
     den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
-    return [[[int(x * den) for x in row] for row in m] for m in mats]
+    return [[[int(x * den) for x in row] for row in m] for m in mats], den
+
+
+def _as_floats(mats, den):
+    """The S_i = mats[i] / den as floats, stacked: one correctly rounded int
+    division per entry, also where an entry or den is past the float range."""
+    import numpy as np  # numpy is loaded only where the cone needs floats
+
+    return np.array([[[x / den for x in row] for row in m] for m in mats])
 
 
 def _candidates(d):
@@ -238,67 +220,47 @@ def _candidates(d):
 
 def _combination_is_positive_definite(mats, x):
     """Whether sum x_i mats[i] is positive definite, for rational x, exactly:
-    x is scaled to integers and the sum's leading principal minors are the
-    pivots of fraction-free (Bareiss) elimination without row exchanges."""
+    x is scaled to integers and the sum goes to `is_positive_definite`."""
     den = math.lcm(*(Fraction(c).denominator for c in x))
     xs = [int(Fraction(c) * den) for c in x]
     n = len(mats[0])
-    a = [[sum(c * m[u][t] for c, m in zip(xs, mats) if c) for t in range(n)]
-         for u in range(n)]
-    prev = 1
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return True
+    return is_positive_definite(
+        [[sum(c * m[u][t] for c, m in zip(xs, mats) if c) for t in range(n)]
+         for u in range(n)])
 
 
-def _pairing(form: InvariantForm, v, jv):
-    """omega(v, Jv) over Q, from the form's coefficients on e^i ^ e^k."""
-    return sum(c * (v[i] * jv[k] - v[k] * jv[i])
-               for (i, k), c in zip(wedge_basis(form.dim, 2), form.coeffs) if c)
+def _quadratic_form(m, v):
+    """v^T m v, summed over the nonzero entries of v only."""
+    support = [u for u, c in enumerate(v) if c]
+    return sum(v[u] * m[u][t] * v[t] for u in support for t in support)
 
 
-def _rank_one_certificate(model, basis):
-    """A vector v with omega(v, Jv) = 0 exactly for every form in `basis`, or
-    None: a basis vector e_j, else one of a rational basis of
-    ker theta cap ker(theta o J), where every d_theta-exact form vanishes on
-    (v, Jv) if [v, Jv] = 0.  Z = v v^T is then a nonzero positive semidefinite
-    matrix with <Z, Sym(omega(., J.))> = 0 on the span, which excludes a
-    positive definite member."""
+def _rank_one_candidates(model):
+    """The e_j, then a rational basis of ker theta cap ker(theta o J), where every
+    d_theta-exact form vanishes on (v, Jv) if [v, Jv] = 0."""
     n = model.dim
     units = ([Fraction(int(i == j)) for i in range(n)] for j in range(n))
     theta_j = [sum(t * row[j] for t, row in zip(model.theta, model.J)) for j in range(n)]
-    for v in chain(units, nullspace(Matrix.from_rows([model.theta, theta_j]))):
-        jv = model.apply_J(v)
-        if all(_pairing(b, v, jv) == 0 for b in basis):
-            return v
-    return None
+    return chain(units, nullspace(Matrix.from_rows([model.theta, theta_j])))
 
 
-def _float_sym_matrices(basis, jmat):
-    """Sym(omega(., J.)) of every basis form, in floats, stacked."""
+def _rank_one_certificate(model, mats):
+    """A candidate vector v with v^T S v = omega(v, Jv) = 0 exactly for every
+    matrix S = Sym(omega(., J.)) in `mats`, or None.  Z = v v^T is then a
+    nonzero positive semidefinite matrix with <Z, S> = 0 on the span, which
+    excludes a positive definite member."""
+    return next((v for v in _rank_one_candidates(model)
+                 if not any(_quadratic_form(m, v) for m in mats)), None)
+
+
+def _ascent(mats, kind, tol, restarts, max_iters, seed) -> TamingCertificate:
+    """Maximize lambda_min(sum x_i mats[i]) over the unit sphere of the
+    cone-basis coefficient space, mats the S_i in floats (`_as_floats`), by
+    projected subgradient ascent with restarts.  Its infeasible verdict is
+    evidence, not proof."""
     import numpy as np
 
-    mats = []
-    for b in basis:
-        m = form_to_matrix(b) @ jmat
-        mats.append((m + m.T) / 2)
-    return np.array(mats)
-
-
-def _ascent(basis, jmat, kind, tol, restarts, max_iters, seed) -> TamingCertificate:
-    """Maximize lambda_min(Sym(omega(., J.))) over the unit sphere of the
-    kernel-coefficient space by projected subgradient ascent with restarts.
-    Its infeasible verdict is evidence, not proof."""
-    import numpy as np
-
-    mats = _float_sym_matrices(basis, jmat)
     rng = np.random.default_rng(seed)
-    dim = len(basis)
 
     def lam_min(x):
         vals, vecs = np.linalg.eigh(np.tensordot(x, mats, axes=1))
@@ -306,7 +268,7 @@ def _ascent(basis, jmat, kind, tol, restarts, max_iters, seed) -> TamingCertific
 
     best_x, best_val = None, -np.inf
     for _ in range(restarts):
-        x = rng.standard_normal(dim)
+        x = rng.standard_normal(len(mats))
         x /= np.linalg.norm(x)
         run_best, stale = -np.inf, 0
         for it in range(1, max_iters + 1):

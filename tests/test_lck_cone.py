@@ -18,24 +18,27 @@ from novikov.catalog import (
     splus_algebra,
 )
 from novikov.chevalley import (
-    InvariantForm,
     LieAlgebraModel,
     LieModelError,
     d_theta_apply,
     wedge_basis,
 )
+from novikov.exact import Matrix
+from novikov.exact.matrices import _echelon
 from novikov.lck_cone import (
     FEASIBILITY_TOL,
     MAX_CANDIDATES,
     TamingCertificate,
+    _as_floats,
     _ascent,
     _candidates,
     _combination_is_positive_definite,
     _cone_basis,
-    _j_float,
+    _integer_sym_matrices,
+    _quadratic_form,
+    _rank_one_candidates,
     _rank_one_certificate,
     certificate_form,
-    form_to_matrix,
     kernel_basis,
     taming_feasibility,
 )
@@ -95,13 +98,6 @@ def test_kernel_contains_tricerri_form():
 def test_kernel_requires_instantiation():
     with pytest.raises(LieModelError):
         kernel_basis(s0_algebra())
-
-
-def test_form_to_matrix_antisymmetric():
-    form = InvariantForm.from_dict(4, 2, {(0, 1): 2, (2, 3): -1})
-    w = form_to_matrix(form)
-    assert np.allclose(w, -w.T)
-    assert w[0, 1] == 2 and w[2, 3] == -1
 
 
 def test_taming_feasible_s0():
@@ -177,12 +173,20 @@ def test_degenerate_kernel_infeasible():
     assert not cert.feasible
 
 
-def test_empty_kernel_reports_infeasible():
-    # a one-generator algebra has no invariant 2-forms at all
-    from novikov.chevalley import LieAlgebraModel
-    cert = taming_feasibility(LieAlgebraModel(dim=1), kind="taming")
-    assert not cert.feasible
-    assert cert.reason == "kernel is zero"
+def test_empty_kernel_reports_infeasible(monkeypatch):
+    # a one-generator algebra has no invariant 2-forms at all, and no J
+    with pytest.raises(LieModelError):
+        taming_feasibility(LieAlgebraModel(dim=1), kind="taming")
+    # with J, an empty span holds no positive form, and v = e_1 proves it
+    monkeypatch.setattr(lck_cone, "_cone_basis", lambda model, kind: [])
+    for kind in ("taming", "lck"):
+        cert = taming_feasibility(abelian_algebra(4), kind=kind)
+        assert cert.verdict == "infeasible (certified)"
+        assert cert.certificate == [1, 0, 0, 0]
+
+
+def test_no_matrices_give_the_first_basis_vector():
+    assert _rank_one_certificate(abelian_algebra(4), []) == [1, 0, 0, 0]
 
 
 def test_requires_J():
@@ -245,6 +249,11 @@ def s0_at_inverse_alpha():
     return model, tuple(-c for c in model.theta)
 
 
+def float_matrices(model, basis):
+    """The matrices the ascent runs on: the cone's integer matrices in floats."""
+    return _as_floats(*_integer_sym_matrices(model, basis))
+
+
 def omega_v_jv(model, form, v):
     """omega(v, Jv) over Q through the form's antisymmetric matrix and
     model.apply_J: an oracle independent of the certificate search."""
@@ -275,9 +284,10 @@ def test_ascent_survives_a_step_onto_the_origin():
     # has eigenvalues [0, 0, 1, 1]; a restart from x = -1 steps onto x = 0
     # (np.linalg.LinAlgError before the ascent stopped there)
     model, theta = s0_at_inverse_alpha()
-    basis = _cone_basis(replace(model, theta=theta), "lck")
+    flipped = replace(model, theta=theta)
+    basis = _cone_basis(flipped, "lck")
     assert len(basis) == 1
-    cert = _ascent(basis, _j_float(model), "lck", FEASIBILITY_TOL,
+    cert = _ascent(float_matrices(flipped, basis), "lck", FEASIBILITY_TOL,
                    restarts=8, max_iters=300, seed=0)
     assert cert.verdict == "infeasible (evidence, not proof)"
     assert len(cert.coefficients) == 1
@@ -324,10 +334,11 @@ def test_rank_one_certificate_agrees_with_the_ascent(data):
     basis = _cone_basis(model, kind)
     if not basis:
         return
-    search = _ascent(basis, _j_float(model), kind, FEASIBILITY_TOL,
+    mats, den = _integer_sym_matrices(model, basis)
+    search = _ascent(_as_floats(mats, den), kind, FEASIBILITY_TOL,
                      restarts=4, max_iters=300, seed=0)
     cert = taming_feasibility(model, kind=kind, restarts=4, max_iters=300, seed=0)
-    v = _rank_one_certificate(model, basis)
+    v = _rank_one_certificate(model, mats)
     if v is None:
         assert cert.feasible == search.feasible
         if cert.feasible:
@@ -372,7 +383,7 @@ def test_exact_search_agrees_with_the_ascent_on_catalog_models(data):
     if not basis:
         assert not cert.feasible
         return
-    search = _ascent(basis, _j_float(model), kind, FEASIBILITY_TOL,
+    search = _ascent(float_matrices(model, basis), kind, FEASIBILITY_TOL,
                      restarts=4, max_iters=300, seed=0)
     assert cert.feasible == search.feasible
     if cert.feasible:
@@ -395,6 +406,17 @@ def test_sylvester_check_matches_sympy(data):
     for x in ([1], [-1], [Fraction(2, 3)]):
         want = (x[0] * m).is_positive_definite
         assert _combination_is_positive_definite(mats, x) == want
+
+
+@pytest.mark.parametrize("m", [[[0, 1], [1, 0]], [[1, 2, 0], [2, 4, 1], [0, 1, 5]]])
+def test_a_zero_leading_minor_hidden_by_a_row_swap_is_refused(m):
+    # elimination with a row swap meets only positive pivots on both, and
+    # neither is positive definite: a leading principal minor is 0
+    rows, pivots = _echelon(Matrix.from_rows(m))
+    assert pivots == list(range(len(m)))
+    assert all(rows[k][k] > 0 for k in pivots)
+    assert not sp.Matrix(m).is_positive_definite
+    assert not _combination_is_positive_definite([m], [1])
 
 
 def test_candidates_by_support_then_lexicographically():
@@ -424,10 +446,10 @@ def test_uncertified_feasible_verdict_says_so(monkeypatch):
 
 
 def test_certified_infeasible_verdicts_build_no_float_j(monkeypatch):
-    def refuse(model):
-        raise AssertionError("float J built for a certified infeasible verdict")
+    def refuse(mats, den):
+        raise AssertionError("floats built for a certified infeasible verdict")
 
-    monkeypatch.setattr(lck_cone, "_j_float", refuse)
+    monkeypatch.setattr(lck_cone, "_as_floats", refuse)
     model, theta = s0_at_inverse_alpha()
     for kind in ("taming", "lck"):
         cert = taming_feasibility(model, kind=kind, theta=theta)
@@ -452,3 +474,43 @@ def test_isotropic_vectors_of_theta_certify_abelian4(monkeypatch, theta):
         flipped = replace(model, theta=theta)
         for form in _cone_basis(flipped, kind):
             assert omega_v_jv(model, form, v) == 0
+
+
+def float_sym_oracle(model, basis):
+    """Sym(W J) of every basis form from the form's float coefficients: the
+    numpy builder the cone used before its integer matrices."""
+    n = model.dim
+    jmat = np.array([[float(c) for c in row] for row in model.J])
+    mats = []
+    for form in basis:
+        w = np.zeros((n, n))
+        for (i, k), c in zip(wedge_basis(n, 2), form.coeffs):
+            w[i, k], w[k, i] = float(c), -float(c)
+        wj = w @ jmat
+        mats.append((wj + wj.T) / 2)
+    return np.array(mats).reshape(len(basis), n, n)
+
+
+def assert_matrices_match_the_oracles(model, kind):
+    basis = _cone_basis(model, kind)
+    mats, den = _integer_sym_matrices(model, basis)
+    floats = _as_floats(mats, den)
+    assert floats.shape == (len(basis), model.dim, model.dim)
+    assert np.abs(floats - float_sym_oracle(model, basis)).max(initial=0) <= 1e-12
+    # v^T S_i v = den * omega_i(v, Jv) exactly, on every candidate, not only
+    # on the one returned
+    for v in _rank_one_candidates(model):
+        for form, m in zip(basis, mats):
+            assert _quadratic_form(m, v) == den * omega_v_jv(model, form, v)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(almost_abelian_with_j())
+def test_cone_matrices_match_the_float_builder_on_almost_abelian_models(data):
+    assert_matrices_match_the_oracles(*data)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(catalog_point())
+def test_cone_matrices_match_the_float_builder_on_catalog_models(data):
+    assert_matrices_match_the_oracles(*data)
