@@ -150,8 +150,8 @@ def _parse_lambda(text) -> AlgebraicReal:
         ev, mult = parse_eigenvalue_spec(text)
     except SchemaError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
-    if not isinstance(ev, AlgebraicReal) or mult != 1:
-        raise CliError(f"{text!r} does not denote a single real value", EXIT_USAGE)
+    if not isinstance(ev, AlgebraicReal) or mult != 1 or ev.sign() <= 0:
+        raise CliError(f"{text!r} does not denote a single positive real value", EXIT_USAGE)
     return ev
 
 

@@ -17,8 +17,7 @@ from .matrices import (
     Matrix,
     char_poly,
     companion,
-    exterior_power,
-    exterior_square_cyclic,
+    exterior_powers,
     is_positive_definite,
     nullspace,
     poly_at_matrix,
@@ -30,6 +29,6 @@ __all__ = [
     "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp",
     "alg_power", "alg_reciprocal", "NumberField", "coefficient",
     "coefficient_field", "substitution",
-    "Matrix", "char_poly", "companion", "exterior_power", "exterior_square_cyclic",
+    "Matrix", "char_poly", "companion", "exterior_powers",
     "is_positive_definite", "nullspace", "poly_at_matrix", "rank",
 ]

@@ -51,14 +51,8 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for r in range(self.rows):
-            for c in range(other.cols):
-                acc = self[r, 0] * other[0, c]
-                for k in range(1, self.cols):
-                    acc = acc + self[r, k] * other[k, c]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, out)
+        return Matrix(self.rows, other.cols,
+                      [x for row in _mat_mul(self.to_rows(), other.to_rows()) for x in row])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -69,53 +63,37 @@ class Matrix:
         return f"Matrix({self.to_rows()!r})"
 
 
-def exterior_power(m: Matrix, k: int) -> Matrix:
-    """Matrix of the induced map on the k-th exterior power, wedge basis
-    ordered lexicographically on index subsets.  The entries are the k-minors,
-    built order by order, each by Laplace expansion along its first row from
+def exterior_powers(m: Matrix, top: int) -> list:
+    """[Lambda^0(m), ..., Lambda^top(m)], wedge bases ordered lexicographically
+    on index subsets.  The entries are the minors, built in one pass, order by
+    order for all row sets, each by Laplace expansion along its first row from
     the minors one order lower, so only ring arithmetic (+, -, *) is used."""
     if m.rows != m.cols:
         raise ValueError("exterior power needs a square matrix")
     n = m.rows
-    if not 0 <= k <= n:
-        raise ValueError(f"exterior power degree {k} out of range 0..{n}")
-    if k == 0:
-        return Matrix(1, 1, [_one_like(m.entries[0]) if m.entries else 1])
-    # minors[rows, cols] of order j, for the row sets that end some k-subset
-    minors = {((r,), (c,)): m[r, c] for r in range(k - 1, n) for c in range(n)}
-    for j in range(2, k + 1):
-        col_sets = list(combinations(range(n), j))
+    if not 0 <= top <= n:
+        raise ValueError(f"exterior power degree {top} out of range 0..{n}")
+    minors = {((), ()): _one_like(m.entries[0]) if m.entries else 1}
+    powers = [Matrix(1, 1, minors.values())]
+    for j in range(1, top + 1):
+        subsets = list(combinations(range(n), j))
         step = {}
-        for rows_s in combinations(range(k - j, n), j):
+        for rows_s in subsets:
             head, tail = rows_s[0], rows_s[1:]
-            for cols_t in col_sets:
+            for cols_t in subsets:
                 acc = m[head, cols_t[0]] * minors[tail, cols_t[1:]]
                 for p in range(1, j):
                     term = m[head, cols_t[p]] * minors[tail, cols_t[:p] + cols_t[p + 1:]]
                     acc = acc - term if p % 2 else acc + term
                 step[rows_s, cols_t] = acc
         minors = step
-    subsets = list(combinations(range(n), k))
-    return Matrix(len(subsets), len(subsets),
-                  [minors[s, t] for s in subsets for t in subsets])
+        powers.append(Matrix(len(subsets), len(subsets), minors.values()))
+    return powers
 
 
 def _one_like(x):
     # not x - x + 1: a zero FracElement returns the int it is added to
     return 1 + (x - x)
-
-
-def exterior_square_cyclic(m: Matrix) -> Matrix:
-    """Second exterior power of a 3x3 matrix in the cyclic basis
-    {e2^e3, e3^e1, e1^e2}; for M in SL3 this is the transposed adjugate."""
-    if m.rows != 3 or m.cols != 3:
-        raise ValueError("cyclic wedge basis is specific to 3x3")
-    cyc = [(1, 2), (2, 0), (0, 1)]
-    entries = []
-    for (a, b) in cyc:
-        for (c, d) in cyc:
-            entries.append(m[a, c] * m[b, d] - m[a, d] * m[b, c])
-    return Matrix(3, 3, entries)
 
 
 def char_poly(m: Matrix) -> IntPoly:

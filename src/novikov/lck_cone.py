@@ -40,7 +40,7 @@ from .chevalley import (
     d_theta_matrix,
     wedge_basis,
 )
-from .exact import Matrix, exterior_power, is_positive_definite, nullspace
+from .exact import Matrix, exterior_powers, is_positive_definite, nullspace
 
 FEASIBILITY_TOL = 1e-6
 DEFAULT_RESTARTS = 64
@@ -102,11 +102,10 @@ def _j_invariant_subbasis(model, basis):
     exactly over Q.  The coefficients of omega(J., J.) are Lambda^2(J)^T
     applied to those of omega, so the combinations sought span the kernel of
     (Lambda^2(J)^T - I) B, where B holds the basis forms as columns."""
-    jmat = Matrix.from_rows(model.J)
     if not basis:
         return []
     b = Matrix.from_rows(list(zip(*(form.coeffs for form in basis))))
-    image = exterior_power(jmat, 2).transpose().matmul(b)
+    image = exterior_powers(Matrix.from_rows(model.J), 2)[2].transpose().matmul(b)
     combo = nullspace(Matrix(b.rows, b.cols,
                              [x - y for x, y in zip(image.entries, b.entries)]))
     return [InvariantForm(model.dim, 2, tuple(b.matmul(Matrix(b.cols, 1, vec)).entries))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import isfinite
+from operator import add
 
 from .exact import (
     AlgebraicReal,
@@ -29,7 +30,7 @@ from .exact import (
     alg_cmp,
     alg_eq,
     char_poly,
-    exterior_power,
+    exterior_powers,
     isolate_real_roots,
     poly_at_matrix,
     rank,
@@ -86,8 +87,7 @@ def torus_monodromy(phi1, name="") -> FiberModel:
     if any(type(x) is not int for r in rows for x in r):
         raise ModelError("monodromy entries must be integers")
     _check_fiber_dim(n)  # before Lambda^k, whose size grows as binomial(n, k)
-    m = Matrix.from_rows(rows)
-    actions = tuple(exterior_power(m, k) for k in range(n + 1))
+    actions = tuple(exterior_powers(Matrix.from_rows(rows), n))
     det = actions[n].entries[0]  # Lambda^n(M) = [det M]
     if det not in (1, -1):
         raise ModelError(f"monodromy must be invertible over Z, det = {det}")
@@ -137,13 +137,10 @@ def kappa(model: FiberModel, lam: AlgebraicReal, k: int) -> int:
 
 
 def twisted_betti(model: FiberModel, lam: AlgebraicReal) -> BettiProfile:
-    """Full twisted Betti profile b_0..b_{n+1} of the total space."""
-    n = model.dim_fiber
-    kappas = [kappa(model, lam, k) for k in range(n + 1)]
-    betti = [kappas[0]]
-    betti += [kappas[k] + kappas[k - 1] for k in range(1, n + 1)]
-    betti.append(kappas[n])
-    return BettiProfile(lam, tuple(betti))
+    """Full twisted Betti profile b_0..b_{n+1} of the total space,
+    b_k = kappa_k + kappa_{k-1} with kappa_{-1} = kappa_{n+1} = 0."""
+    kappas = [kappa(model, lam, k) for k in range(model.dim_fiber + 1)]
+    return BettiProfile(lam, tuple(map(add, [0] + kappas, kappas + [0])))
 
 
 def exceptional_lambdas(model: FiberModel):

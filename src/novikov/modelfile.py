@@ -7,17 +7,19 @@ Three document types, selected by the top-level "type" key:
   rational ``actions`` matrices or per-degree ``spectra`` of eigenvalue specs
   ``"rational:<p>/<q>"``, ``"poly:<c0,c1,...>@(<lo>,<hi>)"`` and
   ``"conjugate_pair:<mult>"`` (the first two optionally ``[spec, mult]``);
-  ``dim``, ``h_dims`` and multiplicities are JSON integers.  Spectra load as
-  block-diagonal rational actions: m companion blocks of the minimal
-  polynomial p of real eigenvalues listed with multiplicity m, which also
-  take p's complex roots from the declared conjugate pairs, and a rotation
-  block for each pair left over.  So a spectrum must be closed under Galois
-  conjugation: every real root of p listed, all with one multiplicity.
-  Either way H^0 must act as [1] and H^dim as [1] or [-1], and no H^k may
-  exceed ``MAX_H_DIM``.
+  ``dim``, ``h_dims`` and multiplicities are JSON integers, and an action is
+  a JSON array of row arrays.  Spectra load as block-diagonal rational
+  actions: m companion blocks of the minimal polynomial p of real eigenvalues
+  listed with multiplicity m, which also take p's complex roots from the
+  declared conjugate pairs, and a rotation block for each pair left over.
+  So a spectrum must be closed under Galois conjugation: every real root of
+  p listed, all with one multiplicity.  Either way H^0 must act as [1] and
+  H^dim as [1] or [-1], and no H^k may exceed ``MAX_H_DIM``.
 * ``lie_algebra``: ``dim``, optional ``params``, a bracket list
   ``{"i": .., "j": .., "coeffs": {"k": expr}}`` with 1-based generator
-  indices, plus ``theta``, ``J``, ``coframe`` and ``named_forms``.
+  indices, plus ``theta``, ``J``, ``coframe`` and ``named_forms``;
+  ``params``, ``theta``, ``J`` and its rows are JSON arrays, and a named
+  form's ``degree`` is a JSON integer.
 
 Unknown keys are rejected.  A Lie-model coefficient is a JSON number, read
 as written (0.1 is 1/10), or a string of this grammar, evaluated straight
@@ -115,6 +117,13 @@ def _require_keys(doc, required, optional, what):
     unknown = keys - set(required) - set(optional)
     if unknown:
         raise SchemaError(f"{what}: unknown keys {sorted(unknown)}")
+
+
+def _array(value, what):
+    """value, a JSON array: a string would be read one character at a time."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
 
 
 # Caps of the coefficient grammar; see the module docstring.
@@ -246,10 +255,8 @@ def _coefficient_reader(params):
 
 def _load_torus_monodromy(doc):
     _require_keys(doc, ["type", "matrix"], ["name"], "torus_monodromy")
-    rows = doc["matrix"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise SchemaError("torus_monodromy: matrix must be a list of rows")
     try:
+        rows = [_array(r, "a matrix row") for r in _array(doc["matrix"], "matrix")]
         return torus_monodromy(rows, doc.get("name", ""))
     except (ModelError, ValueError, TypeError) as exc:
         raise SchemaError(f"torus_monodromy: {exc}") from exc
@@ -260,7 +267,7 @@ def _spectrum_blocks(k, spec_list, size):
     the given spectrum."""
     groups = {}  # minimal polynomial -> [(eigenvalue, multiplicity)]
     pairs = 0
-    for item in spec_list:
+    for item in _array(spec_list, f"degree {k}: a spectrum"):
         text, mult = item if isinstance(item, list) else (item, None)
         ev, own = parse_eigenvalue_spec(text)
         if ev is _PAIR:
@@ -326,7 +333,8 @@ def _load_fiber_descriptor(doc):
             raise SchemaError(f"need {dim + 1} degrees for dim {dim}, got {len(per_degree)}")
         if "actions" in doc:
             acts = tuple(
-                Matrix.from_rows([[Fraction(str(x)) for x in row] for row in mat])
+                Matrix.from_rows([[Fraction(str(x)) for x in _array(row, "an action row")]
+                                  for row in _array(mat, "an action")])
                 for mat in per_degree)
         else:
             acts = tuple(_block_diagonal(_spectrum_blocks(k, spec_list, h))
@@ -347,7 +355,7 @@ def _load_lie_algebra(doc):
     if type(dim) is not int:
         raise SchemaError("lie_algebra: dim must be an integer")
     check_lie_dim(dim)
-    params = tuple(doc.get("params", ()))
+    params = tuple(_array(doc.get("params", []), "lie_algebra: params"))
     if not all(isinstance(p, str) for p in params) or len(set(params)) != len(params):
         raise SchemaError("lie_algebra: params must be distinct names")
     parse = _coefficient_reader(params)
@@ -367,13 +375,16 @@ def _load_lie_algebra(doc):
     # LieAlgebraModel checks the shapes of theta and J
     theta = None
     if "theta" in doc:
-        theta = tuple(parse(c, "theta") for c in doc["theta"])
+        theta = tuple(parse(c, "theta") for c in _array(doc["theta"], "lie_algebra: theta"))
     jmat = None
     if "J" in doc:
-        jmat = tuple(tuple(parse(c, "J entry") for c in r) for r in doc["J"])
+        jmat = tuple(tuple(parse(c, "J entry") for c in _array(r, "lie_algebra: a row of J"))
+                     for r in _array(doc["J"], "lie_algebra: J"))
     named = {}
     for name, spec in doc.get("named_forms", {}).items():
         _require_keys(spec, ["degree", "coeffs"], [], f"named form {name!r}")
+        if type(spec["degree"]) is not int:
+            raise SchemaError(f"named form {name!r}: degree must be an integer")
         entries = {}
         for subset, expr in spec["coeffs"].items():
             idx = tuple(int(x) - 1 for x in str(subset).split(","))

@@ -171,6 +171,14 @@ def test_bad_lambda_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["rational:0", "rational:-1", "poly:-2,0,1@(-2,-1)"])
+def test_a_nonpositive_lambda_is_a_usage_error(capsys, spec):
+    # the model is valid, so this is not exit 3
+    code, out, err = run(capsys, "cohomology", "s0:default", "--lambda", spec)
+    assert (code, out) == (2, "")
+    assert err == f"error: {spec!r} does not denote a single positive real value\n"
+
+
 def test_custom_matrix_model(capsys):
     code, out, _ = run(capsys, "cohomology", "s0:0,0,1;1,0,1;0,1,0", "--at-alpha")
     assert code == 0
@@ -319,6 +327,13 @@ def test_verify_corrupted_model_file(capsys, tmp_path):
         dict(ALGEBRA_DOC, J=[["0", "-1"]]),
         dict(ALGEBRA_DOC, dim=True, brackets=[]),
         dict(ALGEBRA_DOC, coframe="no"),
+        # a string where an array belongs would be read one character at a time
+        dict(ALGEBRA_DOC, params="ab"),
+        dict(ALGEBRA_DOC, dim=4, brackets=[], theta="1234"),
+        dict(ALGEBRA_DOC, J=[["0", "-1"], "10"]),
+        dict(ALGEBRA_DOC, named_forms={"w": {"degree": True, "coeffs": {"1": "1"}}}),
+        {"type": "fiber_descriptor", "dim": 2, "h_dims": [1, 2, 1],
+         "actions": [[[1]], ["21", [1, 1]], [[1]]]},
         {"type": "torus_monodromy", "matrix": [[2.9, 1], [1, 1]]},
         {"type": "torus_monodromy", "matrix": [[2, 1], [1, True]]},
         {"type": "torus_monodromy", "matrix": [[2, 1], [1, "1"]]},
@@ -490,7 +505,7 @@ def test_s0_alpha_for_the_cone_builds_no_fiber_model(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("exterior power built to read alpha")
 
-    monkeypatch.setattr(mt, "exterior_power", refuse)
+    monkeypatch.setattr(mt, "exterior_powers", refuse)
     for invert in (False, True):
         model, theta = _instantiated_s0(invert)
         assert model.params == () and (theta is None) == (not invert)

@@ -18,7 +18,7 @@ from novikov.exact import (
     alg_eq,
     alg_reciprocal,
     char_poly,
-    exterior_power,
+    exterior_powers,
     isolate_real_roots,
     rank,
 )
@@ -43,6 +43,7 @@ from novikov.catalog import (
     make_splus,
 )
 from novikov.modelfile import load_model_dict
+from test_matrices import leibniz_exterior_power
 
 
 def rational(q):
@@ -365,7 +366,7 @@ def test_kappa_matches_number_field_oracle():
         n = len(rows)
         model = torus_monodromy(rows)
         over_q = Matrix.from_rows([[Fraction(x) for x in r] for r in rows])
-        phis = [exterior_power(over_q, k) for k in range(n + 1)]
+        phis = exterior_powers(over_q, n)
         twin = explicit_twin(rows, phis)
         charpolys = [sp.Matrix(phi.to_rows()).charpoly(_X).as_expr() for phi in phis]
         # the exceptional set: reciprocals of the distinct positive real eigenvalues
@@ -401,11 +402,18 @@ def test_kappa_matches_number_field_oracle():
     assert all(cases.values()), cases
 
 
+def test_kappa_refuses_a_nonpositive_lambda():
+    model = torus_monodromy(identity(3))
+    for q in (0, -1):
+        with pytest.raises(ModelError, match="Lee parameter must be positive"):
+            kappa(model, rational(q), 1)
+
+
 def test_phi_is_computed_once_per_model(monkeypatch):
     import novikov.mapping_torus as mt
 
     rows = unimodular_conjugate(block_diag(HYPERBOLIC, CUBIC), random.Random(31), 4)
-    calls = {"exterior_power": 0, "char_poly": 0}
+    calls = {"exterior_powers": 0, "char_poly": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -416,39 +424,44 @@ def test_phi_is_computed_once_per_model(monkeypatch):
     for name in calls:
         monkeypatch.setattr(mt, name, counted(name, getattr(mt, name)))
     model = torus_monodromy(rows)
-    # the model is made with one exterior power per degree
-    assert calls == {"exterior_power": 6, "char_poly": 0}
+    # the model is made with one call for all of its exterior powers
+    assert calls == {"exterior_powers": 1, "char_poly": 0}
     for lam in (rational(2), rational(1)):
         twisted_betti(model, lam)
     # kappa takes one rank per degree, no characteristic polynomial
-    assert calls == {"exterior_power": 6, "char_poly": 0}
+    assert calls == {"exterior_powers": 1, "char_poly": 0}
     exc = exceptional_lambdas(model)
-    assert calls == {"exterior_power": 6, "char_poly": 6}
+    assert calls == {"exterior_powers": 1, "char_poly": 6}
     for lam in exc:
         twisted_betti(model, lam)
     exceptional_lambdas(model)
-    assert calls == {"exterior_power": 6, "char_poly": 12}
+    assert calls == {"exterior_powers": 1, "char_poly": 12}
 
 
 def test_torus_monodromy_is_its_exterior_powers(monkeypatch):
-    for name, rows in parity_monodromies().items():
+    import novikov.mapping_torus as mt
+
+    monodromies = parity_monodromies()
+    calls = []
+    monkeypatch.setattr(mt, "exterior_powers",
+                        lambda *args: calls.append(args) or exterior_powers(*args))
+    for name, rows in monodromies.items():
         n = len(rows)
         model = torus_monodromy(rows)
+        assert len(calls) == 1 and calls.pop()[1] == n, name
         assert model.dim_fiber == n and len(model.actions) == n + 1, name
         for k, phi in enumerate(model.actions):
-            want = exterior_power(Matrix.from_rows(rows), k)
+            want = leibniz_exterior_power(Matrix.from_rows(rows), k)
             assert (phi.rows, phi.cols, phi.entries) == \
                 (want.rows, want.cols, want.entries), (name, k)
             assert all(type(x) is int for x in phi.entries), (name, k)
     with pytest.raises(ModelError, match=r"^monodromy must be invertible over Z, det = -6$"):
         torus_monodromy(((1, 2, 0), (2, -2, 0), (0, 0, 1)))
     # the fiber cap is checked before any exterior power is built
-    import novikov.mapping_torus as mt
-
     def refuse(*args, **kwargs):
         raise AssertionError("exterior power built for an oversized fiber")
 
-    monkeypatch.setattr(mt, "exterior_power", refuse)
+    monkeypatch.setattr(mt, "exterior_powers", refuse)
     with pytest.raises(ModelError, match="capped at 6"):
         torus_monodromy(identity(7))
 

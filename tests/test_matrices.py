@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, gcd, lcm
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,7 @@ from novikov.exact import (
     char_poly,
     coefficient,
     coefficient_field,
-    exterior_power,
-    exterior_square_cyclic,
+    exterior_powers,
     nullspace,
     poly_at_matrix,
     rank,
@@ -39,19 +39,25 @@ def test_matmul_and_transpose():
 def test_exterior_power_shapes():
     rng = random.Random(1)
     m = rand_matrix(rng, 4)
-    for k in range(5):
-        ek = exterior_power(m, k)
-        assert ek.rows == ek.cols == comb(4, k)
-    assert exterior_power(m, 0).entries == [Fraction(1)]
+    for top in range(5):
+        powers = exterior_powers(m, top)
+        assert [(ek.rows, ek.cols) for ek in powers] == \
+            [(comb(4, k), comb(4, k)) for k in range(top + 1)]
+    assert exterior_powers(m, 0)[0].entries == [Fraction(1)]
+    for top in (-1, 5):
+        with pytest.raises(ValueError, match="out of range 0..4"):
+            exterior_powers(m, top)
+    with pytest.raises(ValueError, match="square"):
+        exterior_powers(Matrix(1, 2, [1, 2]), 1)
     # Lambda^0 is [1], in the entries' own type over Z, Q, Q(lambda) and Q(params)
     nf = NumberField(AlgebraicReal.from_poly(IntPoly((-2, 0, 1)), Fraction(1), Fraction(2)))
     field = coefficient_field(("a",))
     a = coefficient(field, sp.Symbol("a"))
     for entry, one in ((3, 1), (Fraction(1, 2), Fraction(1)), (nf.gen(), nf.one()),
                        (a, coefficient(field, 1))):
-        (got,) = exterior_power(Matrix(1, 1, [entry]), 0).entries
+        (got,) = exterior_powers(Matrix(1, 1, [entry]), 0)[0].entries
         assert type(got) is type(one) and got == one, entry
-    assert exterior_power(Matrix(0, 0, []), 0).entries == [1]
+    assert [e.entries for e in exterior_powers(Matrix(0, 0, []), 0)] == [[1]]
 
 
 def _perm_sign(perm):
@@ -95,10 +101,12 @@ def test_exterior_power_matches_leibniz_oracle():
         else:
             m = Matrix(n, n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                               for _ in range(n * n)])
-        for k in range(n + 1):
-            got = exterior_power(m, k)
+        powers = exterior_powers(m, n)
+        assert len(powers) == n + 1
+        for k, got in enumerate(powers):
             want = leibniz_exterior_power(m, k)
-            assert got.entries == want.entries, (n, k)
+            assert (got.rows, got.cols, got.entries) == \
+                (want.rows, want.cols, want.entries), (n, k)
             assert {type(x) for x in got.entries} == {type(m.entries[0])}
 
 
@@ -108,19 +116,27 @@ def test_exterior_functoriality():
     for _ in range(15):
         n = rng.randint(2, 4)
         a, b = rand_matrix(rng, n), rand_matrix(rng, n)
-        ab = a.matmul(b)
-        for k in range(n + 1):
-            lhs = exterior_power(ab, k)
-            rhs = exterior_power(a, k).matmul(exterior_power(b, k))
-            assert lhs == rhs, (n, k)
+        triples = zip(exterior_powers(a.matmul(b), n), exterior_powers(a, n),
+                      exterior_powers(b, n))
+        for k, (lhs, ea, eb) in enumerate(triples):
+            assert lhs == ea.matmul(eb), (n, k)
 
 
 def test_top_exterior_power_is_determinant():
     rng = random.Random(5)
     for _ in range(10):
         m = rand_matrix(rng, 3)
-        det = exterior_power(m, 3).entries[0]
+        det = exterior_powers(m, 3)[3].entries[0]
         assert char_poly(m)(0) * (-1) ** 3 == det
+
+
+def cyclic_square(a):
+    """Lambda^2(A) of a 3x3 matrix in the cyclic basis (e2^e3, e3^e1, e1^e2),
+    which is (lex 2, -lex 1, lex 0) in the lexicographic basis
+    (e1^e2, e1^e3, e2^e3) of exterior_powers."""
+    lex = exterior_powers(a, 2)[2]
+    perm = [(2, 1), (1, -1), (0, 1)]
+    return Matrix(3, 3, [si * sj * lex[i, j] for i, si in perm for j, sj in perm])
 
 
 def test_exterior_square_cyclic_cofactor_identity():
@@ -134,7 +150,7 @@ def test_exterior_square_cyclic_cofactor_identity():
         if det == 0:
             continue
         done += 1
-        sq = exterior_square_cyclic(a)
+        sq = cyclic_square(a)
         # check against the adjugate transpose: adj(A) A = det(A) I, so
         # det(A) (A^{-1})^T = adj(A)^T
         prod = sq.matmul(a.transpose())
@@ -142,20 +158,6 @@ def test_exterior_square_cyclic_cofactor_identity():
             for j in range(3):
                 want = det if i == j else 0
                 assert prod[i, j] == want
-
-
-def test_exterior_square_cyclic_matches_lex_up_to_basis():
-    # the cyclic basis (e2^e3, e3^e1, e1^e2) differs from lex
-    # (e1^e2, e1^e3, e2^e3) by a permutation with one sign flip
-    rng = random.Random(11)
-    m = rand_matrix(rng, 3)
-    lex = exterior_power(m, 2)
-    cyc = exterior_square_cyclic(m)
-    # change of basis: lex index 0 <-> cyclic 2, lex 1 <-> -cyclic 1, lex 2 <-> cyclic 0
-    perm = [(0, 2, 1), (1, 1, -1), (2, 0, 1)]
-    for li, ci, si in perm:
-        for lj, cj, sj in perm:
-            assert lex[li, lj] == si * sj * cyc[ci, cj]
 
 
 def test_char_poly_known():

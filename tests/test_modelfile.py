@@ -395,6 +395,9 @@ def test_eigen_descriptor_multiplicity_sum():
         load_model_dict(doc)
     # a conjugate pair counts twice
     load_model_dict(dict(doc, spectra=[["rational:1"], ["conjugate_pair:1"], ["rational:1"]]))
+    # a spectrum is a list of specs, not one spec read a character at a time
+    with pytest.raises(SchemaError, match="degree 0: a spectrum must be a JSON array"):
+        load_model_dict(dict(doc, spectra=["rational:1", ["conjugate_pair:1"], ["rational:1"]]))
 
 
 def test_spectra_must_be_those_of_rational_actions():
