@@ -4,8 +4,8 @@ Builds the Chevalley-Eilenberg differential d (sign convention
 d a (X, Y) = -a([X, Y])) and its twist d_theta = d - theta ^ .  on the exterior
 algebra of the dual, computes cohomology dimensions over the rational-function
 field of the model's parameters, provides the twisted Hodge operators for a
-declared orthonormal coframe, and searches for the bracket obstruction that
-forbids d_theta-exact taming forms.
+declared orthonormal coframe, and searches a basis of ker theta cap
+ker(theta o J) for the bracket obstruction to d_theta-exact taming forms.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from math import comb
 
 from sympy.polys.polyerrors import CoercionFailed
 
-from .exact import Matrix, coefficient, coefficient_field, rank, substitution
+from .exact import (Matrix, coefficient, coefficient_field, nullspace, rank,
+                    rational_conditions, substitution)
 
 
 class LieModelError(ValueError):
@@ -473,32 +474,21 @@ def harmonic_dims(model: LieAlgebraModel):
 
 # -- obstruction search ------------------------------------------------------
 
-def _is_certificate(model, vec):
-    if not any(vec):
-        return False
-    jv = model.apply_J(vec)
-    if model.covector_apply(model.theta, vec) or model.covector_apply(model.theta, jv):
-        return False
-    return not any(model.bracket_vec(vec, jv))
-
-
-def obstruction_search(model: LieAlgebraModel, samples=2000, seed=0):
-    """A nonzero X, as a tuple of Fractions, with [X, JX] = 0, theta(X) = 0 and
-    theta(JX) = 0: every invariant d_theta-exact 2-form vanishes on (X, JX), so
-    none tames J.  Search order: basis vectors, two-term integer combinations
-    with coefficients in [-4, 4], then a seeded sample of bounded rational
-    combinations (denominators <= 4).  Returns None when the budget is
-    exhausted; that is evidence of absence, not a proof."""
-    n = model.dim
+def isotropic_basis(model: LieAlgebraModel):
+    """A basis over Q of K = ker theta cap ker(theta o J), lists of Fractions,
+    from one nullspace of both conditions split by ``rational_conditions``."""
     if model.J is None:
-        raise LieModelError("obstruction search needs a complex structure J")
-    units = (tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    coeff_range = [Fraction(c) for c in range(-4, 5) if c]
-    two_term = (tuple(a if k == i else b if k == j else Fraction(0) for k in range(n))
-                for i, j in combinations(range(n), 2)
-                for a in coeff_range for b in coeff_range)
-    rng = random.Random(seed)  # drawn from lazily, as the sample is reached
-    sampled = (tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
-               for _ in range(samples))
-    return next((vec for vec in chain(units, two_term, sampled)
-                 if _is_certificate(model, vec)), None)
+        raise LieModelError("the isotropic subspace needs a complex structure J")
+    theta_j = [sum(t * c for t, c in zip(model.theta, col)) for col in zip(*model.J)]
+    rows = rational_conditions(model.theta) + rational_conditions(theta_j)
+    return nullspace(Matrix(len(rows), model.dim, chain.from_iterable(rows)))
+
+
+def obstruction_search(model: LieAlgebraModel):
+    """The first vector X of ``isotropic_basis`` with [X, JX] = 0, as a tuple
+    of Fractions, or None.  theta(X) = theta(JX) = 0 holds there, so every
+    invariant d_theta-exact 2-form vanishes on (X, JX) and none tames J.  None
+    says only that no basis vector of K is one; it is a proof of absence only
+    where K = 0."""
+    return next((tuple(x) for x in isotropic_basis(model)
+                 if not any(model.bracket_vec(x, model.apply_J(x)))), None)

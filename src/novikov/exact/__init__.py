@@ -12,7 +12,7 @@ from .algebraic import (
     alg_reciprocal,
 )
 from .numberfield import NumberField
-from .ratfunc import coefficient, coefficient_field, substitution
+from .ratfunc import coefficient, coefficient_field, rational_conditions, substitution
 from .matrices import (
     Matrix,
     char_poly,
@@ -28,7 +28,7 @@ __all__ = [
     "IntPoly", "sturm_sequence", "count_roots",
     "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp",
     "alg_power", "alg_reciprocal", "NumberField", "coefficient",
-    "coefficient_field", "substitution",
+    "coefficient_field", "rational_conditions", "substitution",
     "Matrix", "char_poly", "companion", "exterior_powers",
     "is_positive_definite", "nullspace", "poly_at_matrix", "rank",
 ]

@@ -12,7 +12,7 @@ cheaper than those of ``QQ.frac_field``.  A model without parameters keeps
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from math import lcm
 from numbers import Rational
@@ -45,6 +45,21 @@ def coefficient(field, x):
         return x if getattr(x, "field", None) is field.field else field.convert(x)
     q = QQ.convert(x)
     return Fraction(int(q.numerator), int(q.denominator))
+
+
+def rational_conditions(cov):
+    """Rows of ints or Fractions whose common kernel over Q is the set of
+    rational v with sum_i cov_i v_i = 0: for a covector over Q, cov itself;
+    over Q(params), one row per monomial of the numerators of cov over one
+    common denominator, so the kernel holds at every parameter value."""
+    if all(isinstance(c, Rational) for c in cov):
+        return [list(cov)]
+    den = reduce(lambda a, b: a.lcm(b), (c.denom for c in cov))
+    rows = {}
+    for i, c in enumerate(cov):
+        for monom, a in (c.numer * den.exquo(c.denom)).items():
+            rows.setdefault(monom, [0] * len(cov))[i] = int(a)
+    return list(rows.values())
 
 
 def substitution(params, values):

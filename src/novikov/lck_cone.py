@@ -7,8 +7,8 @@ held as the matrices S_i = Sym(omega_i(., J.)) of its basis forms: integers
 over one common denominator, read as floats only by the ascent and lambda_min.
 Infeasibility is first sought as an exact rank-one certificate: a vector v
 with omega(v, Jv) = v^T S_i v = 0 for every i (for an empty basis, v = e_1),
-among the basis vectors and then a rational basis of ker theta cap
-ker(theta o J).  Then Z = v v^T is positive semidefinite, nonzero and
+among the basis vectors and then `chevalley.isotropic_basis` (ker theta cap
+ker(theta o J)).  Then Z = v v^T is positive semidefinite, nonzero and
 orthogonal to every S_i, so no combination is positive definite (theorem of
 alternatives for strict LMIs, Boyd & Vandenberghe, Convex Optimization,
 5.8-5.9) and the verdict is "infeasible (certified)".  Feasibility is then
@@ -37,7 +37,9 @@ from .chevalley import (
     InvariantForm,
     LieAlgebraModel,
     LieModelError,
+    d_apply,
     d_theta_matrix,
+    isotropic_basis,
     wedge_basis,
 )
 from .exact import Matrix, exterior_powers, is_positive_definite, nullspace
@@ -128,13 +130,16 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
     feasibility when a small integer combination gives one, otherwise by the
     restarted ascent of `_ascent`, which calls the search feasible when
     lambda_min exceeds tol (0 <= tol < inf); its feasible point is certified
-    if a rationalisation of it passes the exact check."""
+    if a rationalisation of it passes the exact check.  A theta given in place
+    of the model's must be closed."""
     if kind not in ("taming", "lck"):
         raise ValueError("kind must be 'taming' or 'lck'")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if theta is not None:
         model = replace(model, theta=theta)
+        if not d_apply(model, model.theta_form()).is_zero():
+            raise LieModelError("theta is not closed, so d_theta^2 != 0")
     if model.J is None:
         raise LieModelError("cone feasibility needs a complex structure J")
     mats, den = _integer_sym_matrices(model, _cone_basis(model, kind))
@@ -235,12 +240,12 @@ def _quadratic_form(m, v):
 
 
 def _rank_one_candidates(model):
-    """The e_j, then a rational basis of ker theta cap ker(theta o J), where every
+    """The e_j (an empty basis needs e_1, and a certificate may lie outside
+    K), then the basis of K = ker theta cap ker(theta o J), where every
     d_theta-exact form vanishes on (v, Jv) if [v, Jv] = 0."""
     n = model.dim
     units = ([Fraction(int(i == j)) for i in range(n)] for j in range(n))
-    theta_j = [sum(t * row[j] for t, row in zip(model.theta, model.J)) for j in range(n)]
-    return chain(units, nullspace(Matrix.from_rows([model.theta, theta_j])))
+    return chain(units, isotropic_basis(model))
 
 
 def _rank_one_certificate(model, mats):
@@ -300,15 +305,14 @@ def _ascent(mats, kind, tol, restarts, max_iters, seed) -> TamingCertificate:
     return TamingCertificate(list(best_x), float(best_val), kind, feasible, reason)
 
 
-def certificate_form(model: LieAlgebraModel, cert: TamingCertificate,
-                     max_denominator=10**6) -> InvariantForm:
+def certificate_form(model: LieAlgebraModel, cert: TamingCertificate) -> InvariantForm:
     """Exact reconstruction in the cone's basis: the certified coefficients of
     a feasible verdict as they are, otherwise the float coefficients
     rationalized.  The result is d_theta-closed exactly by construction."""
     if cert.feasible and cert.certificate is not None:
         coeffs = cert.certificate
     else:
-        coeffs = [Fraction(c).limit_denominator(max_denominator)
+        coeffs = [Fraction(c).limit_denominator(RATIONALISE_DENOMINATORS[-1])
                   for c in cert.coefficients]
     form = InvariantForm.zero(model.dim, 2)
     for q, b in zip(coeffs, _cone_basis(model, cert.kind)):

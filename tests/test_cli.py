@@ -329,7 +329,7 @@ def test_verify_corrupted_model_file(capsys, tmp_path):
         dict(ALGEBRA_DOC, coframe="no"),
         # a string where an array belongs would be read one character at a time
         dict(ALGEBRA_DOC, params="ab"),
-        dict(ALGEBRA_DOC, dim=4, brackets=[], theta="1234"),
+        {"type": "lie_algebra", "dim": 4, "brackets": [], "theta": "1234"},
         dict(ALGEBRA_DOC, J=[["0", "-1"], "10"]),
         dict(ALGEBRA_DOC, named_forms={"w": {"degree": True, "coeffs": {"1": "1"}}}),
         {"type": "fiber_descriptor", "dim": 2, "h_dims": [1, 2, 1],
@@ -616,6 +616,24 @@ def test_cone_rejects_fiber_model(capsys):
 def test_cone_theta_length_checked(capsys):
     code, _, _ = run(capsys, "cone", "abelian4", "--theta", "1,0")
     assert code == 2
+
+
+def test_cone_refuses_a_lee_form_that_is_not_closed(capsys, tmp_path):
+    path = tmp_path / "splus.json"
+    path.write_text(json.dumps({
+        "type": "lie_algebra", "dim": 4,
+        "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "-1"}},
+                     {"i": 2, "j": 4, "coeffs": {"2": "-1"}},
+                     {"i": 3, "j": 4, "coeffs": {"3": "1"}}],
+        "theta": ["0", "0", "0", "1"],
+        "J": [["0", "-1", "0", "-2/3"], ["1", "0", "-2/3", "0"],
+              ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}))
+    assert run(capsys, "cone", str(path))[0] == 0
+    for kind in ("taming", "lck"):
+        code, out, err = run(capsys, "cone", str(path), "--theta", "1,0,0,0",
+                             "--kind", kind)
+        assert (code, out) == (3, "")
+        assert "theta is not closed" in err
 
 
 def test_cone_certificate_roundtrip(capsys):

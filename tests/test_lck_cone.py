@@ -189,6 +189,15 @@ def test_no_matrices_give_the_first_basis_vector():
     assert _rank_one_certificate(abelian_algebra(4), []) == [1, 0, 0, 0]
 
 
+def test_a_lee_form_that_is_not_closed_is_refused():
+    # on S+ d e^1 = e^2 ^ e^3, so theta = e^1 gives d_theta^2 != 0: no kernel
+    # of d_theta is a twisted cohomology, and neither kind has a verdict
+    model = splus_algebra(Fraction(2, 3))
+    for kind in ("taming", "lck"):
+        with pytest.raises(LieModelError, match="not closed"):
+            taming_feasibility(model, kind=kind, theta=(1, 0, 0, 0))
+
+
 def test_requires_J():
     from novikov.catalog import splus_coframe_model
     for kind in ("taming", "lck"):
