@@ -4,8 +4,8 @@ Builds the Chevalley-Eilenberg differential d (sign convention
 d a (X, Y) = -a([X, Y])) and its twist d_theta = d - theta ^ .  on the exterior
 algebra of the dual, computes cohomology dimensions over the rational-function
 field of the model's parameters, provides the twisted Hodge operators for a
-declared orthonormal coframe, and searches a basis of ker theta cap
-ker(theta o J) for the bracket obstruction to d_theta-exact taming forms.
+declared orthonormal coframe, and searches ker theta cap ker(theta o J) for
+the bracket obstruction to d_theta-exact taming forms.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb
+from math import comb, gcd
 
 from sympy.polys.polyerrors import CoercionFailed
 
@@ -238,6 +238,10 @@ class LieAlgebraModel:
     def theta_form(self):
         return InvariantForm(self.dim, 1, self.theta)
 
+    def theta_is_closed(self) -> bool:
+        """d theta = 0, without which d_theta^2 != 0 and there is no complex."""
+        return d_apply(self, self.theta_form()).is_zero()
+
     def instantiate(self, mapping) -> "LieAlgebraModel":
         """Substitute parameters (names or sympy symbols) by rational numbers,
         ints or Fractions, through ``exact.substitution``; the parameters not
@@ -363,7 +367,7 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
         failing.update(s for s, c in zip(wedge_basis(n, 3), dd.coeffs) if c)
     violations = [("jacobi", tuple(x + 1 for x in s))
                   for s in wedge_basis(n, 3) if s in failing]
-    if not d_apply(model, model.theta_form()).is_zero():
+    if not model.theta_is_closed():
         violations.append(("theta_not_closed", None))
     if model.J is not None:
         if n % 2 != 0:
@@ -485,10 +489,11 @@ def isotropic_basis(model: LieAlgebraModel):
 
 
 def obstruction_search(model: LieAlgebraModel):
-    """The first vector X of ``isotropic_basis`` with [X, JX] = 0, as a tuple
-    of Fractions, or None.  theta(X) = theta(JX) = 0 holds there, so every
-    invariant d_theta-exact 2-form vanishes on (X, JX) and none tames J.  None
-    says only that no basis vector of K is one; it is a proof of absence only
-    where K = 0."""
-    return next((tuple(x) for x in isotropic_basis(model)
+    """The first X with [X, JX] = 0, a tuple of Fractions: the b_i of ``isotropic_basis``,
+    then a b_i + b b_j for coprime 0 < a, |b| <= 4 (up to scale, every a e_i + b e_j in K).
+    Every d_theta-exact 2-form vanishes on (X, JX).  None proves absence only if K = 0."""
+    basis = isotropic_basis(model)
+    two_term = ([a * x + b * y for x, y in zip(u, w)] for u, w in combinations(basis, 2)
+                for a in range(1, 5) for b in range(-4, 5) if b and gcd(a, b) == 1)
+    return next((tuple(x) for x in chain(basis, two_term)
                  if not any(model.bracket_vec(x, model.apply_J(x)))), None)

@@ -48,16 +48,16 @@ def coefficient(field, x):
 
 
 def rational_conditions(cov):
-    """Rows of ints or Fractions whose common kernel over Q is the set of
-    rational v with sum_i cov_i v_i = 0: for a covector over Q, cov itself;
-    over Q(params), one row per monomial of the numerators of cov over one
-    common denominator, so the kernel holds at every parameter value."""
+    """Rows whose common kernel over Q is the rational v with sum_i cov_i v_i = 0:
+    cov itself over Q; over Q(params), one int row per monomial of the numerators
+    over one common denominator, so the kernel holds at every parameter value."""
     if all(isinstance(c, Rational) for c in cov):
         return [list(cov)]
-    den = reduce(lambda a, b: a.lcm(b), (c.denom for c in cov))
+    den = reduce(lambda a, b: a if b == 1 else b if a == 1 else a.lcm(b),
+                 (c.denom for c in cov), 1)  # a zero is 0/1
     rows = {}
     for i, c in enumerate(cov):
-        for monom, a in (c.numer * den.exquo(c.denom)).items():
+        for monom, a in (c.numer * (den if c.denom == 1 else den.exquo(c.denom))).items():
             rows.setdefault(monom, [0] * len(cov))[i] = int(a)
     return list(rows.values())
 

@@ -37,7 +37,6 @@ from .chevalley import (
     InvariantForm,
     LieAlgebraModel,
     LieModelError,
-    d_apply,
     d_theta_matrix,
     isotropic_basis,
     wedge_basis,
@@ -130,15 +129,14 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
     feasibility when a small integer combination gives one, otherwise by the
     restarted ascent of `_ascent`, which calls the search feasible when
     lambda_min exceeds tol (0 <= tol < inf); its feasible point is certified
-    if a rationalisation of it passes the exact check.  A theta given in place
-    of the model's must be closed."""
+    if a rationalisation of it passes the exact check.  A theta given must be closed."""
     if kind not in ("taming", "lck"):
         raise ValueError("kind must be 'taming' or 'lck'")
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if theta is not None:
         model = replace(model, theta=theta)
-        if not d_apply(model, model.theta_form()).is_zero():
+        if not model.theta_is_closed():
             raise LieModelError("theta is not closed, so d_theta^2 != 0")
     if model.J is None:
         raise LieModelError("cone feasibility needs a complex structure J")
@@ -240,11 +238,9 @@ def _quadratic_form(m, v):
 
 
 def _rank_one_candidates(model):
-    """The e_j (an empty basis needs e_1, and a certificate may lie outside
-    K), then the basis of K = ker theta cap ker(theta o J), where every
-    d_theta-exact form vanishes on (v, Jv) if [v, Jv] = 0."""
-    n = model.dim
-    units = ([Fraction(int(i == j)) for i in range(n)] for j in range(n))
+    """The e_j (an empty basis needs e_1; a certificate may lie outside K), then
+    ``isotropic_basis``: every d_theta-exact form vanishes on (v, Jv) if [v, Jv] = 0."""
+    units = ([Fraction(int(i == j)) for i in range(model.dim)] for j in range(model.dim))
     return chain(units, isotropic_basis(model))
 
 

@@ -545,13 +545,32 @@ NONZERO = st.sampled_from((Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 3), Fra
                            Fraction(5, 7), Fraction(3)))
 
 
+J6 = abelian_algebra(6).J  # J e1 = e2, J e3 = e4, J e5 = e6
+
+
+def two_step_nilpotent(p, q, r, s, theta):
+    """[X, Y] = omega(X, Y) e5 on R^6 with omega = p e^12 + q e^34 +
+    r (e^13 + e^24) + s (e^14 - e^23), a (1,1)-form, so J is integrable; theta
+    may use e^1..e^4 and e^6, the closed covectors.  [X, JX] is the quadratic
+    form omega(X, JX) times e5, so a certificate need not be a basis vector."""
+    brackets = {(0, 1): {4: p}, (2, 3): {4: q}, (0, 2): {4: r}, (1, 3): {4: r},
+                (0, 3): {4: s}, (1, 2): {4: -s}}
+    return LieAlgebraModel(dim=6, brackets=brackets, theta=theta, J=J6)
+
+
 @st.composite
 def obstruction_models(draw):
     """Almost-abelian algebras with J, ot(1), ot(2) and S0 at drawn rational
-    points, and abelian algebras of dimension 4 or 6 with an integer theta."""
-    family = draw(st.sampled_from(("almost_abelian", "ot1", "ot2", "s0", "abelian")))
+    points, abelian algebras of dimension 4 or 6 with an integer theta, and
+    the 2-step nilpotent algebras of ``two_step_nilpotent``."""
+    family = draw(st.sampled_from(("almost_abelian", "ot1", "ot2", "s0", "abelian",
+                                   "two_step")))
     if family == "almost_abelian":
         return draw(almost_abelian_with_j())[0]
+    if family == "two_step":
+        small = st.integers(-2, 2)
+        theta = tuple(draw(small) for _ in range(4)) + (0, draw(small))
+        return two_step_nilpotent(*(draw(small) for _ in range(4)), theta=theta)
     if family == "abelian":
         n = draw(st.sampled_from((4, 6)))
         theta = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
@@ -560,9 +579,10 @@ def obstruction_models(draw):
     return model.instantiate({p: draw(NONZERO) for p in model.params})
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(obstruction_models())
 def test_obstruction_search_finds_whatever_the_three_stage_search_finds(model):
+    assert validate(model)
     x = obstruction_search(model)
     if three_stage_search(model) is not None:
         assert x is not None
@@ -643,3 +663,19 @@ def test_obstruction_none_on_the_primary_kodaira_algebra():
     assert validate(model)
     assert isotropic_basis(model) == [[1, 0, 0, 0], [0, 1, 0, 0]]
     assert obstruction_search(model) is None
+
+
+def test_obstruction_found_off_the_basis_on_a_two_step_nilpotent_algebra():
+    # [e1, e2] = [e3, e4] = [e1, e4] = e5, [e2, e3] = -e5, theta = e^6: K is
+    # spanned by e1..e4 and [X, JX] = ((a + c)^2 + (b + d)^2) e5 for
+    # X = a e1 + b e2 + c e3 + d e4, so no basis vector of K is a certificate
+    # but e1 - e3 is
+    model = two_step_nilpotent(1, 1, 0, 1, theta=(0, 0, 0, 0, 0, 1))
+    assert validate(model)
+    basis = isotropic_basis(model)
+    assert basis == [[int(i == j) for i in range(6)] for j in range(4)]
+    assert all(any(model.bracket_vec(x, model.apply_J(x))) for x in basis)
+    x = obstruction_search(model)
+    assert_criterion_11(model, x)
+    assert x == (1, 0, -1, 0, 0, 0)
+    assert three_stage_search(model) is not None
