@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from sympy.polys.polyerrors import CoercionFailed
 
@@ -149,12 +150,40 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     return InvariantForm(n, deg, tuple(out))
 
 
+class Scaled(NamedTuple):
+    """A model's brackets and theta over one common denominator den, and J
+    over its own, j_den, as sparse lists of their nonzero entries.  Over Q the
+    denominators are the least ones and the entries ints; over Q(params) both
+    are 1 and the entries are the field elements."""
+    den: int
+    d_cov: list  # per covector i, the (pair, c) with den * d e^i = sum c e^pair
+    theta: tuple  # the ((l,), den * theta_l), terms of the 1-form den * theta
+    j_den: int
+    j_rows: tuple  # per row i, the (j, j_den * J_ij); no rows without J
+
+
+def _over_one_denominator(params, coeffs):
+    """(den, scale): over Q the least common denominator of coeffs and the map
+    c -> den * c into the ints; over Q(params) 1 and the identity."""
+    if params:
+        return 1, lambda c: c
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, lambda c: c.numerator * (den // c.denominator)
+
+
+def _unscale(c, den):
+    """c / den, as a Fraction over Q; a zero and den = 1 leave c as it is."""
+    return Fraction(c, den) if den != 1 and c else c
+
+
 @dataclass(frozen=True)
 class LieAlgebraModel:
     """Structure constants over Q(params), plus the Lee covector and optional
     complex structure / orthonormal coframe declaration / named forms.  Every
     coefficient is converted into ``field``: Fractions when there are no
-    parameters, sympy's rational functions in them otherwise."""
+    parameters, sympy's rational functions in them otherwise.  ``scaled``, the
+    structure every operator reads, is derived from them when the model is
+    made, so ``replace`` and ``instantiate`` rebuild it."""
 
     dim: int
     params: tuple = ()
@@ -205,32 +234,31 @@ class LieAlgebraModel:
         object.__setattr__(self, "named_forms", {
             name: InvariantForm(f.dim, f.degree, tuple(conv(c) for c in f.coeffs))
             for name, f in self.named_forms.items()})
+        den, scale = _over_one_denominator(self.params,
+                                           chain(th, *map(dict.values, bk.values())))
+        d_cov = [[] for _ in range(self.dim)]
+        for pair, comps in bk.items():
+            for i, c in comps.items():
+                d_cov[i].append((pair, -scale(c)))
+        j_den, j_scale = _over_one_denominator(self.params, chain(*self.J or ()))
+        object.__setattr__(self, "scaled", Scaled(
+            den, d_cov, tuple(((l,), scale(c)) for l, c in enumerate(th) if c), j_den,
+            tuple(tuple((j, j_scale(c)) for j, c in enumerate(r) if c) for r in self.J or ())))
 
     # -- structure ---------------------------------------------------------
 
     def bracket_vec(self, u, v):
-        """[u, v] for coefficient vectors."""
-        out = [0] * self.dim
-        for i in range(self.dim):
-            if not u[i]:
-                continue
-            for j in range(self.dim):
-                if not v[j] or i == j:
-                    continue
-                comps = self.brackets.get((i, j)) if i < j else self.brackets.get((j, i))
-                if not comps:
-                    continue
-                sign = 1 if i < j else -1
-                for k, c in comps.items():
-                    term = u[i] * v[j] * c
-                    out[k] = out[k] + (term if sign > 0 else -term)
-        return out
+        """[u, v] for coefficient vectors: e^k([u, v]) = -(d e^k)(u, v), over
+        the nonzero terms only."""
+        sc = self.scaled
+        return [_unscale(-sum(c * w for (j, l), c in terms if (w := u[j] * v[l] - u[l] * v[j])),
+                         sc.den) for terms in sc.d_cov]
 
     def apply_J(self, v):
         if self.J is None:
             raise LieModelError("model has no complex structure J")
-        return [sum(self.J[i][j] * v[j] for j in range(self.dim))
-                for i in range(self.dim)]
+        sc = self.scaled
+        return [_unscale(sum(c * v[j] for j, c in row if v[j]), sc.j_den) for row in sc.j_rows]
 
     def covector_apply(self, cov, v):
         return sum(cov[i] * v[i] for i in range(self.dim))
@@ -240,7 +268,7 @@ class LieAlgebraModel:
 
     def theta_is_closed(self) -> bool:
         """d theta = 0, without which d_theta^2 != 0 and there is no complex."""
-        return d_apply(self, self.theta_form()).is_zero()
+        return not any(_d_scaled(self.scaled, self.scaled.theta, 0).values())
 
     def instantiate(self, mapping) -> "LieAlgebraModel":
         """Substitute parameters (names or sympy symbols) by rational numbers,
@@ -274,32 +302,35 @@ class LieAlgebraModel:
 
 # -- differential and Hodge operators --------------------------------------
 
-def _d_sigma(model: LieAlgebraModel, form: InvariantForm, sigma) -> InvariantForm:
-    """(d - sigma theta ^) form for sigma in {0, 1, -1}, straight from the
-    structure constants: d e^i = - sum_{j<k} c^i_{jk} e^j ^ e^k, extended by
-    the Leibniz rule.  A form of degree k >= dim maps to the form of degree
-    k + 1, which has no coefficients."""
-    n, k = model.dim, form.degree
-    if k >= n:
-        return InvariantForm.zero(n, k + 1)
-    d_cov = {}  # i -> [(pair (j, l), -c^i_{jl}), ...]
-    for pair, comps in model.brackets.items():
-        for i, c in comps.items():
-            d_cov.setdefault(i, []).append((pair, -c))
-    theta = [((l,), -sigma * c) for l, c in enumerate(model.theta) if sigma and c]
+def _d_scaled(sc: Scaled, terms, sigma):
+    """den * (d - sigma theta ^) of sum c e^s over the (s, c) of terms, for
+    sigma in {0, 1, -1}, as {s: coefficient} with cancelled entries kept:
+    d e^i = - sum_{j<k} c^i_{jk} e^j ^ e^k, from ``sc.d_cov``, extended by the
+    Leibniz rule."""
+    theta = [(head, -sigma * c) for head, c in sc.theta] if sigma else []
     acc = {}
-    for s, cs in zip(wedge_basis(n, k), form.coeffs):
+    for s, cs in terms:
         if not cs:
             continue
         # d(e^s) = sum_t (-1)^t d e^{s_t} ^ e^{s minus s_t}
-        terms = [(pair, -c if t % 2 else c, s[:t] + s[t + 1:])
-                 for t, i in enumerate(s) for pair, c in d_cov.get(i, ())]
-        for head, c, rest in terms + [(head, c, s) for head, c in theta]:
+        heads = [(pair, -c if t % 2 else c, s[:t] + s[t + 1:])
+                 for t, i in enumerate(s) for pair, c in sc.d_cov[i]]
+        for head, c, rest in heads + [(head, c, s) for head, c in theta]:
             sign, merged = merge_sign(head, rest)
             if sign:
                 term = c * cs
                 acc[merged] = acc.get(merged, 0) + (term if sign > 0 else -term)
-    return InvariantForm.from_dict(n, k + 1, acc)
+    return acc
+
+
+def _d_sigma(model: LieAlgebraModel, form: InvariantForm, sigma) -> InvariantForm:
+    """(d - sigma theta ^) form for sigma in {0, 1, -1} by ``_d_scaled``, each
+    nonzero coefficient divided by den.  A form of degree k >= dim maps to
+    the form of degree k + 1, which has no coefficients."""
+    n, den = model.dim, model.scaled.den
+    acc = _d_scaled(model.scaled, zip(wedge_basis(n, form.degree), form.coeffs), sigma)
+    return InvariantForm.from_dict(n, form.degree + 1,
+                                   {s: _unscale(c, den) for s, c in acc.items()})
 
 
 def d_apply(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
@@ -360,11 +391,10 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
     e^j ^ e^k ^ e^l is e^i of the Jacobiator of e_j, e_k, e_l, so the triples
     where the identity fails are those where some d(d e^i) has a nonzero
     coefficient, reported in lexicographic order."""
-    n = model.dim
+    n, sc = model.dim, model.scaled
     failing = set()
-    for i in range(n):
-        dd = d_apply(model, d_apply(model, InvariantForm.covector(n, i)))
-        failing.update(s for s, c in zip(wedge_basis(n, 3), dd.coeffs) if c)
+    for terms in sc.d_cov:  # den d applied to den d e^i: the scale changes no zero
+        failing.update(s for s, c in _d_scaled(sc, terms, 0).items() if c)
     violations = [("jacobi", tuple(x + 1 for x in s))
                   for s in wedge_basis(n, 3) if s in failing]
     if not model.theta_is_closed():
@@ -372,9 +402,14 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
     if model.J is not None:
         if n % 2 != 0:
             violations.append(("J_on_odd_dimension", None))
-        square = Matrix.from_rows(model.J).matmul(Matrix.from_rows(model.J))
+        square = [[0] * n for _ in range(n)]  # J_int^2 + j_den^2 I, J_int = j_den J
+        for i, row in enumerate(sc.j_rows):
+            square[i][i] = sc.j_den ** 2
+            for j, c in row:
+                for t, x in sc.j_rows[j]:
+                    square[i][t] += c * x
         violations += [("J_squared", (i + 1, j + 1)) for i in range(n) for j in range(n)
-                       if square[i, j] + int(i == j)]
+                       if square[i][j]]
     return ValidationReport(not violations, violations)
 
 
@@ -392,8 +427,12 @@ def _matrix_of(model: LieAlgebraModel, k, op) -> Matrix:
 
 
 def d_theta_matrix(model: LieAlgebraModel, k) -> Matrix:
-    """Matrix of d_theta from degree k to k+1 in the wedge bases."""
-    return _matrix_of(model, k, d_theta_apply)
+    """Matrix of d_theta from degree k to k+1 in the wedge bases, column by
+    column in ``_d_scaled``'s entries, each nonzero one divided by den."""
+    sc, rows = model.scaled, wedge_basis(model.dim, k + 1)
+    cols = [_d_scaled(sc, [(s, 1)], 1) for s in wedge_basis(model.dim, k)]
+    return Matrix(len(rows), len(cols), [_unscale(col.get(r, 0), sc.den)
+                                         for r in rows for col in cols])
 
 
 # A model with parameters is first evaluated at up to this many seeded rational
@@ -462,15 +501,18 @@ def harmonic_dims(model: LieAlgebraModel):
     if not model.coframe_metric:
         raise LieModelError("no orthonormal coframe declared on this model")
     n = model.dim
+    d = [d_theta_matrix(model, k) for k in range(n + 1)]
+    delta = [_matrix_of(model, k, delta_theta) for k in range(n + 1)]
     dims = []
     for k in range(n + 1):
-        lap = _matrix_of(model, k, laplacian_theta)
+        # Delta_k = delta_(k+1) d_k + d_(k-1) delta_k
+        terms = ([delta[k + 1].matmul(d[k])] if k < n else []) + \
+            ([d[k - 1].matmul(delta[k])] if k > 0 else [])
+        lap = Matrix(comb(n, k), comb(n, k), map(sum, zip(*(t.entries for t in terms))))
         dims.append(comb(n, k) - rank(lap))
         # ker Delta = ker d_theta  cap  ker delta_theta: compare ranks of the
         # stacked (d_theta; delta_theta) operator with the Laplacian's kernel
-        dk = d_theta_matrix(model, k)
-        deltak = _matrix_of(model, k, delta_theta)
-        stacked = Matrix(dk.rows + deltak.rows, comb(n, k), dk.entries + deltak.entries)
+        stacked = Matrix(d[k].rows + delta[k].rows, comb(n, k), d[k].entries + delta[k].entries)
         if comb(n, k) - rank(stacked) != dims[-1]:
             raise LieModelError(f"Hodge kernel mismatch in degree {k}")
     return dims
@@ -483,8 +525,13 @@ def isotropic_basis(model: LieAlgebraModel):
     from one nullspace of both conditions split by ``rational_conditions``."""
     if model.J is None:
         raise LieModelError("the isotropic subspace needs a complex structure J")
-    theta_j = [sum(t * c for t, c in zip(model.theta, col)) for col in zip(*model.J)]
-    rows = rational_conditions(model.theta) + rational_conditions(theta_j)
+    sc = model.scaled
+    theta, theta_j = [0] * model.dim, [0] * model.dim  # den theta, den j_den theta o J
+    for (l,), t in sc.theta:
+        theta[l] = t
+        for j, c in sc.j_rows[l]:
+            theta_j[j] += t * c
+    rows = rational_conditions(theta) + rational_conditions(theta_j)
     return nullspace(Matrix(len(rows), model.dim, chain.from_iterable(rows)))
 
 

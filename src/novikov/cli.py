@@ -41,7 +41,8 @@ from .catalog import (
     splus_algebra,
     splus_coframe_model,
 )
-from .chevalley import LieAlgebraModel, LieModelError, twisted_ce_cohomology, validate
+from .chevalley import (LieAlgebraModel, LieModelError, ValidationReport,
+                        twisted_ce_cohomology, validate)
 from .exact import AlgebraicReal, alg_power, alg_reciprocal
 from .lck_cone import (
     DEFAULT_MAX_ITERS,
@@ -73,13 +74,15 @@ class CliError(Exception):
 
 
 class ResolvedModel:
-    """A named model plus optional distinguished alpha and profile transform."""
+    """A named model plus optional distinguished alpha, profile transform and
+    the validation report of a model file, which the loader validated."""
 
-    def __init__(self, name, model, alpha=None, transform=None):
+    def __init__(self, name, model, alpha=None, transform=None, report=None):
         self.name = name
         self.model = model
         self.alpha = alpha
         self.transform = transform  # BettiProfile -> BettiProfile
+        self.report = report
 
     @property
     def is_fiber(self):
@@ -137,10 +140,10 @@ def resolve_model(spec: str) -> ResolvedModel:
         return ResolvedModel(spec, abelian_algebra(n))
     if head == "ot":
         return ResolvedModel(spec, ot_algebra(_parse_int(rest, "ot needs an integer s")))
-    # otherwise: a model file path
+    # otherwise: a model file path; the loader refuses a model that fails validation
     model = load_model(spec)
     name = getattr(model, "name", "") or spec
-    return ResolvedModel(name, model)
+    return ResolvedModel(name, model, report=ValidationReport(True, []))
 
 
 # -- Lee parameter selection -------------------------------------------------
@@ -263,7 +266,7 @@ def _verify_fiber(resolved):
 
 def _verify_algebra(resolved):
     model = resolved.model
-    report = validate(model)
+    report = validate(model) if resolved.report is None else resolved.report
     checks = [{"name": "structure_valid", "ok": bool(report),
                "violations": [list(map(str, v)) for v in report.violations]}]
     dims = twisted_ce_cohomology(model)

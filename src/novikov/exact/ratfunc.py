@@ -53,10 +53,11 @@ def rational_conditions(cov):
     over one common denominator, so the kernel holds at every parameter value."""
     if all(isinstance(c, Rational) for c in cov):
         return [list(cov)]
+    terms = [(i, c) for i, c in enumerate(cov) if c]  # a zero may be the int 0
     den = reduce(lambda a, b: a if b == 1 else b if a == 1 else a.lcm(b),
-                 (c.denom for c in cov), 1)  # a zero is 0/1
+                 (c.denom for _, c in terms), 1)
     rows = {}
-    for i, c in enumerate(cov):
+    for i, c in terms:
         for monom, a in (c.numer * (den if c.denom == 1 else den.exquo(c.denom))).items():
             rows.setdefault(monom, [0] * len(cov))[i] = int(a)
     return list(rows.values())

@@ -102,13 +102,19 @@ def _j_invariant_subbasis(model, basis):
     """Restrict a kernel basis to the J-invariant forms omega(J., J.) = omega,
     exactly over Q.  The coefficients of omega(J., J.) are Lambda^2(J)^T
     applied to those of omega, so the combinations sought span the kernel of
-    (Lambda^2(J)^T - I) B, where B holds the basis forms as columns."""
+    (Lambda^2(J)^T - I) B, where B holds the basis forms as columns.  It is
+    taken in ints, times j_den^2 (Lambda^2(j_den J) = j_den^2 Lambda^2(J)) and
+    the lcm of B's denominators, which leaves the kernel as it is."""
     if not basis:
         return []
+    n, sc = model.dim, model.scaled
     b = Matrix.from_rows(list(zip(*(form.coeffs for form in basis))))
-    image = exterior_powers(Matrix.from_rows(model.J), 2)[2].transpose().matmul(b)
-    combo = nullspace(Matrix(b.rows, b.cols,
-                             [x - y for x, y in zip(image.entries, b.entries)]))
+    scale = math.lcm(*(c.denominator for c in b.entries))
+    b_int = Matrix(b.rows, b.cols, [c.numerator * (scale // c.denominator) for c in b.entries])
+    j_int = Matrix(n, n, [dict(row).get(t, 0) for row in sc.j_rows for t in range(n)])
+    image = exterior_powers(j_int, 2)[2].transpose().matmul(b_int)
+    combo = nullspace(Matrix(b.rows, b.cols, [x - sc.j_den ** 2 * y
+                                              for x, y in zip(image.entries, b_int.entries)]))
     return [InvariantForm(model.dim, 2, tuple(b.matmul(Matrix(b.cols, 1, vec)).entries))
             for vec in combo]
 
@@ -184,21 +190,27 @@ def _certified(floats, kind, x, source) -> TamingCertificate:
 
 def _integer_sym_matrices(model, basis):
     """(mats, den): the matrices Sym(omega_i(., J.)) = (W_i J + (W_i J)^T) / 2
-    of the basis forms over Q, times their common denominator den, as integer
-    rows.  A common positive factor leaves every combination's definiteness,
-    and every zero of v^T S_i v, as it is."""
-    n, jrows = model.dim, model.J
+    of the basis forms over Q, times their least common denominator den, as
+    integer rows.  They are summed in ints from the forms over one common
+    denominator and J's integer rows in ``model.scaled``, then divided by the
+    gcd of their scale and every entry.  A common positive factor leaves every
+    combination's definiteness, and every zero of v^T S_i v, as it is."""
+    n, sc = model.dim, model.scaled
+    scale = math.lcm(*(c.denominator for form in basis for c in form.coeffs))
     mats = []
     for form in basis:
-        wj = [[Fraction(0)] * n for _ in range(n)]  # W J, row by row
+        wj = [[0] * n for _ in range(n)]  # scale * j_den * W J, row by row
         for (i, k), c in zip(wedge_basis(n, 2), form.coeffs):
             if c:
-                for t in range(n):
-                    wj[i][t] += c * jrows[k][t]
-                    wj[k][t] -= c * jrows[i][t]
-        mats.append([[(wj[u][t] + wj[t][u]) / 2 for t in range(n)] for u in range(n)])
-    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
-    return [[[int(x * den) for x in row] for row in m] for m in mats], den
+                c = c.numerator * (scale // c.denominator)
+                for t, x in sc.j_rows[k]:
+                    wj[i][t] += c * x
+                for t, x in sc.j_rows[i]:
+                    wj[k][t] -= c * x
+        mats.append([[wj[u][t] + wj[t][u] for t in range(n)] for u in range(n)])
+    total = 2 * scale * sc.j_den  # S_i = mats[i] / total
+    g = math.gcd(total, *(x for m in mats for row in m for x in row))
+    return [[[x // g for x in row] for row in m] for m in mats], total // g
 
 
 def _as_floats(mats, den):

@@ -295,6 +295,21 @@ def test_verify_validates_each_algebra_once(monkeypatch, capsys):
     assert len(calls) == len(set(calls)) == len(algebras)
 
 
+def test_verify_validates_a_model_file_once(monkeypatch, capsys, tmp_path):
+    # the loader's validation is the one verify reports
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({
+        "type": "lie_algebra", "dim": 4, "name": "h3+R", "theta": ["0", "0", "0", "1"],
+        "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}],
+        "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+              ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}))
+    calls = count_validate(monkeypatch)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and calls == ["h3+R"]
+    (report,) = last_json(out)["models"]
+    assert report["checks"][0] == {"name": "structure_valid", "ok": True, "violations": []}
+
+
 ALGEBRA_DOC = {"type": "lie_algebra", "dim": 2,
                "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]}
 FIBER_DOC = {"type": "fiber_descriptor", "dim": 3, "h_dims": [1, 2, 2, 1],

@@ -264,13 +264,14 @@ def float_matrices(model, basis):
 
 
 def omega_v_jv(model, form, v):
-    """omega(v, Jv) over Q through the form's antisymmetric matrix and
-    model.apply_J: an oracle independent of the certificate search."""
+    """omega(v, Jv) over Q through the form's antisymmetric matrix and the
+    dense product with model.J: an oracle independent of the certificate
+    search and of the model's scaled structure."""
     n = model.dim
     w = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), c in zip(wedge_basis(n, 2), form.coeffs):
         w[i][j], w[j][i] = c, -c
-    jv = model.apply_J(v)
+    jv = [sum(model.J[u][t] * v[t] for t in range(n)) for u in range(n)]
     return sum(v[u] * w[u][t] * jv[t] for u in range(n) for t in range(n))
 
 
