@@ -2,7 +2,7 @@
 numbers, and linear algebra over Q, Q(params) and Q(lambda) (sympy's ``ANP``,
 which only the tests' oracles use)."""
 
-from .polynomials import IntPoly, sturm_sequence, count_roots
+from .polynomials import IntPoly, count_roots, exterior_char_polys, multiplicity, sturm_sequence
 from .algebraic import (
     AlgebraicReal,
     isolate_real_roots,
@@ -25,7 +25,7 @@ from .matrices import (
 )
 
 __all__ = [
-    "IntPoly", "sturm_sequence", "count_roots",
+    "IntPoly", "count_roots", "exterior_char_polys", "multiplicity", "sturm_sequence",
     "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp",
     "alg_power", "alg_reciprocal", "NumberField", "coefficient",
     "coefficient_field", "rational_conditions", "substitution",

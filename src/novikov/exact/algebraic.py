@@ -28,6 +28,7 @@ class AlgebraicReal:
     minpoly: IntPoly
     interval: tuple  # open (lo, hi), Fractions
     _sturm: list = field(default=None, compare=False, repr=False)
+    _float: float = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -105,16 +106,19 @@ class AlgebraicReal:
         return 1 if lo >= 0 else -1
 
     def to_float(self) -> float:
-        """An approximation for display; +-inf beyond the float range."""
-        if self.is_rational():
-            q = self.as_rational()
-        else:
-            lo, hi = self.refined(Fraction(1, 2**60)).interval
-            q = (lo + hi) / 2
-        try:
-            return float(q)
-        except OverflowError:
-            return float("inf") if q > 0 else float("-inf")
+        """An approximation for display, computed once; +-inf past the float range."""
+        if self._float is None:
+            if self.is_rational():
+                q = self.as_rational()
+            else:
+                lo, hi = self.refined(Fraction(1, 2**60)).interval
+                q = (lo + hi) / 2
+            try:
+                x = float(q)
+            except OverflowError:
+                x = float("inf") if q > 0 else float("-inf")
+            object.__setattr__(self, "_float", x)
+        return self._float
 
     # -- arithmetic-free exact predicates ----------------------------------
 

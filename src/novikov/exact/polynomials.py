@@ -71,6 +71,13 @@ class IntPoly:
         """Coefficient reversal x^n p(1/x); constant term must be nonzero."""
         return IntPoly(list(reversed(self.coeffs)))
 
+    def __mul__(self, other):
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return IntPoly(out)
+
     def to_sympy(self):
         return sp.Poly(list(reversed(self.coeffs)), _X)
 
@@ -95,6 +102,46 @@ def is_irreducible(p: IntPoly):
         return False
     factors = factor_squarefree_irreducible(p)
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == p.degree
+
+
+def multiplicity(p: IntPoly, f: IntPoly) -> int:
+    """The largest m with p^m | f, f nonzero and p primitive of degree >= 1, by
+    exact division in integers: by Gauss's lemma any quotient by p is integral."""
+    m, r, np_ = 0, list(f.coeffs), len(p.coeffs)
+    while len(r) >= np_:
+        q = []
+        for i in range(len(r) - np_, -1, -1):
+            c = r[i + np_ - 1] // p.leading()  # if inexact, r keeps a remainder
+            for j, b in enumerate(p.coeffs):
+                r[i + j] -= c * b
+            q.append(c)
+        if any(r):
+            return m
+        m, r = m + 1, q[::-1]
+    return m
+
+
+def _newton(sums):
+    """[1, c_1, ..., c_N] of the monic x^N + c_1 x^(N-1) + ... whose roots
+    have the power sums [p_1, ..., p_N], by Newton's identities."""
+    c = [1]
+    for m in range(1, len(sums) + 1):
+        c.append(-sum(c[i] * sums[m - i - 1] for i in range(m)) // m)
+    return c
+
+
+def exterior_char_polys(chi: IntPoly):
+    """det(x - Lambda^k M), k = 0..n, from chi = det(x - M), monic: the j-th
+    power sum of Lambda^k M is e_k(mu_1^j, ..., mu_n^j), by ``_newton`` from M's
+    p_j, p_2j, ..., p_kj (Macdonald, Symmetric Functions..., ch. I)."""
+    n, c = chi.degree, chi.coeffs[::-1]
+    p = [n]  # p[m] is the m-th power sum of M's eigenvalues
+    for m in range(1, max(k * math.comb(n, k) for k in range(n + 1)) + 1):
+        p.append((-m * c[m] if m <= n else 0)
+                 - sum(c[i] * p[m - i] for i in range(1, min(m, n + 1))))
+    return [IntPoly(_newton([(-1) ** k * _newton(p[j::j][:k])[k]
+                             for j in range(1, math.comb(n, k) + 1)])[::-1])
+            for k in range(n + 1)]
 
 
 # -- Sturm sequences in integers ---------------------------------------------

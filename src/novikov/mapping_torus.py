@@ -9,17 +9,15 @@ from the kernel dimensions ``kappa_k(lam) = dim ker(lam * Phi_k - I)`` via
 a consolidation of the twisted Mayer-Vietoris rank bookkeeping that is pinned
 against golden profiles in the tests rather than trusted abstractly.
 
-``kappa_k`` needs no arithmetic in Q(lam): p, the minimal polynomial of
-1/lam, is irreducible, so ``dim_Q ker p(Phi_k) = deg(p) * kappa_k``, one rank
-over Q.  Every fiber model is the gluing map's actions on H^k(F; Q): a torus
-monodromy is its exterior powers, built once when the model is made.
+``kappa_k`` is m, the multiplicity of p, the minimal polynomial of 1/lam, in
+chi_k = det(x - Phi_k) when m <= 1 or Phi_k is semisimple; otherwise p is
+irreducible, so ``dim_Q ker p(Phi_k) = deg(p) * kappa_k``, one rank over Q.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from math import isfinite
 from operator import add
@@ -30,14 +28,17 @@ from .exact import (
     alg_cmp,
     alg_eq,
     char_poly,
+    exterior_char_polys,
     exterior_powers,
     isolate_real_roots,
+    multiplicity,
     poly_at_matrix,
     rank,
+    sturm_sequence,
 )
 
 
-MAX_FIBER_DIM = 6
+MAX_FIBER_DIM = 8
 
 
 class ModelError(ValueError):
@@ -51,35 +52,38 @@ def _check_fiber_dim(n):
 
 @dataclass(frozen=True)
 class FiberModel:
-    """The gluing map's rational actions Phi_k on H^k(F; Q), k = 0..n:
-    square matrices over int or Fraction, the identity on H^0 and +-1 on
-    H^n."""
+    """The gluing map on H^k(F; Q), k = 0..n: actions Phi_k (int or Fraction
+    matrices; None if all are semisimple) and chi_k = det(x - Phi_k), primitive
+    IntPolys, x - 1 on H^0 and x -+ 1 on H^n, by default from the actions."""
 
     actions: tuple
     name: str = ""
+    charpolys: tuple = None
 
     def __post_init__(self):
-        if not self.actions:
+        degrees = self.actions if self.charpolys is None else self.charpolys
+        if not degrees:
             raise ModelError("need one action per degree 0..n")
-        _check_fiber_dim(self.dim_fiber)
-        for k, m in enumerate(self.actions):
-            if m.rows != m.cols:
-                raise ModelError(f"action in degree {k} is not square")
-        if self.actions[0].entries != [Fraction(1)]:
+        _check_fiber_dim(len(degrees) - 1)
+        if self.charpolys is None:
+            for k, m in enumerate(self.actions):
+                if m.rows != m.cols:
+                    raise ModelError(f"action in degree {k} is not square")
+            object.__setattr__(self, "charpolys", tuple(map(char_poly, self.actions)))
+        if self.charpolys[0].coeffs != (-1, 1):
             raise ModelError("H^0 action must be the 1x1 identity")
-        top = self.actions[-1]
-        if top.rows != 1 or top.entries[0] not in (Fraction(1), Fraction(-1)):
+        if self.charpolys[-1].coeffs not in ((-1, 1), (1, 1)):
             raise ModelError("H^n action must be [1] or [-1]")
 
     @property
     def dim_fiber(self):
-        return len(self.actions) - 1
+        return len(self.charpolys) - 1
 
 
 def torus_monodromy(phi1, name="") -> FiberModel:
     """Fiber T^n with the gluing automorphism acting on H^1 by the integer
-    matrix phi1 (rows, acting on the coordinate coframe basis): Phi_k is its
-    k-th exterior power, kept over int."""
+    matrix phi1 (rows, acting on the coordinate coframe basis): chi_k is that
+    of its k-th exterior power, kept over int only if chi_1 is not squarefree."""
     rows = tuple(tuple(r) for r in phi1)
     n = len(rows)
     if not rows or any(len(r) != n for r in rows):
@@ -87,11 +91,14 @@ def torus_monodromy(phi1, name="") -> FiberModel:
     if any(type(x) is not int for r in rows for x in r):
         raise ModelError("monodromy entries must be integers")
     _check_fiber_dim(n)  # before Lambda^k, whose size grows as binomial(n, k)
-    actions = tuple(exterior_powers(Matrix.from_rows(rows), n))
-    det = actions[n].entries[0]  # Lambda^n(M) = [det M]
+    m = Matrix.from_rows(rows)
+    chi = char_poly(m)
+    det = (-1) ** n * chi.constant()
     if det not in (1, -1):
         raise ModelError(f"monodromy must be invertible over Z, det = {det}")
-    return FiberModel(actions, name)
+    squarefree = sturm_sequence(chi)[-1].degree == 0  # the chain ends in gcd(chi, chi')
+    actions = None if squarefree else tuple(exterior_powers(m, n))
+    return FiberModel(actions, name, tuple(exterior_char_polys(chi)))
 
 
 @dataclass(frozen=True)
@@ -125,14 +132,18 @@ def json_approx(lam: AlgebraicReal):
 
 
 def kappa(model: FiberModel, lam: AlgebraicReal, k: int) -> int:
-    """dim ker(lam * Phi_k - I) over Q(lam), found by ranks over Q."""
+    """dim ker(lam * Phi_k - I) over Q(lam): a multiplicity in chi_k, or a
+    rank over Q where that may exceed it."""
     n = model.dim_fiber
     if not 0 <= k <= n:
         raise ModelError(f"degree {k} out of range 0..{n}")
     if lam.sign() <= 0:
         raise ModelError("Lee parameter must be positive")
-    phi = model.actions[k]
     p = lam.minpoly.reversed().primitive()
+    m = multiplicity(p, model.charpolys[k])
+    if m <= 1 or model.actions is None:
+        return m
+    phi = model.actions[k]
     return (phi.rows - rank(poly_at_matrix(p, phi))) // p.degree
 
 
@@ -145,12 +156,12 @@ def twisted_betti(model: FiberModel, lam: AlgebraicReal) -> BettiProfile:
 
 def exceptional_lambdas(model: FiberModel):
     """The finite set of positive lam with a nonzero profile: lam * Phi_k - I
-    is singular exactly at the positive real roots of the reversed
-    char_poly(Phi_k), whose reversal drops the eigenvalue 0; sorted,
-    deduplicated."""
+    is singular exactly at the positive real roots of the reversed chi_k (the
+    reversal drops the eigenvalue 0); sorted, deduplicated, each distinct
+    chi_k isolated once."""
     found = []
-    for phi in model.actions:
-        for lam, _ in isolate_real_roots(char_poly(phi).reversed()):
+    for chi in dict.fromkeys(model.charpolys):
+        for lam, _ in isolate_real_roots(chi.reversed()):
             if lam.sign() > 0 and not any(alg_eq(lam, x) for x in found):
                 found.append(lam)
     found.sort(key=cmp_to_key(alg_cmp))

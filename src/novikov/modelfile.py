@@ -8,10 +8,10 @@ Three document types, selected by the top-level "type" key:
   ``"rational:<p>/<q>"``, ``"poly:<c0,c1,...>@(<lo>,<hi>)"`` and
   ``"conjugate_pair:<mult>"`` (the first two optionally ``[spec, mult]``);
   ``dim``, ``h_dims`` and multiplicities are JSON integers, and an action is
-  a JSON array of row arrays.  Spectra load as block-diagonal rational
-  actions: m companion blocks of the minimal polynomial p of real eigenvalues
-  listed with multiplicity m, which also take p's complex roots from the
-  declared conjugate pairs, and a rotation block for each pair left over.
+  a JSON array of row arrays.  Spectra load as characteristic polynomials,
+  with no matrix: p^m for the minimal polynomial p of real eigenvalues
+  listed with multiplicity m, which also takes p's complex roots from the
+  declared conjugate pairs, and x^2 + 1 for each pair left over.
   So a spectrum must be closed under Galois conjugation: every real root of
   p listed, all with one multiplicity.  Either way H^0 must act as [1] and
   H^dim as [1] or [-1], and no H^k may exceed ``MAX_H_DIM``.
@@ -46,7 +46,7 @@ import ast
 import json
 import operator
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .chevalley import InvariantForm, LieAlgebraModel, check_lie_dim, validate
 from .exact import (
@@ -56,7 +56,6 @@ from .exact import (
     alg_eq,
     coefficient,
     coefficient_field,
-    companion,
     isolate_real_roots,
 )
 from .mapping_torus import FiberModel, ModelError, torus_monodromy
@@ -68,9 +67,9 @@ class SchemaError(ValueError):
 
 _PAIR = object()  # what parse_eigenvalue_spec returns for a conjugate pair
 
-# Each H^k is a dense matrix, and char_poly's cost grows as the fourth power
-# of its size: `scan` on an 80-dimensional H^1 takes about 1.6 s on a shared
-# 2-core VM.  The largest H^k of a torus fiber within MAX_FIBER_DIM is 20.
+# An explicit action is a dense matrix, and char_poly's cost grows as the
+# fourth power of its size: `scan` on an 80-dimensional H^1 takes about 1.6 s
+# on a shared 2-core VM.  A spectrum costs no matrix; the cap holds for both.
 MAX_H_DIM = 64
 
 
@@ -262,9 +261,9 @@ def _load_torus_monodromy(doc):
         raise SchemaError(f"torus_monodromy: {exc}") from exc
 
 
-def _spectrum_blocks(k, spec_list, size):
-    """The diagonal blocks of a rational action of the declared size with
-    the given spectrum."""
+def _spectrum_charpoly(k, spec_list, size):
+    """The characteristic polynomial of a semisimple rational action of the
+    declared size with the given spectrum."""
     groups = {}  # minimal polynomial -> [(eigenvalue, multiplicity)]
     pairs = 0
     for item in _array(spec_list, f"degree {k}: a spectrum"):
@@ -280,11 +279,11 @@ def _spectrum_blocks(k, spec_list, size):
             raise SchemaError(f"degree {k}: multiplicity {mult!r} is not a "
                               "positive integer")
         groups.setdefault(ev.minpoly.coeffs, []).append((ev, mult))
-    # before any block is built, so that no multiplicity sizes an allocation
+    # before any factor is multiplied, so that no multiplicity sizes an allocation
     total = 2 * pairs + sum(m for listed in groups.values() for _, m in listed)
     if total != size:
         raise SchemaError(f"degree {k}: multiplicities sum to {total}, declared {size}")
-    blocks = []
+    chi = IntPoly([1])
     for listed in groups.values():
         p = listed[0][0].minpoly
         roots = [r for r, _ in isolate_real_roots(p)]
@@ -295,22 +294,11 @@ def _spectrum_blocks(k, spec_list, size):
                               "all be listed, with one multiplicity")
         (mult,) = mults
         pairs -= mult * (p.degree - len(roots)) // 2
-        blocks += [companion(p)] * mult
+        chi = prod([p] * mult, start=chi)
     if pairs < 0:
         raise SchemaError(f"degree {k}: too few conjugate pairs for the complex "
                           "roots of the listed minimal polynomials")
-    return blocks + [companion(IntPoly((1, 0, 1)))] * pairs  # [[0, -1], [1, 0]]
-
-
-def _block_diagonal(blocks):
-    size = sum(b.rows for b in blocks)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b.to_rows()):
-            rows[at + i][at:at + b.cols] = row
-        at += b.rows
-    return Matrix.from_rows(rows)
+    return prod([IntPoly((1, 0, 1))] * pairs, start=chi)
 
 
 def _load_fiber_descriptor(doc):
@@ -331,14 +319,14 @@ def _load_fiber_descriptor(doc):
         per_degree = doc["actions"] if "actions" in doc else doc["spectra"]
         if len(per_degree) != dim + 1:
             raise SchemaError(f"need {dim + 1} degrees for dim {dim}, got {len(per_degree)}")
-        if "actions" in doc:
-            acts = tuple(
-                Matrix.from_rows([[Fraction(str(x)) for x in _array(row, "an action row")]
-                                  for row in _array(mat, "an action")])
-                for mat in per_degree)
-        else:
-            acts = tuple(_block_diagonal(_spectrum_blocks(k, spec_list, h))
-                         for k, (spec_list, h) in enumerate(zip(per_degree, h_dims)))
+        if "spectra" in doc:
+            return FiberModel(None, doc.get("name", ""), tuple(
+                _spectrum_charpoly(k, spec_list, h)
+                for k, (spec_list, h) in enumerate(zip(per_degree, h_dims))))
+        acts = tuple(
+            Matrix.from_rows([[Fraction(str(x)) for x in _array(row, "an action row")]
+                              for row in _array(mat, "an action")])
+            for mat in per_degree)
         for k, (m, h) in enumerate(zip(acts, h_dims)):
             if m.rows != h:
                 raise SchemaError(f"degree {k} has dimension {m.rows}, declared {h}")

@@ -46,6 +46,16 @@ def test_to_float_accuracy():
     assert abs(sqrt2().to_float() - math.sqrt(2)) < 1e-12
 
 
+def test_to_float_is_computed_once_and_not_compared(monkeypatch):
+    x, calls = sqrt2(), []
+    refined = AlgebraicReal.refined
+    monkeypatch.setattr(AlgebraicReal, "refined",
+                        lambda self, width: calls.append(width) or refined(self, width))
+    assert x.to_float() == x.to_float() and len(calls) == 1
+    fresh = AlgebraicReal(x.minpoly, x.interval)
+    assert fresh == x and hash(fresh) == hash(x) and repr(fresh) == repr(x)
+
+
 def test_to_float_saturates_beyond_float_range():
     big = 10 ** 400
     assert AlgebraicReal.from_rational(big).to_float() == math.inf

@@ -514,13 +514,15 @@ def test_certified_feasible_cone_calls_eigh_at_most_once(capsys, monkeypatch, ar
 
 
 def test_s0_alpha_for_the_cone_builds_no_fiber_model(monkeypatch):
-    """--at-alpha needs alpha alone: no exterior power of the S0 monodromy."""
+    """--at-alpha needs alpha alone: no exterior power of the S0 monodromy,
+    nor its characteristic polynomial."""
     import novikov.mapping_torus as mt
 
     def refuse(*args, **kwargs):
         raise AssertionError("exterior power built to read alpha")
 
-    monkeypatch.setattr(mt, "exterior_powers", refuse)
+    for name in ("exterior_powers", "exterior_char_polys"):
+        monkeypatch.setattr(mt, name, refuse)
     for invert in (False, True):
         model, theta = _instantiated_s0(invert)
         assert model.params == () and (theta is None) == (not invert)

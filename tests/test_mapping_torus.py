@@ -34,6 +34,7 @@ from novikov.mapping_torus import (
     twisted_betti,
 )
 from novikov.catalog import (
+    DEFAULT_S0_MATRIX,
     SpmDatum,
     default_s0,
     default_sminus,
@@ -82,9 +83,9 @@ def test_explicit_actions_checks_ends():
 
 def test_fiber_dim_cap():
     with pytest.raises(ModelError):
-        torus_monodromy(tuple(tuple(int(i == j) for j in range(7)) for i in range(7)))
+        torus_monodromy(tuple(tuple(int(i == j) for j in range(9)) for i in range(9)))
     with pytest.raises(ModelError):
-        FiberModel((Matrix.from_rows([[1]]),) * 8)
+        FiberModel((Matrix.from_rows([[1]]),) * 10)
 
 
 def test_betti_profile_rejects_negative():
@@ -276,6 +277,7 @@ def test_profile_json_roundtrip():
 
 HYPERBOLIC = ((2, 1), (1, 1))
 CUBIC = ((0, 0, 1), (1, 0, 1), (0, 1, 0))  # companion of x^3 - x - 1
+CUBIC_INVERSE = ((-1, 1, 0), (0, 0, 1), (1, 0, 0))
 _X = sp.Symbol("x")
 
 
@@ -329,10 +331,12 @@ def unimodular_conjugate(rows, rng, steps):
 def parity_monodromies():
     """Catalog and seeded SL_n(Z) monodromies of dims 3-6, plus ones built
     to give kappa >= 2: the identity, repeated hyperbolic blocks, a unipotent
-    Jordan block and a hyperbolic Jordan block (geometric < algebraic
-    multiplicity at an irrational eigenvalue)."""
+    Jordan block, a hyperbolic Jordan block (geometric < algebraic
+    multiplicity at an irrational eigenvalue) and a cubic block with its
+    inverse (squarefree chi_1, so semisimple, and an irrational eigenvalue
+    twice in Lambda^3)."""
     rng = random.Random(29)
-    monos = {"s0:default": default_s0()[0].actions[1].to_rows(),
+    monos = {"s0:default": [list(r) for r in DEFAULT_S0_MATRIX],
              "identity 4": identity(4),
              "hyperbolic x2": block_diag(HYPERBOLIC, HYPERBOLIC),
              "hyperbolic x3": unimodular_conjugate(
@@ -340,7 +344,8 @@ def parity_monodromies():
              "unipotent jordan": [[int(j in (i, i + 1)) for j in range(4)] for i in range(4)],
              "hyperbolic jordan": ((2, 1, 1, 0), (1, 1, 0, 1), (0, 0, 2, 1), (0, 0, 1, 1)),
              "seeded dim 5": unimodular_conjugate(block_diag(HYPERBOLIC, CUBIC), rng, 4),
-             "seeded dim 6": unimodular_conjugate(block_diag(CUBIC, CUBIC), rng, 4)}
+             "seeded dim 6": unimodular_conjugate(block_diag(CUBIC, CUBIC), rng, 4),
+             "cubic and inverse": unimodular_conjugate(block_diag(CUBIC, CUBIC_INVERSE), rng, 4)}
     for i, n in enumerate((3, 3, 4, 4)):
         monos[f"random dim {n} #{i}"] = elementary_product(rng, n, 12)
     return monos
@@ -359,9 +364,11 @@ def explicit_twin(rows, phis):
 
 def test_kappa_matches_number_field_oracle():
     # cases covered: rational lam, and at irrational lam the minimal polynomial
-    # of 1/lam dividing chi_k at most once, repeatedly, and repeatedly with
-    # geometric < algebraic multiplicity
-    cases = {"rational": 0, "simple": 0, "repeated": 0, "defective": 0}
+    # of 1/lam dividing chi_k at most once, repeatedly, repeatedly with
+    # geometric < algebraic multiplicity, and repeatedly in a model that keeps
+    # no matrices (kappa read off chi_k)
+    cases = {"rational": 0, "simple": 0, "repeated": 0, "defective": 0,
+             "repeated, no matrices": 0}
     for name, rows in parity_monodromies().items():
         n = len(rows)
         model = torus_monodromy(rows)
@@ -397,6 +404,7 @@ def test_kappa_matches_number_field_oracle():
                 mult = factors.get(mu, 0)
                 cases["simple" if mult <= 1 else "repeated"] += 1
                 cases["defective"] += 1 < mult and want[k] < mult
+                cases["repeated, no matrices"] += 1 < mult and model.actions is None
             want_betti = [want[0]] + [want[k] + want[k - 1] for k in range(1, n + 1)] + [want[n]]
             assert twisted_betti(model, lam).betti == tuple(want_betti), (name, lam)
     assert all(cases.values()), cases
@@ -409,11 +417,8 @@ def test_kappa_refuses_a_nonpositive_lambda():
             kappa(model, rational(q), 1)
 
 
-def test_phi_is_computed_once_per_model(monkeypatch):
-    import novikov.mapping_torus as mt
-
-    rows = unimodular_conjugate(block_diag(HYPERBOLIC, CUBIC), random.Random(31), 4)
-    calls = {"exterior_powers": 0, "char_poly": 0}
+def count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -421,49 +426,72 @@ def test_phi_is_computed_once_per_model(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(mt, name, counted(name, getattr(mt, name)))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_phi_is_computed_once_per_model(monkeypatch):
+    import novikov.mapping_torus as mt
+
+    calls = count_calls(monkeypatch, mt, ("exterior_powers", "char_poly", "rank"))
+    # chi_1 squarefree: no exterior power and no rank, one char_poly for chi_1
+    rows = unimodular_conjugate(block_diag(HYPERBOLIC, CUBIC), random.Random(31), 4)
     model = torus_monodromy(rows)
-    # the model is made with one call for all of its exterior powers
-    assert calls == {"exterior_powers": 1, "char_poly": 0}
-    for lam in (rational(2), rational(1)):
-        twisted_betti(model, lam)
-    # kappa takes one rank per degree, no characteristic polynomial
-    assert calls == {"exterior_powers": 1, "char_poly": 0}
-    exc = exceptional_lambdas(model)
-    assert calls == {"exterior_powers": 1, "char_poly": 6}
-    for lam in exc:
+    assert model.actions is None
+    for lam in [rational(2), rational(1)] + exceptional_lambdas(model):
         twisted_betti(model, lam)
     exceptional_lambdas(model)
-    assert calls == {"exterior_powers": 1, "char_poly": 12}
+    assert calls == {"exterior_powers": 0, "char_poly": 1, "rank": 0}
+    # chi_1 not squarefree: the exterior powers are built once, and a rank is
+    # taken exactly where 1/lam's minimal polynomial divides chi_k twice
+    calls.update(dict.fromkeys(calls, 0))
+    model = torus_monodromy(parity_monodromies()["hyperbolic jordan"])
+    assert calls == {"exterior_powers": 1, "char_poly": 1, "rank": 0}
+    repeated = 0
+    for lam in [rational(2), rational(1)] + exceptional_lambdas(model):
+        twisted_betti(model, lam)
+        mu = sp.Poly(list(lam.minpoly.coeffs), _X).monic()
+        for phi in model.actions:
+            factors = dict((sp.Poly(f, _X).monic(), m) for f, m in
+                           sp.factor_list(sp.Matrix(phi.to_rows()).charpoly(_X).as_expr(), _X)[1])
+            repeated += factors.get(mu, 0) >= 2
+    exceptional_lambdas(model)
+    assert repeated and calls == {"exterior_powers": 1, "char_poly": 1, "rank": repeated}
 
 
 def test_torus_monodromy_is_its_exterior_powers(monkeypatch):
     import novikov.mapping_torus as mt
 
     monodromies = parity_monodromies()
-    calls = []
-    monkeypatch.setattr(mt, "exterior_powers",
-                        lambda *args: calls.append(args) or exterior_powers(*args))
+    calls = count_calls(monkeypatch, mt, ("exterior_powers",))
     for name, rows in monodromies.items():
         n = len(rows)
         model = torus_monodromy(rows)
-        assert len(calls) == 1 and calls.pop()[1] == n, name
-        assert model.dim_fiber == n and len(model.actions) == n + 1, name
-        for k, phi in enumerate(model.actions):
-            want = leibniz_exterior_power(Matrix.from_rows(rows), k)
+        wants = [leibniz_exterior_power(Matrix.from_rows(rows), k) for k in range(n + 1)]
+        assert model.dim_fiber == n and len(model.charpolys) == n + 1, name
+        assert list(model.charpolys) == [char_poly(w) for w in wants], name
+        # the actions are kept, from one call, exactly when chi_1 is not squarefree
+        semisimple = sp.Poly(sp.Matrix(rows).charpoly(_X).as_expr(), _X).is_sqf
+        assert calls.pop("exterior_powers", 0) == (not semisimple), name
+        calls["exterior_powers"] = 0
+        if semisimple:
+            assert model.actions is None, name
+            continue
+        for k, (phi, want) in enumerate(zip(model.actions, wants)):
             assert (phi.rows, phi.cols, phi.entries) == \
                 (want.rows, want.cols, want.entries), (name, k)
             assert all(type(x) is int for x in phi.entries), (name, k)
     with pytest.raises(ModelError, match=r"^monodromy must be invertible over Z, det = -6$"):
         torus_monodromy(((1, 2, 0), (2, -2, 0), (0, 0, 1)))
-    # the fiber cap is checked before any exterior power is built
+    # the fiber cap is checked before any polynomial or exterior power is built
     def refuse(*args, **kwargs):
-        raise AssertionError("exterior power built for an oversized fiber")
+        raise AssertionError("built for an oversized fiber")
 
-    monkeypatch.setattr(mt, "exterior_powers", refuse)
-    with pytest.raises(ModelError, match="capped at 6"):
-        torus_monodromy(identity(7))
+    for name in ("exterior_powers", "char_poly", "exterior_char_polys"):
+        monkeypatch.setattr(mt, name, refuse)
+    with pytest.raises(ModelError, match="capped at 8"):
+        torus_monodromy(identity(9))
 
 
 # -- the eigenvalue-descriptor oracle -----------------------------------------
@@ -580,5 +608,6 @@ SPECTRUM_PLANS = st.tuples(
 def test_galois_closed_spectra_match_descriptor_oracle(plan):
     doc, spectra = spectrum_doc(plan)
     model = load_model_dict(doc)
-    assert [m.rows for m in model.actions] == doc["h_dims"]
+    assert model.actions is None
+    assert [chi.degree for chi in model.charpolys] == doc["h_dims"]
     assert_matches_descriptor(model, spectra, doc)

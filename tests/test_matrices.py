@@ -16,6 +16,7 @@ from novikov.exact import (
     char_poly,
     coefficient,
     coefficient_field,
+    exterior_char_polys,
     exterior_powers,
     nullspace,
     poly_at_matrix,
@@ -120,6 +121,56 @@ def test_exterior_functoriality():
                       exterior_powers(b, n))
         for k, (lhs, ea, eb) in enumerate(triples):
             assert lhs == ea.matmul(eb), (n, k)
+
+
+def _companion_rows(low):
+    """Companion rows of the monic polynomial with low coefficients `low`."""
+    d = len(low)
+    return [[int(r == c + 1) if c < d - 1 else -low[r] for c in range(d)] for r in range(d)]
+
+
+HYPERBOLIC_JORDAN = [[2, 1, 1, 0], [1, 1, 0, 1], [0, 0, 2, 1], [0, 0, 1, 1]]
+# diagonal blocks of determinant +-1: companions with constant term +-1,
+# Jordan blocks at +-1 and a hyperbolic Jordan block; or any integer block
+MONODROMY_BLOCKS = st.one_of(
+    st.tuples(st.sampled_from((1, -1)), st.lists(st.integers(-3, 3), max_size=3))
+    .map(lambda t: _companion_rows([t[0]] + t[1])),
+    st.tuples(st.sampled_from((1, -1)), st.integers(2, 3))
+    .map(lambda t: [[t[0] * (r == c) + (c == r + 1) for c in range(t[1])]
+                    for r in range(t[1])]),
+    st.just(HYPERBOLIC_JORDAN),
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@st.composite
+def integer_monodromies(draw):
+    """A block-diagonal integer matrix of dim <= 6, a block maybe repeated,
+    conjugated by elementary matrices I + c e_i e_j^T."""
+    blocks = draw(st.lists(MONODROMY_BLOCKS, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        blocks.append(blocks[0])
+    rows, n = [], 0
+    for b in blocks:
+        if n + len(b) > 6:
+            break
+        rows = [r + [0] * len(b) for r in rows] + [[0] * n + r for r in b]
+        n += len(b)
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.sampled_from((1, -1))), max_size=6)):
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            for row in rows:
+                row[j] -= c * row[i]
+    return rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(integer_monodromies())
+def test_exterior_char_polys_match_char_poly_of_each_exterior_power(rows):
+    m = Matrix.from_rows(rows)
+    assert exterior_char_polys(char_poly(m)) == \
+        [char_poly(e) for e in exterior_powers(m, m.rows)]
 
 
 def test_top_exterior_power_is_determinant():

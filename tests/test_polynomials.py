@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
-from novikov.exact import IntPoly, count_roots, sturm_sequence
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from novikov.exact import IntPoly, count_roots, multiplicity, sturm_sequence
 from novikov.exact.polynomials import (
     factor_squarefree_irreducible,
     from_sympy,
@@ -58,6 +62,31 @@ def test_factor_squarefree_irreducible():
     mult = {f.coeffs: m for f, m in factors}
     assert mult[(-1, 1)] == 2
     assert mult[(-2, 0, 1)] == 1
+
+
+SMALL_POLYS = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(IntPoly)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(SMALL_POLYS, SMALL_POLYS, st.integers(0, 3), SMALL_POLYS)
+def test_multiplicity_matches_sympy_factor_list(a, b, e, p):
+    """multiplicity(p, a^e b) is the least floor(m_f(q) / m_p(q)) over the
+    irreducible factors q of p, with multiplicities m from factor_list."""
+    f = b
+    for _ in range(e):
+        f = f * a
+    p = p.primitive()
+    if f.is_zero() or p.degree < 1:
+        return
+    x = sp.Symbol("x")
+
+    def mults(g):
+        return {sp.Poly(q, x).monic(): m for q, m in g.to_sympy().factor_list()[1]}
+
+    in_f = mults(f)
+    want = min(in_f.get(q, 0) // m for q, m in mults(p).items())
+    assert multiplicity(p, f) == want
+    assert multiplicity(p, p * p * f) == want + 2
 
 
 def test_sturm_known_counts():
