@@ -19,7 +19,9 @@ from fractions import Fraction
 from functools import partial
 
 from .chevalley import InvariantForm, LieAlgebraModel, check_lie_dim
-from .exact import AlgebraicReal, Matrix, char_poly, coefficient_field, isolate_real_roots
+from .exact import Matrix, char_poly, coefficient_field, count_roots, sturm_sequence
+from .exact.algebraic import AlgebraicReal, _isolate_irreducible
+from .exact.polynomials import root_bound
 from .mapping_torus import FiberModel, ModelError, blow_up, torus_monodromy
 
 DEFAULT_S0_MATRIX = ((0, 0, 1), (1, 0, 1), (0, 1, 0))  # companion of x^3 - x - 1
@@ -49,21 +51,31 @@ class SpmDatum:
         object.__setattr__(self, "N", rows)
 
 
+def _real_root_counts(cp):
+    """(whether cp is squarefree, its number of real roots, the number of them
+    above 1), by Sturm counts on (-B, B] and (1, B] for B its root bound."""
+    seq, bound = sturm_sequence(cp), root_bound(cp)
+    return (seq[-1].degree == 0,  # the chain ends in gcd(cp, cp')
+            count_roots(cp, -bound, bound, seq), count_roots(cp, 1, bound, seq))
+
+
 def s0_alpha(datum: S0Datum) -> AlgebraicReal:
     """The distinguished Lee parameter alpha of S0, after checking that A has
-    determinant 1 and one real eigenvalue, simple and above 1."""
+    determinant 1 and one real eigenvalue, simple and above 1.  A repeated
+    root of the cubic cp is real, so a squarefree cp with one real root has
+    one counted with multiplicity.  cp is monic with constant -1, so a
+    rational root is +-1; alpha > 1 is then irrational and cp irreducible."""
     cp = char_poly(Matrix.from_rows(datum.A))
     # det(A) = (-1)^3 * cp(0) for the 3x3 case
     if -cp.constant() != 1:
         raise ModelError(f"S0 matrix must have determinant 1, got {-cp.constant()}")
-    real_roots = isolate_real_roots(cp)
-    if sum(m for _, m in real_roots) != 1:
+    squarefree, real, above_one = _real_root_counts(cp)
+    if not squarefree or real != 1:
         raise ModelError("S0 matrix needs exactly one real eigenvalue "
                          "and a complex-conjugate pair")
-    alpha, mult = real_roots[0]
-    one = AlgebraicReal.from_rational(1)
-    if mult != 1 or not one < alpha:
+    if above_one != 1:
         raise ModelError("the real eigenvalue must be simple and exceed 1")
+    [alpha] = _isolate_irreducible(cp)
     return alpha
 
 
@@ -81,18 +93,20 @@ def _make_spm(datum: SpmDatum, det: int, name: str):
     cp = char_poly(n_mat)
     if cp.constant() != det:  # det(N) = cp(0) for the 2x2 case
         raise ModelError(f"{label} matrix must have determinant {det}, got {cp.constant()}")
-    roots = isolate_real_roots(cp)
-    if sum(m for _, m in roots) != 2 or any(m != 1 for _, m in roots):
+    squarefree, real, above_one = _real_root_counts(cp)
+    if not squarefree or real != 2:
         raise ModelError("matrix needs two distinct real eigenvalues")
-    one = AlgebraicReal.from_rational(1)
-    big = [r for r, _ in roots if one < r]
-    if len(big) != 1:
+    if above_one != 1:
         raise ModelError(f"{label} matrix needs eigenvalues alpha > 1 and {other}")
+    # cp is monic with constant +-1, so a rational root is +-1: alpha > 1 and
+    # det/alpha are irrational, and cp is irreducible
+    one = AlgebraicReal.from_rational(1)
+    alpha = next(r for r in _isolate_irreducible(cp) if one < r)
     (a, b), (c, d) = datum.N
     ident = Matrix.from_rows([[1]])
     inverse = Matrix.from_rows([[det * d, -det * b], [-det * c, det * a]])  # det * adj N
     model = FiberModel((ident, n_mat, inverse, ident), name)
-    return model, big[0]
+    return model, alpha
 
 
 def make_splus(datum: SpmDatum):

@@ -18,8 +18,6 @@ from itertools import chain, combinations
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
-from sympy.polys.polyerrors import CoercionFailed
-
 from .exact import (Matrix, coefficient, coefficient_field, nullspace, rank,
                     rational_conditions, substitution)
 
@@ -196,7 +194,7 @@ class LieAlgebraModel:
 
     @property
     def field(self):
-        """Q(params), or QQ when there are no parameters."""
+        """Q(params), or None for Q when there are no parameters."""
         return coefficient_field(tuple(self.params))
 
     def __post_init__(self):
@@ -208,7 +206,7 @@ class LieAlgebraModel:
         def conv(c):
             try:
                 return coefficient(K, c)
-            except CoercionFailed as exc:
+            except ValueError as exc:
                 raise LieModelError(f"coefficient {c} is not a rational function "
                                     f"of the parameters {list(self.params)}") from exc
 

@@ -247,12 +247,15 @@ def _verify_fiber(resolved):
     lams = exceptional + [AlgebraicReal.from_rational(q)
                           for q in (Fraction(2), Fraction(1, 3), Fraction(7, 5))]
     profiles = [resolved.profile(lam) for lam in lams]
-    pairs = []
-    for lam, p in zip(lams, profiles):
-        good = tuple(reversed(p.betti)) == resolved.profile(alg_reciprocal(lam)).betti
-        pairs.append({"lambda": json_approx(lam), "ok": good})
-    checks.append({"name": "poincare_duality", "ok": all(pair["ok"] for pair in pairs),
-                   "pairs": pairs})
+    # where H^n acts by -1 duality pairs lambda with -1/lambda, which no
+    # profile has, so the check is left out
+    if resolved.model.charpolys[-1].coeffs == (-1, 1):
+        pairs = []
+        for lam, p in zip(lams, profiles):
+            good = tuple(reversed(p.betti)) == resolved.profile(alg_reciprocal(lam)).betti
+            pairs.append({"lambda": json_approx(lam), "ok": good})
+        checks.append({"name": "poincare_duality", "ok": all(pair["ok"] for pair in pairs),
+                       "pairs": pairs})
     chis = {euler_char(p) for p in profiles}
     expected = 0 if resolved.transform is None else None
     ok_euler = len(chis) == 1 and (expected is None or chis == {expected})

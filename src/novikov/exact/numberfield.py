@@ -7,20 +7,21 @@ generator is ever in play; mixed fields are unsupported by design.
 
 from __future__ import annotations
 
-from sympy import QQ
-from sympy.polys.polyclasses import ANP
-
 from .algebraic import AlgebraicReal
 
 
 class NumberField:
     def __init__(self, generator: AlgebraicReal):
+        from sympy import QQ
+        from sympy.polys.polyclasses import ANP
+
         self.generator = generator
         self.degree = generator.minpoly.degree
         self._mod = [QQ(c) for c in reversed(generator.minpoly.coeffs)]
+        self._qq, self._anp = QQ, ANP
 
     def scalar(self, q):
-        return ANP(QQ(q), self._mod, QQ)
+        return self._anp(self._qq(q), self._mod, self._qq)
 
     def zero(self):
         return self.scalar(0)
@@ -31,4 +32,5 @@ class NumberField:
     def gen(self):
         if self.degree == 1:
             return self.scalar(self.generator.as_rational())
-        return ANP([QQ(1), QQ(0)], self._mod, QQ)
+        qq = self._qq
+        return self._anp([qq(1), qq(0)], self._mod, qq)

@@ -11,10 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy as sp
-
-_X = sp.Symbol("x")
-
 
 def _strip(coeffs):
     coeffs = list(coeffs)
@@ -78,28 +74,34 @@ class IntPoly:
                 out[i + j] += a * b
         return IntPoly(out)
 
-    def to_sympy(self):
-        return sp.Poly(list(reversed(self.coeffs)), _X)
-
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)})"
 
 
-def from_sympy(p):
-    return IntPoly(list(reversed([int(c) for c in sp.Poly(p, _X).all_coeffs()])))
-
-
 def factor_squarefree_irreducible(p: IntPoly):
-    """Factor into irreducible primitive integer factors with multiplicities."""
+    """Factor into irreducible primitive integer factors with multiplicities:
+    a constant has none and a linear p is its own; from degree 2 on, by
+    sympy's factorisation over Z of the coefficient list."""
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    _, factors = p.to_sympy().factor_list()
-    return [(from_sympy(f).primitive(), int(m)) for f, m in factors if f.degree(_X) > 0]
+    if p.degree <= 1:
+        return [(p.primitive(), 1)] if p.degree == 1 else []
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    _, factors = dup_factor_list([ZZ(c) for c in reversed(p.coeffs)], ZZ)
+    return [(IntPoly([int(c) for c in reversed(f)]).primitive(), int(m)) for f, m in factors]
 
 
 def is_irreducible(p: IntPoly):
+    """Irreducibility over Q: a quadratic is irreducible exactly when its
+    discriminant is not a square; other degrees go to the factorisation."""
     if p.degree < 1:
         return False
+    if p.degree == 2:
+        c, b, a = p.coeffs
+        disc = b * b - 4 * a * c
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
     factors = factor_squarefree_irreducible(p)
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == p.degree
 

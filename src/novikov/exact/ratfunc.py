@@ -6,7 +6,8 @@ terms, so zero-testing is decidable and elimination never divides by a zero
 polynomial.  This is the field Q(params) itself, since every rational
 coefficient clears to an integer one, and its gcds run over Z, several times
 cheaper than those of ``QQ.frac_field``.  A model without parameters keeps
-``Fraction`` coefficients, which mix with the Fractions that callers pass in.
+``Fraction`` coefficients, which mix with the Fractions that callers pass in;
+its field is ``None``, so such a model never imports sympy.
 """
 
 from __future__ import annotations
@@ -17,33 +18,39 @@ from itertools import chain
 from math import lcm
 from numbers import Rational
 
-import sympy as sp
-from sympy import QQ, ZZ
-
 
 @lru_cache(maxsize=None)
 def coefficient_field(params=()):
-    """Q(params), as ZZ.frac_field, for a tuple of parameter names, or QQ when
-    it is empty."""
+    """Q(params), as ZZ.frac_field, for a tuple of parameter names, or None
+    for Q (Fractions) when it is empty."""
     if not params:
-        return QQ
-    return ZZ.frac_field(*(sp.Symbol(str(p)) for p in params))
+        return None
+    import sympy as sp
+
+    return sp.ZZ.frac_field(*(sp.Symbol(str(p)) for p in params))
 
 
 def coefficient(field, x):
     """x (an int, Fraction, sympy expression or field element) as an element
-    of field: a Fraction over QQ, a FracElement over Q(params).  Raises
-    sympy's CoercionFailed when x is not in the field."""
+    of field: a Fraction over Q (field None), a FracElement over Q(params).
+    Raises ValueError when x is not in the field."""
     if isinstance(x, (int, Fraction)):
-        if field is QQ:
+        if field is None:
             return x if type(x) is Fraction else Fraction(x)
         ring = field.field.ring  # numerator and denominator in lowest terms
         return field.field.raw_new(ring.ground_new(x.numerator),
                                    ring.ground_new(x.denominator))
-    if field is not QQ:
-        # an element of field already, as substitution's images are
-        return x if getattr(x, "field", None) is field.field else field.convert(x)
-    q = QQ.convert(x)
+    if field is not None and getattr(x, "field", None) is field.field:
+        return x  # an element of field already, as substitution's images are
+    from sympy import QQ
+    from sympy.polys.polyerrors import CoercionFailed
+
+    try:
+        if field is not None:
+            return field.convert(x)
+        q = QQ.convert(x)
+    except CoercionFailed as exc:
+        raise ValueError(f"{x} is not in the coefficient field") from exc
     return Fraction(int(q.numerator), int(q.denominator))
 
 

@@ -234,13 +234,15 @@ def _candidates(d):
 
 def _combination_is_positive_definite(mats, x):
     """Whether sum x_i mats[i] is positive definite, for rational x, exactly:
-    x is scaled to integers and the sum goes to `is_positive_definite`."""
+    x is scaled to integers and the sum, over the matrices with x_i != 0 and
+    row by row, goes to `is_positive_definite`."""
     den = math.lcm(*(Fraction(c).denominator for c in x))
-    xs = [int(Fraction(c) * den) for c in x]
-    n = len(mats[0])
+    terms = [(int(Fraction(c) * den), m) for c, m in zip(x, mats) if c]
+    if not terms:
+        return False  # the zero matrix
     return is_positive_definite(
-        [[sum(c * m[u][t] for c, m in zip(xs, mats) if c) for t in range(n)]
-         for u in range(n)])
+        [list(map(sum, zip(*([c * e for e in m[u]] for c, m in terms))))
+         for u in range(len(mats[0]))])
 
 
 def _quadratic_form(m, v):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novikov.catalog import (
     DEFAULT_S0_MATRIX,
@@ -19,11 +21,12 @@ from novikov.catalog import (
     make_splus,
     ot_algebra,
     s0_algebra,
+    s0_alpha,
     splus_algebra,
     splus_coframe_model,
 )
 from novikov.chevalley import d_theta_apply, validate
-from novikov.exact import AlgebraicReal, alg_reciprocal
+from novikov.exact import AlgebraicReal, Matrix, alg_reciprocal, char_poly, isolate_real_roots
 from novikov.mapping_torus import ModelError, exceptional_lambdas, twisted_betti
 
 
@@ -88,6 +91,91 @@ def test_make_sminus_default():
 def test_make_sminus_rejects_det_one():
     with pytest.raises(ModelError):
         make_sminus(SpmDatum(DEFAULT_SPM_MATRIX))
+
+
+def oracle_s0_alpha(rows):
+    """alpha of S0, or the ModelError message, through isolate_real_roots:
+    sympy's factorisation, then Sturm isolation of each factor."""
+    cp = char_poly(Matrix.from_rows(rows))
+    if -cp.constant() != 1:
+        return f"S0 matrix must have determinant 1, got {-cp.constant()}"
+    real_roots = isolate_real_roots(cp)
+    if sum(m for _, m in real_roots) != 1:
+        return "S0 matrix needs exactly one real eigenvalue and a complex-conjugate pair"
+    alpha, mult = real_roots[0]
+    if mult != 1 or not AlgebraicReal.from_rational(1) < alpha:
+        return "the real eigenvalue must be simple and exceed 1"
+    return alpha
+
+
+def oracle_spm_alpha(rows, det):
+    """alpha of S+ (det 1) or S- (det -1), or the ModelError message, as
+    ``oracle_s0_alpha`` finds it."""
+    label, other = ("S+", "1/alpha") if det == 1 else ("S-", "-1/alpha")
+    cp = char_poly(Matrix.from_rows(rows))
+    if cp.constant() != det:
+        return f"{label} matrix must have determinant {det}, got {cp.constant()}"
+    roots = isolate_real_roots(cp)
+    if sum(m for _, m in roots) != 2 or any(m != 1 for _, m in roots):
+        return "matrix needs two distinct real eigenvalues"
+    big = [r for r, _ in roots if AlgebraicReal.from_rational(1) < r]
+    if len(big) != 1:
+        return f"{label} matrix needs eigenvalues alpha > 1 and {other}"
+    return big[0]
+
+
+def _alpha_or_message(make):
+    try:
+        alpha = make()
+    except ModelError as exc:
+        return str(exc)
+    return alpha.minpoly, alpha.interval
+
+
+def _conjugated(rows, k, i, j):
+    """E rows E^-1 for the elementary E = 1 + k e_ij (i != j): det and
+    characteristic polynomial stay, the companion shape goes."""
+    n = len(rows)
+    e = [[int(a == b) + (k if (a, b) == (i, j) else 0) for b in range(n)] for a in range(n)]
+    e_inv = [[int(a == b) - (k if (a, b) == (i, j) else 0) for b in range(n)] for a in range(n)]
+    return Matrix.from_rows(e).matmul(Matrix.from_rows(rows)).matmul(
+        Matrix.from_rows(e_inv)).to_rows()
+
+
+def _matrices(n, companions):
+    entries = st.integers(-3, 3)
+    arbitrary = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    conjugated = st.builds(lambda rows, k, ij: _conjugated(rows, k, *ij),
+                           companions, st.integers(-2, 2), pairs)
+    return st.one_of(arbitrary, companions, conjugated)
+
+
+# companions of x^3 - a x^2 - b x - c and x^2 - t x + d, with c and d = +-1
+S0_MATRICES = _matrices(3, st.builds(
+    lambda a, b, c: [[0, 0, c], [1, 0, b], [0, 1, a]],
+    st.integers(-6, 6), st.integers(-6, 6), st.sampled_from((1, 1, 1, -1))))
+SPM_MATRICES = _matrices(2, st.builds(
+    lambda t, d: [[0, -d], [1, t]], st.integers(-6, 6), st.sampled_from((1, -1))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(S0_MATRICES)
+def test_s0_alpha_matches_the_factorisation_oracle(rows):
+    want = oracle_s0_alpha(rows)
+    if isinstance(want, AlgebraicReal):
+        want = want.minpoly, want.interval
+    assert _alpha_or_message(lambda: s0_alpha(S0Datum(rows))) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(SPM_MATRICES)
+def test_spm_alpha_matches_the_factorisation_oracle(rows):
+    for make, det in ((make_splus, 1), (make_sminus, -1)):
+        want = oracle_spm_alpha(rows, det)
+        if isinstance(want, AlgebraicReal):
+            want = want.minpoly, want.interval
+        assert _alpha_or_message(lambda: make(SpmDatum(rows))[1]) == want
 
 
 def test_hopf_and_kato():

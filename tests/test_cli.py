@@ -608,6 +608,64 @@ def test_importing_the_cli_loads_no_numpy():
     assert out.strip() == "False"
 
 
+# splus-algebra at a = -2/3, a model file without parameters
+SPLUS_DOC = {
+    "type": "lie_algebra", "dim": 4,
+    "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "-1"}},
+                 {"i": 2, "j": 4, "coeffs": {"2": "-1"}},
+                 {"i": 3, "j": 4, "coeffs": {"3": "1"}}],
+    "theta": ["0", "0", "0", "1"],
+    "J": [["0", "-1", "0", "-2/3"], ["1", "0", "-2/3", "0"],
+          ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}
+
+
+def _loads_sympy(*statements):
+    """Whether sympy is in sys.modules after a fresh interpreter imports
+    novikov.cli and runs the statements, their output sent to stderr."""
+    code = "\n".join(["import contextlib, sys", "from novikov import cli",
+                      "with contextlib.redirect_stdout(sys.stderr):",
+                      *(f"    {s}" for s in statements or ["pass"]),
+                      "print('sympy' in sys.modules)"])
+    src = os.path.dirname(os.path.dirname(novikov.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
+def test_sympy_is_loaded_only_where_a_command_needs_it(tmp_path):
+    # Q(params) and factorisation from degree 2 on are sympy's; resolving a
+    # fiber, a model without parameters and every exit-2 path are not
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps({"type": "torus_monodromy",
+                                 "matrix": [[2, 1, 0], [1, 1, 1], [0, 1, 1]]}))
+    algebra = tmp_path / "splus.json"
+    algebra.write_text(json.dumps(SPLUS_DOC))
+    specs = ["s0:default", "splus:default", "sminus:default", "hopf", "kato:3", str(torus)]
+    assert not _loads_sympy()
+    assert not _loads_sympy(*(f"cli.resolve_model({s!r})" for s in specs))
+    assert not _loads_sympy("with contextlib.suppress(SystemExit): cli.main(['--help'])")
+    missing = str(tmp_path / "missing.json")
+    assert not _loads_sympy(f"assert cli.main(['cohomology', {missing!r}]) == 2")
+    assert not _loads_sympy("assert cli.main(['cohomology', 'abelian4']) == 0")
+    assert not _loads_sympy(f"assert cli.main(['cone', {str(algebra)!r}]) == 0")
+    assert _loads_sympy("assert cli.main(['cohomology', 'ot:1']) == 0")
+
+
+def test_verify_leaves_duality_out_where_the_top_degree_acts_by_minus_one(capsys, tmp_path):
+    # det -1 on T^3: H^3 acts by -1, and duality would pair lambda with -1/lambda
+    reports = {}
+    for det, matrix in ((-1, [[0, 0, -1], [1, 0, 1], [0, 1, 0]]),
+                        (1, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])):
+        path = tmp_path / f"det{det}.json"
+        path.write_text(json.dumps({"type": "torus_monodromy", "matrix": matrix}))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        reports[det] = {c["name"]: c["ok"] for c in last_json(out)["models"][0]["checks"]}
+    assert reports[-1] == {"euler_constant": True}
+    assert reports[1] == {"poincare_duality": True, "euler_constant": True}
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -637,14 +695,7 @@ def test_cone_theta_length_checked(capsys):
 
 def test_cone_refuses_a_lee_form_that_is_not_closed(capsys, tmp_path):
     path = tmp_path / "splus.json"
-    path.write_text(json.dumps({
-        "type": "lie_algebra", "dim": 4,
-        "brackets": [{"i": 2, "j": 3, "coeffs": {"1": "-1"}},
-                     {"i": 2, "j": 4, "coeffs": {"2": "-1"}},
-                     {"i": 3, "j": 4, "coeffs": {"3": "1"}}],
-        "theta": ["0", "0", "0", "1"],
-        "J": [["0", "-1", "0", "-2/3"], ["1", "0", "-2/3", "0"],
-              ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}))
+    path.write_text(json.dumps(SPLUS_DOC))
     assert run(capsys, "cone", str(path))[0] == 0
     for kind in ("taming", "lck"):
         code, out, err = run(capsys, "cone", str(path), "--theta", "1,0,0,0",

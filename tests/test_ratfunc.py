@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import pytest
 import sympy as sp
 from sympy import QQ, ZZ, Rational
-from sympy.polys.polyerrors import CoercionFailed
 
 from novikov.catalog import ot_algebra
 from novikov.chevalley import twisted_ce_cohomology
@@ -12,27 +11,28 @@ from novikov.exact import coefficient, coefficient_field, substitution
 
 r, s = sp.symbols("r s")
 K = coefficient_field(("r", "s"))
+Q = coefficient_field(())  # Q has no sympy field: its elements are Fractions
 
 
 def test_no_parameters_is_qq():
-    assert coefficient_field(()) == QQ
+    assert Q is None
     # Q(r, s) as quotients of integer polynomials: the same field as
     # QQ.frac_field, whose elements convert back unchanged
     assert coefficient_field(("r", "s")) == ZZ.frac_field(r, s)
     expr = (r / 2 - 3 * s ** 2) / (5 * r + Rational(1, 7))
     x = coefficient(K, expr)
     assert x.numer.ring.domain == ZZ
-    Q = QQ.frac_field(r, s)
-    assert Q.convert(x) == Q.convert(expr)
-    assert coefficient(K, Q.convert(expr)) == x
+    QF = QQ.frac_field(r, s)
+    assert QF.convert(x) == QF.convert(expr)
+    assert coefficient(K, QF.convert(expr)) == x
     assert coefficient(K, x) is x
 
 
 def test_numbers():
     for x in (2, Fraction(1, 2), sp.Rational(3, 4), sp.Integer(-5)):
-        q = coefficient(QQ, x)
+        q = coefficient(Q, x)
         assert type(q) is Fraction and q == Fraction(sp.Rational(x).p, sp.Rational(x).q)
-    assert coefficient(QQ, 2) * coefficient(QQ, Fraction(1, 2)) == 1
+    assert coefficient(Q, 2) * coefficient(Q, Fraction(1, 2)) == 1
 
 
 def test_parameters_cancel():
@@ -59,20 +59,20 @@ def test_mixed_arithmetic():
 def test_equality():
     x = coefficient(K, r)
     assert x * x / x == x
-    assert coefficient(QQ, 3) == 3
+    assert coefficient(Q, 3) == 3
     assert coefficient(K, 3) == 3
-    assert coefficient(QQ, sp.Rational(1, 3)) == Fraction(1, 3)
+    assert coefficient(Q, sp.Rational(1, 3)) == Fraction(1, 3)
 
 
 def test_coercion_fails_outside_the_field():
     for bad in (sp.sqrt(2), sp.pi, sp.zoo, sp.Symbol("t"), r):
-        with pytest.raises(CoercionFailed):
-            coefficient(QQ, bad)
+        with pytest.raises(ValueError):
+            coefficient(Q, bad)
     for bad in (sp.sqrt(2), sp.pi, sp.zoo, sp.Symbol("t"), r / (r - r)):
-        with pytest.raises(CoercionFailed):
+        with pytest.raises(ValueError):
             coefficient(K, bad)
     # an element of Q(r, s) is not one of Q(r)
-    with pytest.raises(CoercionFailed):
+    with pytest.raises(ValueError):
         coefficient(coefficient_field(("r",)), coefficient(K, s))
 
 
@@ -83,7 +83,7 @@ def test_partial_instantiate():
     assert half.field == coefficient_field(("r1",))
     assert twisted_ce_cohomology(half) == [0, 0, 0, 0, 0]
     point = half.instantiate({"r1": 1})
-    assert point.params == () and point.field == QQ
+    assert point.params == () and point.field is None
     assert all(type(c) is Fraction for c in point.theta)
     assert twisted_ce_cohomology(point) == [0, 0, 1, 1, 0]
     both = model.instantiate({"alpha1": Fraction(2, 3), "r1": Fraction(1)})
@@ -92,7 +92,7 @@ def test_partial_instantiate():
 
 def test_to_float():
     # the cone reads coefficients as floats; models without parameters hold Fractions
-    assert float(coefficient(QQ, sp.Rational(1, 4))) == 0.25
+    assert float(coefficient(Q, sp.Rational(1, 4))) == 0.25
     model = ot_algebra(1).instantiate({"alpha1": Fraction(2, 3), "r1": Fraction(1, 4)})
     assert [float(c) for c in model.theta] == [0.25, 0.0, 0.0, 0.0]
 
