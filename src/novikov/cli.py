@@ -44,12 +44,7 @@ from .catalog import (
 from .chevalley import (LieAlgebraModel, LieModelError, ValidationReport,
                         twisted_ce_cohomology, validate)
 from .exact import AlgebraicReal, alg_power, alg_reciprocal
-from .lck_cone import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_RESTARTS,
-    FEASIBILITY_TOL,
-    taming_feasibility,
-)
+from .lck_cone import taming_feasibility
 from .mapping_torus import (
     FiberModel,
     ModelError,
@@ -59,7 +54,7 @@ from .mapping_torus import (
     lambda_to_jsonable,
     twisted_betti,
 )
-from .modelfile import SchemaError, load_model, parse_eigenvalue_spec
+from .modelfile import SchemaError, _parse_expr, load_model, parse_eigenvalue_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -317,9 +312,9 @@ def _parse_theta(text, model):
     if text == "zero":
         return (0,) * model.dim
     try:
-        parts = [Fraction(p) for p in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"cannot parse theta {text!r}: use 'zero' or "
+        parts = [_parse_expr(p, (), "a theta coefficient") for p in text.split(",")]
+    except SchemaError as exc:
+        raise CliError(f"cannot parse --theta: {exc}; use 'zero' or "
                        "comma-separated rationals", EXIT_USAGE) from exc
     if len(parts) != model.dim:
         raise CliError(f"theta needs {model.dim} coefficients", EXIT_USAGE)
@@ -327,10 +322,6 @@ def _parse_theta(text, model):
 
 
 def cmd_cone(args):
-    if args.restarts < 1 or args.max_iters < 1:
-        raise CliError("--restarts and --max-iters must be at least 1", EXIT_USAGE)
-    if not 0 <= args.tol < math.inf:
-        raise CliError("--tol must be finite and nonnegative", EXIT_USAGE)
     selectors = sum(bool(x) for x in (args.theta, args.at_alpha, args.at_inverse_alpha))
     if selectors > 1:
         raise CliError("choose at most one of --theta, --at-alpha, "
@@ -353,9 +344,10 @@ def cmd_cone(args):
                            EXIT_USAGE)
         if args.theta:
             theta = _parse_theta(args.theta, model)
-    cert = taming_feasibility(
-        model, kind=args.kind, theta=theta, tol=args.tol,
-        restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
+    try:
+        cert = taming_feasibility(model, kind=args.kind, theta=theta)
+    except OverflowError as exc:  # a cone past the float range
+        raise CliError(f"the cone's matrices exceed floats: {exc}", EXIT_USAGE) from exc
     print(f"kind        {cert.kind}")
     if cert.feasible or cert.certificate is None:
         print(f"lambda_min  {cert.lambda_min:.6g}")
@@ -399,16 +391,6 @@ def build_parser():
                    help="'zero' or comma-separated rational coefficients")
     p.add_argument("--at-alpha", action="store_true")
     p.add_argument("--at-inverse-alpha", action="store_true")
-    search_only = "; used only when no exact certificate is found"
-    p.add_argument("--tol", type=float, default=FEASIBILITY_TOL,
-                   help="feasible when lambda_min exceeds this; 0 <= TOL < inf"
-                        + search_only)
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                   help="ascent restarts" + search_only)
-    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS,
-                   help="iterations per restart" + search_only)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the restarts" + search_only)
     p.set_defaults(func=cmd_cone)
     return parser
 

@@ -16,13 +16,13 @@ sought as an exact certificate: a small integer combination x of the basis
 forms (a {-1, 0, 1} vector, at most MAX_CANDIDATES of them, by support size
 and then lexicographically) with sum x_i S_i positive definite, every leading
 principal minor positive by the elimination step of `rank` without row
-exchanges (Sylvester's criterion).  Only when no candidate passes does a
-projected subgradient ascent decide in floating point; a feasible ascent point
-is rationalised and checked the same way.  A feasible verdict carries x in
-`certificate` (rational strings) and in `coefficients` (floats), with
-`lambda_min` the float smallest eigenvalue at x/|x|; a feasible verdict
-without a certificate, and an uncertified infeasible one, are float evidence,
-not proof, and say so.
+exchanges (Sylvester's criterion).  Only when no candidate passes does one
+deterministic projected subgradient ascent on the unit ball decide in floating
+point (`_ascent`); a feasible ascent point is rationalised and checked the
+same way.  A feasible verdict carries x in `certificate` (rational strings)
+and in `coefficients` (floats), with `lambda_min` the float smallest
+eigenvalue at x/|x|; a feasible verdict without a certificate, and an
+uncertified infeasible one, are float evidence, not proof, and say so.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from .chevalley import (
 )
 from .exact import Matrix, exterior_powers, is_positive_definite, nullspace
 
-FEASIBILITY_TOL = 1e-6
-DEFAULT_RESTARTS = 64
-DEFAULT_MAX_ITERS = 5000
+FEASIBILITY_TOL = 1e-6  # the ascent calls a lambda_min above this feasible
+MAX_ITERS = 5000  # the ascent's steps, one eigh each
 # Candidates of the exact feasibility search.  Every feasible query of the
 # tests and the benchmark passes by the 29th (support 2); the bound keeps a
 # fruitless search to a few milliseconds on the kernels seen there.
@@ -115,8 +114,12 @@ def _j_invariant_subbasis(model, basis):
     image = exterior_powers(j_int, 2)[2].transpose().matmul(b_int)
     combo = nullspace(Matrix(b.rows, b.cols, [x - sc.j_den ** 2 * y
                                               for x, y in zip(image.entries, b_int.entries)]))
-    return [InvariantForm(model.dim, 2, tuple(b.matmul(Matrix(b.cols, 1, vec)).entries))
-            for vec in combo]
+
+    def form(vec):  # B vec in ints, as B_int (den vec) / (scale den), den vec's lcm
+        den = math.lcm(*(c.denominator for c in vec))
+        col = b_int.matmul(Matrix(b.cols, 1, [c.numerator * (den // c.denominator) for c in vec]))
+        return InvariantForm(n, 2, tuple(Fraction(x, scale * den) for x in col.entries))
+    return [form(vec) for vec in combo]
 
 
 def _cone_basis(model, kind):
@@ -126,20 +129,16 @@ def _cone_basis(model, kind):
     return _j_invariant_subbasis(model, basis) if kind == "lck" else basis
 
 
-def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
-                       tol=FEASIBILITY_TOL, restarts=DEFAULT_RESTARTS,
-                       max_iters=DEFAULT_MAX_ITERS, seed=0) -> TamingCertificate:
+def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None) -> TamingCertificate:
     """Decide whether some kernel form omega has Sym(omega(., J.)) positive
     definite: by an exact rank-one certificate of infeasibility when
     `_rank_one_certificate` finds one, then by an exact certificate of
     feasibility when a small integer combination gives one, otherwise by the
-    restarted ascent of `_ascent`, which calls the search feasible when
-    lambda_min exceeds tol (0 <= tol < inf); its feasible point is certified
-    if a rationalisation of it passes the exact check.  A theta given must be closed."""
+    one ascent of `_ascent`, which calls the search feasible when lambda_min
+    exceeds FEASIBILITY_TOL; its feasible point is certified if a
+    rationalisation of it passes the exact check.  A theta given must be closed."""
     if kind not in ("taming", "lck"):
         raise ValueError("kind must be 'taming' or 'lck'")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if theta is not None:
         model = replace(model, theta=theta)
         if not model.theta_is_closed():
@@ -157,7 +156,7 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
         if _combination_is_positive_definite(mats, x):
             return _certified(_as_floats(mats, den), kind, x, "the integer combination")
     floats = _as_floats(mats, den)
-    cert = _ascent(floats, kind, tol, restarts, max_iters, seed)
+    cert = _ascent(floats, kind)
     if not cert.feasible:
         return cert
     for d in RATIONALISE_DENOMINATORS:
@@ -166,7 +165,7 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None,
             return _certified(floats, kind, x,
                               f"the ascent point rationalised at denominator {d}")
     return replace(cert, reason=(
-        f"lambda_min > tol in floating point; no rationalisation up to "
+        f"lambda_min > FEASIBILITY_TOL in floating point; no rationalisation up to "
         f"denominator {RATIONALISE_DENOMINATORS[-1]} passes the exact check, "
         "so this is evidence, not proof"))
 
@@ -267,51 +266,40 @@ def _rank_one_certificate(model, mats):
                  if not any(_quadratic_form(m, v) for m in mats)), None)
 
 
-def _ascent(mats, kind, tol, restarts, max_iters, seed) -> TamingCertificate:
-    """Maximize lambda_min(sum x_i mats[i]) over the unit sphere of the
-    cone-basis coefficient space, mats the S_i in floats (`_as_floats`), by
-    projected subgradient ascent with restarts.  Its infeasible verdict is
+def _ascent(mats, kind) -> TamingCertificate:
+    """Maximize lambda_min(sum x_i mats[i]), mats the S_i in floats, over the
+    unit ball by one projected subgradient ascent from x = 0 with steps 1/k,
+    keeping the best x/|x|.  lambda_min is concave and positively homogeneous,
+    so on the ball every local maximum is global and needs no restart (Shor
+    1985; Nesterov, Introductory Lectures, 3.2.3).  An infeasible verdict is
     evidence, not proof."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-
-    def lam_min(x):
+    x = np.zeros(len(mats))
+    best_x, best_val, stale = None, -np.inf, 0
+    for k in range(1, MAX_ITERS + 1):
         vals, vecs = np.linalg.eigh(np.tensordot(x, mats, axes=1))
-        return vals[0], vecs[:, 0]
-
-    best_x, best_val = None, -np.inf
-    for _ in range(restarts):
-        x = rng.standard_normal(len(mats))
-        x /= np.linalg.norm(x)
-        run_best, stale = -np.inf, 0
-        for it in range(1, max_iters + 1):
-            val, v = lam_min(x)
-            if val > best_val:
-                best_val, best_x = val, x.copy()
-            if val > run_best + 1e-12:
-                run_best, stale = val, 0
+        norm = np.linalg.norm(x)
+        if norm:  # 0 is a legal iterate, where lambda_min / |x| is undefined
+            if vals[0] / norm > best_val + 1e-12:
+                best_val, best_x, stale = vals[0] / norm, x / norm, 0
             else:
                 stale += 1
-                if stale > 200:  # plateau, this restart has converged
+                if stale > 200:  # plateau: the ascent has converged
                     break
-            grad = np.array([v @ m @ v for m in mats])  # subgradient of lambda_min
-            gn = np.linalg.norm(grad)
-            if gn < 1e-14:
-                break
-            step = x + (1.0 / it) * grad / gn
-            norm = np.linalg.norm(step)
-            if norm < 1e-14:  # on a 1-D kernel a step from x = -1 lands on 0
-                break
-            x = step / norm
-        val, _ = lam_min(x)
-        if val > best_val:
-            best_val, best_x = val, x
-        if best_val > 10 * tol:
-            break  # feasibility is established; further restarts only polish
-
-    feasible = best_val > tol
-    reason = "" if feasible else "best lambda_min <= tolerance over all restarts"
+            if best_val > 10 * FEASIBILITY_TOL:
+                break  # feasibility is established; further steps only polish
+        v = vecs[:, 0]
+        grad = np.array([v @ m @ v for m in mats])  # subgradient of lambda_min
+        gn = np.linalg.norm(grad)
+        if not gn:
+            break
+        x = x + grad / (k * gn)
+        x /= max(1.0, np.linalg.norm(x))  # back into the ball
+    if best_x is None:  # no slope at x = 0: e_1 is isotropic in floats
+        return TamingCertificate([0.0] * len(mats), 0.0, kind, False, "v^T S_i v = 0 at v = e_1")
+    feasible = best_val > FEASIBILITY_TOL
+    reason = "" if feasible else "best lambda_min <= tolerance along the ascent"
     return TamingCertificate(list(best_x), float(best_val), kind, feasible, reason)
 
 

@@ -80,10 +80,7 @@ def parse_eigenvalue_spec(text: str):
         raise SchemaError(f"eigenvalue spec must be a string, got {text!r}")
     head, _, rest = text.partition(":")
     if head == "rational":
-        try:
-            return AlgebraicReal.from_rational(Fraction(rest)), 1
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational spec {text!r}: {exc}") from exc
+        return AlgebraicReal.from_rational(_parse_expr(rest, (), "a rational spec")), 1
     if head == "conjugate_pair":
         try:
             mult = int(rest)
@@ -97,7 +94,7 @@ def parse_eigenvalue_spec(text: str):
         try:
             coeffs = [int(c) for c in coeff_part.split(",")]
             lo_s, hi_s = interval_part.strip().lstrip("(").rstrip(")").split(",")
-            lo, hi = Fraction(lo_s), Fraction(hi_s)
+            lo, hi = (_parse_expr(x, (), "an interval end") for x in (lo_s, hi_s))
         except ValueError as exc:
             raise SchemaError(f"bad poly spec {text!r}: {exc}") from exc
         try:
@@ -233,8 +230,8 @@ def _parse_expr(text, params, what):
         reason = ("division by zero" if isinstance(exc, ZeroDivisionError)
                   else f"cannot parse it: {exc.msg}" if isinstance(exc, SyntaxError)
                   else str(exc) or "nested too deeply")
-        raise SchemaError(f"{what}: {text!r} is not a rational function of the "
-                          f"declared parameters ({reason})") from exc
+        field_name = "a rational function of the declared parameters" if params else "rational"
+        raise SchemaError(f"{what}: {text!r} is not {field_name} ({reason})") from exc
 
 
 def _coefficient_reader(params):
@@ -323,8 +320,9 @@ def _load_fiber_descriptor(doc):
             return FiberModel(None, doc.get("name", ""), tuple(
                 _spectrum_charpoly(k, spec_list, h)
                 for k, (spec_list, h) in enumerate(zip(per_degree, h_dims))))
+        parse = _coefficient_reader(())
         acts = tuple(
-            Matrix.from_rows([[Fraction(str(x)) for x in _array(row, "an action row")]
+            Matrix.from_rows([[parse(x, "an action entry") for x in _array(row, "an action row")]
                               for row in _array(mat, "an action")])
             for mat in per_degree)
         for k, (m, h) in enumerate(zip(acts, h_dims)):
@@ -424,6 +422,6 @@ def load_model(path):
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise SchemaError(f"model file {path} is not valid JSON: {exc}") from exc
     return load_model_dict(doc)

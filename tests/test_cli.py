@@ -547,8 +547,7 @@ def assert_exact_s0_certificate(doc, kind):
 
 def test_cone_s0_inverse_alpha_infeasible(capsys):
     code, out, _ = run(capsys, "cone", "s0-algebra", "--at-inverse-alpha",
-                       "--kind", "taming", "--restarts", "16",
-                       "--max-iters", "800")
+                       "--kind", "taming")
     assert code == 0
     doc = last_json(out)
     assert doc["verdict"] == "infeasible (certified)"
@@ -570,33 +569,79 @@ def test_cone_lck_on_one_dimensional_kernel(capsys):
     assert_exact_s0_certificate(doc, "lck")
 
 
-@pytest.mark.parametrize("flag", ["--restarts", "--max-iters"])
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_cone_rejects_search_sizes_below_one(capsys, flag, value):
-    code, _, err = run(capsys, "cone", "abelian4", flag, value)
-    assert code == 2
-    assert "at least 1" in err
+@pytest.mark.parametrize("flag", ["--tol", "--restarts", "--max-iters", "--seed"])
+def test_cone_has_no_search_knobs(capsys, flag):
+    # the ascent is one deterministic run with fixed constants
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cone", "abelian4", flag, "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["cone", "--help"])
+    assert flag not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
-def test_cone_rejects_tolerance_outside_zero_to_inf(capsys, value):
-    # a negative tolerance called lambda_min = -9.65e-11 feasible, and nan or
-    # inf called lambda_min = 0.707 infeasible
-    code, out, err = run(capsys, "cone", "abelian4", "--theta", "1,2,3,4",
-                         f"--tol={value}")
-    assert code == 2
-    assert "--tol" in err and out == ""
+# a 995-digit mantissa with e1000, at MAX_EXPR_LEN and at the exponent cap,
+# and its reciprocal's size
+AT_THE_CAPS = "9" * 995 + "e1000"
+ONE_OVER = "1/" + "9" * 998
 
 
-def test_cone_accepts_zero_tolerance(capsys):
-    code, out, _ = run(capsys, "cone", "abelian4", "--theta", "zero", "--tol", "0")
-    assert code == 0
-    assert last_json(out)["verdict"] == "feasible"
+@pytest.mark.parametrize("argv", [
+    ("cone", "abelian4", "--theta", "1e3000,2,3,4", "--kind", "lck"),
+    ("cone", "abelian4", "--theta", "1" + "0" * 1000 + ",2,3,4"),
+    ("cohomology", "hopf", "--lambda", "rational:1e20000"),
+    ("cohomology", "hopf", "--lambda", "rational:1e10000000"),
+    ("cohomology", "hopf", "--lambda", "poly:-2,0,1@(1,1e3000)"),
+])
+def test_oversized_numbers_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_cone_seed_defaults_to_zero_whatever_the_environment(monkeypatch):
-    monkeypatch.setenv("NOVIKOV_SEED", "5")
-    assert build_parser().parse_args(["cone", "abelian4"]).seed == 0
+@pytest.mark.parametrize("argv", [
+    ("cone", "abelian4", "--theta", f"{AT_THE_CAPS},2,3,4", "--kind", "taming"),
+    ("cone", "abelian4", "--theta", f"{AT_THE_CAPS},2,3,4", "--kind", "lck"),
+    ("cone", "abelian4", "--theta", f"{ONE_OVER},2,3,4"),
+    ("cohomology", "hopf", "--lambda", f"rational:{AT_THE_CAPS}"),
+    ("cohomology", "hopf", "--lambda", f"rational:{ONE_OVER}"),
+])
+def test_numbers_at_the_caps_answer_or_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2)
+    if code == 0:
+        last_json(out)
+    else:
+        assert err.startswith("error: ")
+
+
+def test_a_cone_past_the_float_range_exits_2(capsys, tmp_path):
+    # on h3 + R this theta makes S_i entries that no float holds
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({
+        "type": "lie_algebra", "dim": 4, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}],
+        "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+              ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]}))
+    for kind in ("taming", "lck"):
+        code, out, err = run(capsys, "cone", str(path), f"--theta={AT_THE_CAPS},1,0,1",
+                             "--kind", kind)
+        assert (code, out) == (2, "")
+        assert "exceed floats" in err
+
+
+def test_a_json_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text('{"type": "torus_monodromy", "matrix": [[%s, 1], [1, 1]]}' % ("1" * 5000))
+    code, out, err = run(capsys, "scan", str(path))
+    assert (code, out) == (2, "")
+    assert "is not valid JSON" in err
+
+
+@pytest.mark.parametrize("text", ["-3/4", "1.5", "2e3", "+3", "3.", "1_000"])
+def test_theta_entries_read_as_fraction_reads_them(text):
+    assert cli._parse_theta(f"{text},0,0,0", catalog.abelian_algebra(4)) == (
+        Fraction(text), 0, 0, 0)
 
 
 def test_importing_the_cli_loads_no_numpy():

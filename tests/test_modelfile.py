@@ -78,6 +78,38 @@ def test_parse_eigenvalue_spec_errors():
             parse_eigenvalue_spec(bad)
 
 
+# Fraction() reads each of these; the bounded reader reads them the same way
+FRACTION_LITERALS = ["-3/4", "1.5", "2e3", "+3", "3.", "1_000"]
+
+
+@pytest.mark.parametrize("text", FRACTION_LITERALS)
+def test_rational_specs_and_intervals_read_as_fraction_reads_them(text):
+    ev, _ = parse_eigenvalue_spec(f"rational:{text}")
+    assert ev.as_rational() == Fraction(text)
+    lo, hi = (text, "2") if Fraction(text) < 1 else ("1", text)  # around sqrt(2)
+    ev, _ = parse_eigenvalue_spec(f"poly:-2,0,1@({lo}, {hi})")
+    assert ev.interval == (Fraction(lo), Fraction(hi))
+
+
+@pytest.mark.parametrize("spec", ["rational:1e20000", "rational:1e10000000",
+                                  "poly:-2,0,1@(1,1e3000)", "rational:1" + "0" * 1000],
+                         ids=["exponent", "long exponent", "interval end", "length"])
+def test_oversized_eigenvalue_specs_are_schema_errors(spec):
+    # the model-file grammar's caps: an exponent or a length past MAX_EXPR_LEN
+    with pytest.raises(SchemaError):
+        parse_eigenvalue_spec(spec)
+
+
+def test_action_entries_are_read_by_the_bounded_reader():
+    doc = {"type": "fiber_descriptor", "dim": 2, "h_dims": [1, 2, 1],
+           "actions": [[[1]], [["2", 1.0], [1, "1/1"]], [["1_0e-1"]]]}
+    assert load_model_dict(doc).actions[1] == load_model_dict(
+        dict(doc, actions=[[[1]], [[2, 1], [1, 1]], [[1]]])).actions[1]
+    for entry in ("1e3000", "2" * 1001, "x", True):
+        with pytest.raises(SchemaError):
+            load_model_dict(dict(doc, actions=[[[1]], [[entry, 1], [1, 1]], [[1]]]))
+
+
 def test_torus_monodromy_roundtrip():
     model = load_model_dict(S0_DOC)
     assert isinstance(model, FiberModel)
