@@ -26,8 +26,8 @@ class LieModelError(ValueError):
     pass
 
 
-# k-forms have C(dim, k) coefficients: `cohomology` takes 2.6 s on abelian12 and
-# 4.7 s on ot:5 (shared 2-core VM), while abelian20's d_theta has ~3e10 entries.
+# k-forms have C(dim, k) coefficients: `cohomology` takes 0.36 s on abelian12 and
+# 1.2 s on ot:5 in a fresh process (shared 2-core VM); abelian20's d_theta: ~3e10 entries.
 MAX_LIE_DIM = 12
 
 
@@ -45,6 +45,12 @@ def wedge_basis(n, k):
 @lru_cache(maxsize=None)
 def _basis_index(n, k):
     return {s: i for i, s in enumerate(wedge_basis(n, k))}
+
+
+@lru_cache(maxsize=None)
+def _mask_rows(n, k):
+    """{bitmask of s: row of s} over the degree-k wedge basis, in row order."""
+    return {sum(1 << i for i in s): r for r, s in enumerate(wedge_basis(n, k))}
 
 
 def merge_sign(s, t):
@@ -154,8 +160,10 @@ class Scaled(NamedTuple):
     denominators are the least ones and the entries ints; over Q(params) both
     are 1 and the entries are the field elements."""
     den: int
-    d_cov: list  # per covector i, the (pair, c) with den * d e^i = sum c e^pair
-    theta: tuple  # the ((l,), den * theta_l), terms of the 1-form den * theta
+    # per covector i, the (bits of j and l, bits below j, bits below l, c)
+    # with den * d e^i = sum c e^j ^ e^l, j < l
+    d_cov: list
+    theta: tuple  # the (bit of l, bits below l, den * theta_l), terms of den * theta
     j_den: int
     j_rows: tuple  # per row i, the (j, j_den * J_ij); no rows without J
 
@@ -235,12 +243,13 @@ class LieAlgebraModel:
         den, scale = _over_one_denominator(self.params,
                                            chain(th, *map(dict.values, bk.values())))
         d_cov = [[] for _ in range(self.dim)]
-        for pair, comps in bk.items():
+        for (j, l), comps in bk.items():
             for i, c in comps.items():
-                d_cov[i].append((pair, -scale(c)))
+                d_cov[i].append((1 << j | 1 << l, (1 << j) - 1, (1 << l) - 1, -scale(c)))
+        theta = tuple((1 << l, (1 << l) - 1, scale(c)) for l, c in enumerate(th) if c)
         j_den, j_scale = _over_one_denominator(self.params, chain(*self.J or ()))
         object.__setattr__(self, "scaled", Scaled(
-            den, d_cov, tuple(((l,), scale(c)) for l, c in enumerate(th) if c), j_den,
+            den, d_cov, theta, j_den,
             tuple(tuple((j, j_scale(c)) for j, c in enumerate(r) if c) for r in self.J or ())))
 
     # -- structure ---------------------------------------------------------
@@ -248,9 +257,10 @@ class LieAlgebraModel:
     def bracket_vec(self, u, v):
         """[u, v] for coefficient vectors: e^k([u, v]) = -(d e^k)(u, v), over
         the nonzero terms only."""
-        sc = self.scaled
-        return [_unscale(-sum(c * w for (j, l), c in terms if (w := u[j] * v[l] - u[l] * v[j])),
-                         sc.den) for terms in sc.d_cov]
+        return [_unscale(-sum(c * w for _, below_j, below_l, c in terms
+                              for j, l in [(below_j.bit_length(), below_l.bit_length())]
+                              if (w := u[j] * v[l] - u[l] * v[j])), self.scaled.den)
+                for terms in self.scaled.d_cov]
 
     def apply_J(self, v):
         if self.J is None:
@@ -266,7 +276,7 @@ class LieAlgebraModel:
 
     def theta_is_closed(self) -> bool:
         """d theta = 0, without which d_theta^2 != 0 and there is no complex."""
-        return not any(_d_scaled(self.scaled, self.scaled.theta, 0).values())
+        return not any(_d_scaled(self.scaled, 1, self.scaled.theta, 0).values())
 
     def instantiate(self, mapping) -> "LieAlgebraModel":
         """Substitute parameters (names or sympy symbols) by rational numbers,
@@ -300,24 +310,25 @@ class LieAlgebraModel:
 
 # -- differential and Hodge operators --------------------------------------
 
-def _d_scaled(sc: Scaled, terms, sigma):
-    """den * (d - sigma theta ^) of sum c e^s over the (s, c) of terms, for
-    sigma in {0, 1, -1}, as {s: coefficient} with cancelled entries kept:
-    d e^i = - sum_{j<k} c^i_{jk} e^j ^ e^k, from ``sc.d_cov``, extended by the
-    Leibniz rule."""
-    theta = [(head, -sigma * c) for head, c in sc.theta] if sigma else []
-    acc = {}
-    for s, cs in terms:
+def _d_scaled(sc: Scaled, k, terms, sigma):
+    """den * (d - sigma theta ^), sigma in {0, 1, -1}, of sum c e^s over the
+    (bitmask of s, ..., c) of terms, s of degree k, as {row in the degree-(k+1)
+    wedge basis: coefficient}, cancelled entries kept.  d e^s = sum_t (-1)^t
+    d e^(s_t) ^ e^(s minus s_t), t the position of s_t in s (Leibniz), and
+    sorting e^j ^ e^l ^ e^rest passes j and l over the members of rest below."""
+    rows, acc, n = _mask_rows(len(sc.d_cov), k + 1), {}, len(sc.d_cov)
+    theta = [(bit, 0, below, -sigma * c) for bit, below, c in sc.theta] if sigma else []
+    for s, *_, cs in terms:
         if not cs:
             continue
-        # d(e^s) = sum_t (-1)^t d e^{s_t} ^ e^{s minus s_t}
-        heads = [(pair, -c if t % 2 else c, s[:t] + s[t + 1:])
-                 for t, i in enumerate(s) for pair, c in sc.d_cov[i]]
-        for head, c, rest in heads + [(head, c, s) for head, c in theta]:
-            sign, merged = merge_sign(head, rest)
-            if sign:
-                term = c * cs
-                acc[merged] = acc.get(merged, 0) + (term if sign > 0 else -term)
+        leibniz = [(s ^ 1 << i, t, sc.d_cov[i])
+                   for t, i in enumerate(i for i in range(n) if s >> i & 1)]
+        for rest, t, heads in leibniz + [(s, 0, theta)]:
+            for pair, below_j, below_l, c in heads:
+                if not rest & pair:
+                    odd = t + (rest & below_j).bit_count() + (rest & below_l).bit_count() & 1
+                    r, term = rows[rest | pair], -c * cs if odd else c * cs
+                    acc[r] = acc[r] + term if r in acc else term
     return acc
 
 
@@ -325,10 +336,10 @@ def _d_sigma(model: LieAlgebraModel, form: InvariantForm, sigma) -> InvariantFor
     """(d - sigma theta ^) form for sigma in {0, 1, -1} by ``_d_scaled``, each
     nonzero coefficient divided by den.  A form of degree k >= dim maps to
     the form of degree k + 1, which has no coefficients."""
-    n, den = model.dim, model.scaled.den
-    acc = _d_scaled(model.scaled, zip(wedge_basis(n, form.degree), form.coeffs), sigma)
-    return InvariantForm.from_dict(n, form.degree + 1,
-                                   {s: _unscale(c, den) for s, c in acc.items()})
+    n, k, sc = model.dim, form.degree, model.scaled
+    acc = _d_scaled(sc, k, zip(_mask_rows(n, k), form.coeffs), sigma)
+    return InvariantForm(n, k + 1, tuple(_unscale(acc.get(r, 0), sc.den)
+                                         for r in range(comb(n, k + 1))))
 
 
 def d_apply(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
@@ -343,19 +354,13 @@ def hodge_star(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
     """Star for the declared orthonormal coframe, volume e^1 ^ ... ^ e^n."""
     if not model.coframe_metric:
         raise LieModelError("no orthonormal coframe declared on this model")
-    n = model.dim
-    k = form.degree
+    n, k = model.dim, form.degree
     if not 0 <= k <= n:  # Lambda^k is zero outside 0..n
         return InvariantForm.zero(n, n - k)
-    idx = _basis_index(n, n - k)
-    out = [0] * comb(n, n - k)
-    for s, cs in zip(wedge_basis(n, k), form.coeffs):
-        if not cs:
-            continue
-        comp = tuple(i for i in range(n) if i not in s)
-        sign, _ = merge_sign(s, comp)
-        out[idx[comp]] = cs if sign > 0 else -cs
-    return InvariantForm(n, n - k, tuple(out))
+    # * e^s = eps(s) e^(s^c), eps(s) = (-1)^(sum(s) - C(k, 2)) the sign of sorting
+    # s + s^c; complements reverse the lexicographic order of a wedge basis
+    return InvariantForm(n, n - k, tuple(-c if (sum(s) - comb(k, 2)) % 2 else c for s, c in
+                                         reversed(list(zip(wedge_basis(n, k), form.coeffs)))))
 
 
 def delta_theta(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
@@ -390,11 +395,10 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
     where the identity fails are those where some d(d e^i) has a nonzero
     coefficient, reported in lexicographic order."""
     n, sc = model.dim, model.scaled
-    failing = set()
-    for terms in sc.d_cov:  # den d applied to den d e^i: the scale changes no zero
-        failing.update(s for s, c in _d_scaled(sc, terms, 0).items() if c)
-    violations = [("jacobi", tuple(x + 1 for x in s))
-                  for s in wedge_basis(n, 3) if s in failing]
+    # den d applied to den d e^i: the scale moves no zero
+    failing = {r for terms in sc.d_cov for r, c in _d_scaled(sc, 2, terms, 0).items() if c}
+    violations = [("jacobi", tuple(x + 1 for x in wedge_basis(n, 3)[r]))
+                  for r in sorted(failing)]
     if not model.theta_is_closed():
         violations.append(("theta_not_closed", None))
     if model.J is not None:
@@ -413,24 +417,35 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
 
 # -- cohomology --------------------------------------------------------------
 
-def _matrix_of(model: LieAlgebraModel, k, op) -> Matrix:
-    """Matrix of op(model, .) on the degree-k wedge basis.  The row count is
-    the coefficient count of the image degree, so it is zero when that degree
-    (or k itself) lies outside 0..dim."""
-    n = model.dim
-    cols = [op(model, InvariantForm.from_dict(n, k, {s: 1})).coeffs
-            for s in wedge_basis(n, k)]
-    rows = len(cols[0]) if cols else 0
-    return Matrix(rows, len(cols), [col[r] for r in range(rows) for col in cols])
+def scaled_d_theta_matrix(model: LieAlgebraModel, k, sigma=1) -> Matrix:
+    """den * (d - sigma theta ^) from degree k to k+1 in the wedge bases, set
+    only at ``_d_scaled``'s entries: ints over Q, field elements over Q(params)
+    (den = 1).  Ranks and kernels are taken on it: a positive scale changes
+    no rank, pivot or ``nullspace`` basis."""
+    n, sc, width = model.dim, model.scaled, comb(model.dim, k)
+    entries = [0] * (comb(n, k + 1) * width)
+    for s, col in _mask_rows(n, k).items():
+        for r, c in _d_scaled(sc, k, ((s, 1),), sigma).items():
+            entries[r * width + col] = c
+    return Matrix(len(entries) // width, width, entries)
 
 
 def d_theta_matrix(model: LieAlgebraModel, k) -> Matrix:
-    """Matrix of d_theta from degree k to k+1 in the wedge bases, column by
-    column in ``_d_scaled``'s entries, each nonzero one divided by den."""
-    sc, rows = model.scaled, wedge_basis(model.dim, k + 1)
-    cols = [_d_scaled(sc, [(s, 1)], 1) for s in wedge_basis(model.dim, k)]
-    return Matrix(len(rows), len(cols), [_unscale(col.get(r, 0), sc.den)
-                                         for r in rows for col in cols])
+    """d_theta from degree k to k+1: ``scaled_d_theta_matrix``, nonzero entries over den."""
+    m, den = scaled_d_theta_matrix(model, k), model.scaled.den
+    return Matrix(m.rows, m.cols, [_unscale(c, den) for c in m.entries])
+
+
+def _scaled_delta_matrix(model: LieAlgebraModel, k) -> Matrix:
+    """den * delta_theta from degree k to k-1: as delta_theta = - * d_(-theta) *,
+    entry [v, s] is -eps(s) eps(v^c) D[v^c, s^c] with ``hodge_star``'s eps and
+    D = den d_(-theta) from degree n - k, read at D's mirrored position."""
+    n = model.dim
+    d = scaled_d_theta_matrix(model, n - k, -1)
+    eps_s, eps_u = ([(-1) ** (sum(s) - comb(j, 2)) for s in wedge_basis(n, j)]
+                    for j in (k, n - k + 1))
+    return Matrix(d.rows, d.cols, [x and -x * eps_s[p % d.cols] * eps_u[-1 - p // d.cols]
+                                   for p, x in enumerate(reversed(d.entries))])
 
 
 # A model with parameters is first evaluated at up to this many seeded rational
@@ -470,11 +485,11 @@ def _generic_ranks(model: LieAlgebraModel):
         except LieModelError:
             pass
     else:  # a pole at every point
-        return [rank(d_theta_matrix(model, k)) for k in range(n)]
-    r = [rank(d_theta_matrix(at, k)) for k in range(n)] + [0]  # r[-1] = r[n] = 0
+        return [rank(scaled_d_theta_matrix(model, k)) for k in range(n)]
+    r = [rank(scaled_d_theta_matrix(at, k)) for k in range(n)] + [0]  # r[-1] = r[n] = 0
     return [r[k] if at is model
             or r[k] == min(comb(n, k + 1) - r[k + 1], comb(n, k) - r[k - 1])
-            else rank(d_theta_matrix(model, k)) for k in range(n)]
+            else rank(scaled_d_theta_matrix(model, k)) for k in range(n)]
 
 
 def twisted_ce_cohomology(model: LieAlgebraModel):
@@ -499,8 +514,8 @@ def harmonic_dims(model: LieAlgebraModel):
     if not model.coframe_metric:
         raise LieModelError("no orthonormal coframe declared on this model")
     n = model.dim
-    d = [d_theta_matrix(model, k) for k in range(n + 1)]
-    delta = [_matrix_of(model, k, delta_theta) for k in range(n + 1)]
+    d = [scaled_d_theta_matrix(model, k) for k in range(n + 1)]  # both times den
+    delta = [_scaled_delta_matrix(model, k) for k in range(n + 1)]
     dims = []
     for k in range(n + 1):
         # Delta_k = delta_(k+1) d_k + d_(k-1) delta_k
@@ -525,8 +540,8 @@ def isotropic_basis(model: LieAlgebraModel):
         raise LieModelError("the isotropic subspace needs a complex structure J")
     sc = model.scaled
     theta, theta_j = [0] * model.dim, [0] * model.dim  # den theta, den j_den theta o J
-    for (l,), t in sc.theta:
-        theta[l] = t
+    for _, below, t in sc.theta:
+        theta[l := below.bit_length()] = t
         for j, c in sc.j_rows[l]:
             theta_j[j] += t * c
     rows = rational_conditions(theta) + rational_conditions(theta_j)

@@ -227,12 +227,13 @@ def cmd_scan(args):
     if not resolved.is_fiber:
         raise CliError("scan applies to fiber models", EXIT_USAGE)
     rows = [(lam, resolved.profile(lam)) for lam in exceptional_lambdas(resolved.model)]
+    report = json.dumps([{"lambda": lambda_to_jsonable(lam),
+                          "betti": list(p.betti)} for lam, p in rows])
     print(f"model   {resolved.name}")
     print(f"{'lambda':>12}  betti")
     for lam, profile in rows:
         print(f"{lam.to_float():>12.6f}  {list(profile.betti)}")
-    print(json.dumps([{"lambda": lambda_to_jsonable(lam),
-                       "betti": list(p.betti)} for lam, p in rows]))
+    print(report)
     return EXIT_OK
 
 
@@ -408,6 +409,11 @@ def main(argv=None):
     except (ModelError, LieModelError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
+    except ValueError as exc:  # an exact answer past Python's int-to-str digit limit
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: an exact answer is too long to print: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

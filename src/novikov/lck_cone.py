@@ -37,8 +37,8 @@ from .chevalley import (
     InvariantForm,
     LieAlgebraModel,
     LieModelError,
-    d_theta_matrix,
     isotropic_basis,
+    scaled_d_theta_matrix,
     wedge_basis,
 )
 from .exact import Matrix, exterior_powers, is_positive_definite, nullspace
@@ -92,8 +92,7 @@ def kernel_basis(model: LieAlgebraModel):
     instantiated to rationals beforehand."""
     if model.params:
         raise LieModelError("instantiate parameters before cone computations")
-    mat = d_theta_matrix(model, 2)
-    basis = nullspace(mat)
+    basis = nullspace(scaled_d_theta_matrix(model, 2))
     return [InvariantForm(model.dim, 2, tuple(vec)) for vec in basis]
 
 

@@ -18,6 +18,7 @@ from novikov.catalog import (
 )
 from novikov.chevalley import (
     InvariantForm,
+    _scaled_delta_matrix,
     LieAlgebraModel,
     LieModelError,
     d_apply,
@@ -35,7 +36,7 @@ from novikov.chevalley import (
     wedge,
     wedge_basis,
 )
-from novikov.exact import Matrix, coefficient_field
+from novikov.exact import Matrix, coefficient_field, rank
 from test_lck_cone import almost_abelian_with_j
 
 
@@ -460,6 +461,45 @@ def test_harmonic_dims_match_cohomology():
     model = splus_coframe_model()
     assert harmonic_dims(model) == [0, 1, 2, 1, 0]
     assert harmonic_dims(abelian_algebra(4)) == [1, 4, 6, 4, 1]
+
+
+def matrix_of(model, k, op):
+    """The retired builder, kept as the oracle: the matrix of op(model, .) on
+    the degree-k wedge basis, one basis form at a time.  The row count is the
+    coefficient count of the image degree, zero outside 0..dim."""
+    n = model.dim
+    cols = [op(model, InvariantForm.from_dict(n, k, {s: 1})).coeffs
+            for s in wedge_basis(n, k)]
+    rows = len(cols[0]) if cols else 0
+    return Matrix(rows, len(cols), [col[r] for r in range(rows) for col in cols])
+
+
+# [e1, e2] = e2 on R^3, theta = e^3: not unimodular, so delta_theta is not
+# the transpose of d_theta there
+NON_UNIMODULAR = LieAlgebraModel(dim=3, brackets={(0, 1): {1: 1}}, theta=(0, 0, 1),
+                                 coframe_metric=True, name="non-unimodular")
+
+
+@pytest.mark.parametrize("model", [splus_coframe_model(), abelian_algebra(4),
+                                   abelian_algebra(5), NON_UNIMODULAR],
+                         ids=lambda m: m.name)
+def test_delta_theta_matrix_matches_the_hodge_star_oracle(model):
+    n, den = model.dim, model.scaled.den
+    for k in range(n + 1):
+        oracle = matrix_of(model, k, delta_theta)
+        assert _scaled_delta_matrix(model, k) == Matrix(
+            oracle.rows, oracle.cols, [den * x for x in oracle.entries]), k
+    # harmonic forms are ker d_theta cap ker delta_theta, here from the oracles
+    stacked = [(d_theta_matrix(model, k), matrix_of(model, k, delta_theta))
+                for k in range(n + 1)]
+    assert harmonic_dims(model) == [
+        comb(n, k) - rank(Matrix(d.rows + delta.rows, d.cols, d.entries + delta.entries))
+        for k, (d, delta) in enumerate(stacked)]
+
+
+def test_delta_theta_is_not_the_transpose_off_unimodular_algebras():
+    d = d_theta_matrix(NON_UNIMODULAR, 1)
+    assert matrix_of(NON_UNIMODULAR, 2, delta_theta) != d.transpose()
 
 
 def test_harmonic_dims_requires_instantiation():

@@ -638,6 +638,28 @@ def test_a_json_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
     assert "is not valid JSON" in err
 
 
+def test_a_certificate_past_the_digit_limit_exits_2(capsys):
+    # the rank-one certificate v combines two entries at the caps, and its
+    # entries have more digits than Python converts to a string
+    theta = f"{'9' * 995}e1000,-1/{'9' * 997},{'7' * 995}e1000,0"
+    code, out, err = run(capsys, "cone", "abelian4", "--theta", theta)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "too long to print" in err
+
+
+def test_a_minimal_polynomial_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # chi_1 = (a - x)(b - x)(c - x) + 1 multiplies three entries at the caps
+    # in its constant term, and so does an exceptional lambda's minimal polynomial
+    a, b, c = (f"{d * 995}e1000" for d in "973")
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "type": "fiber_descriptor", "dim": 2, "h_dims": [1, 3, 1],
+        "actions": [[["1"]], [[a, "1", "0"], ["0", b, "1"], ["1", "0", c]], [["1"]]]}))
+    code, out, err = run(capsys, "scan", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "too long to print" in err
+
+
 @pytest.mark.parametrize("text", ["-3/4", "1.5", "2e3", "+3", "3.", "1_000"])
 def test_theta_entries_read_as_fraction_reads_them(text):
     assert cli._parse_theta(f"{text},0,0,0", catalog.abelian_algebra(4)) == (

@@ -35,6 +35,7 @@ from novikov.chevalley import (
     LieAlgebraModel,
     LieModelError,
     d_theta_matrix,
+    scaled_d_theta_matrix,
     twisted_ce_cohomology,
     validate,
 )
@@ -103,17 +104,20 @@ def test_generic_rank_is_the_largest_rank_at_random_points(data):
 
 
 def symbolic_degrees(monkeypatch, model):
-    """twisted_ce_cohomology(model), and the degrees k whose d_theta matrix it
-    builds, and so eliminates, over Q(params)."""
+    """twisted_ce_cohomology(model), and the degrees k whose den * d_theta
+    matrix, the one the ranks are taken on, it builds, and so eliminates, over
+    Q(params)."""
     degrees = []
 
     def counted(m, k):
         if m.params:
             degrees.append(k)
-        return d_theta_matrix(m, k)
+        return scaled_d_theta_matrix(m, k)
 
-    monkeypatch.setattr(chevalley, "d_theta_matrix", counted)
-    return twisted_ce_cohomology(model), degrees
+    # patched for this call only: the oracle's d_theta_matrix builds on it too
+    with monkeypatch.context() as patch:
+        patch.setattr(chevalley, "scaled_d_theta_matrix", counted)
+        return twisted_ce_cohomology(model), degrees
 
 
 @pytest.mark.parametrize("model", [

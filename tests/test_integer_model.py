@@ -9,25 +9,32 @@ from itertools import chain, combinations
 from math import gcd, lcm
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novikov.catalog import abelian_algebra, s0_algebra
+from novikov import chevalley
+from novikov.catalog import abelian_algebra, ot_algebra, s0_algebra
 from novikov.chevalley import (
     LieAlgebraModel,
+    _scaled_delta_matrix,
     d_theta_matrix,
+    delta_theta,
     isotropic_basis,
     obstruction_search,
+    scaled_d_theta_matrix,
+    twisted_ce_cohomology,
     validate,
     wedge_basis,
 )
-from novikov.exact import Matrix, exterior_powers, nullspace
+from novikov.exact import Matrix, exterior_powers, nullspace, rank
 from novikov.lck_cone import _cone_basis, _integer_sym_matrices, _j_invariant_subbasis
 from test_chevalley import (
     apply_j_by_fractions,
     assert_isotropic_basis_matches_sympy,
     bracket_by_fractions,
     jacobi_by_triples,
+    matrix_of,
     three_stage_search,
     wedge_oracle_d_theta_matrix,
 )
@@ -79,8 +86,9 @@ def test_the_structure_is_over_the_least_denominators():
                                (0, 0, 0, -1), (0, 0, 1, 0)))
     sc = model.scaled
     assert (sc.den, sc.j_den) == (12, 3)
-    assert sc.d_cov == [[], [], [((0, 1), -2)], [((0, 2), -24)]]
-    assert sc.theta == (((0,), 9),)
+    # (bitmask of {j, l}, bits below j, bits below l, c) and (bit of l, bits below l, c)
+    assert sc.d_cov == [[], [], [(0b11, 0, 0b1, -2)], [(0b101, 0, 0b11, -24)]]
+    assert sc.theta == ((0b1, 0, 9),)
     assert sc.j_rows == (((1, -1),), ((0, 9),), ((3, -3),), ((2, 3),))
 
 
@@ -93,6 +101,49 @@ def test_d_theta_matrix_matches_the_wedge_oracle(model):
         # divided by den on the nonzero entries only: ints where den = 1
         kind = int if model.scaled.den == 1 else Fraction
         assert all(type(x) is kind for x in got.entries if x)
+
+
+def scaled_oracle(model, matrix):
+    """den times a matrix of Fractions."""
+    return Matrix(matrix.rows, matrix.cols, [model.scaled.den * x for x in matrix.entries])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scaled_models())
+def test_den_d_theta_has_the_ranks_and_kernels_of_d_theta(model):
+    flipped = replace(model, theta=tuple(-t for t in model.theta))
+    for k in range(model.dim + 1):
+        scaled, true = scaled_d_theta_matrix(model, k), d_theta_matrix(model, k)
+        assert all(type(x) is int for x in scaled.entries)
+        assert scaled == scaled_oracle(model, wedge_oracle_d_theta_matrix(model, k))
+        assert rank(scaled) == rank(true)
+        assert nullspace(scaled) == nullspace(true)
+        # sigma = -1 is d_(-theta), the operator delta_theta is built from
+        assert scaled_d_theta_matrix(model, k, -1) == scaled_oracle(
+            model, wedge_oracle_d_theta_matrix(flipped, k))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(scaled_models())
+def test_delta_theta_matrix_matches_the_hodge_star_oracle_on_drawn_models(model):
+    model = replace(model, coframe_metric=True)
+    for k in range(model.dim + 1):
+        assert _scaled_delta_matrix(model, k) == scaled_oracle(
+            model, matrix_of(model, k, delta_theta)), k
+
+
+@pytest.mark.parametrize("model", [
+    abelian_algebra(6),
+    ot_algebra(2).instantiate({"alpha1": Fraction(1, 3), "alpha2": Fraction(-5, 7),
+                               "r1": Fraction(2, 3), "r2": -1})], ids=["abelian6", "ot2-point"])
+def test_the_ranks_divide_no_entry_by_den(monkeypatch, model):
+    want = twisted_ce_cohomology(model)
+
+    def refused(c, den):
+        raise AssertionError("the ranks built a Fraction")
+
+    monkeypatch.setattr(chevalley, "_unscale", refused)
+    assert twisted_ce_cohomology(model) == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -187,7 +238,7 @@ def test_a_theta_override_rebuilds_the_structure():
     other = replace(model, theta=(0, 0, Fraction(1, 2), 0))
     assert model.theta_is_closed() and not other.theta_is_closed()
     assert (model.scaled.den, other.scaled.den) == (1, 2)
-    assert other.scaled.theta == (((2,), 1),)
+    assert other.scaled.theta == ((0b100, 0b11, 1),)
     for k in range(5):
         assert d_theta_matrix(other, k) == wedge_oracle_d_theta_matrix(other, k)
     assert d_theta_matrix(other, 1) != d_theta_matrix(model, 1)
@@ -199,6 +250,6 @@ def test_instantiate_rebuilds_the_structure():
     at = symbolic.instantiate({"r": Fraction(1, 3), "s": Fraction(2, 5)})
     coeffs = list(chain(at.theta, *(comps.values() for comps in at.brackets.values())))
     assert at.scaled.den == lcm(*(c.denominator for c in coeffs)) > 1
-    assert all(type(c) is int for _, c in chain(at.scaled.theta, *at.scaled.d_cov))
+    assert all(type(c) is int for *_, c in chain(at.scaled.theta, *at.scaled.d_cov))
     for k in range(at.dim + 1):
         assert d_theta_matrix(at, k) == wedge_oracle_d_theta_matrix(at, k)
