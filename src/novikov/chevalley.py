@@ -276,7 +276,7 @@ class LieAlgebraModel:
 
     def theta_is_closed(self) -> bool:
         """d theta = 0, without which d_theta^2 != 0 and there is no complex."""
-        return not any(_d_scaled(self.scaled, 1, self.scaled.theta, 0).values())
+        return not any(_d_scaled(self.scaled, 1, ((0, b, c) for b, _, c in self.scaled.theta), 0))
 
     def instantiate(self, mapping) -> "LieAlgebraModel":
         """Substitute parameters (names or sympy symbols) by rational numbers,
@@ -310,26 +310,33 @@ class LieAlgebraModel:
 
 # -- differential and Hodge operators --------------------------------------
 
-def _d_scaled(sc: Scaled, k, terms, sigma):
-    """den * (d - sigma theta ^), sigma in {0, 1, -1}, of sum c e^s over the
-    (bitmask of s, ..., c) of terms, s of degree k, as {row in the degree-(k+1)
-    wedge basis: coefficient}, cancelled entries kept.  d e^s = sum_t (-1)^t
+@lru_cache(maxsize=None)
+def _leibniz(n, k):
+    """{bitmask of s: the (i, t, s minus i) for the members i of s at positions
+    t, then (n, 0, s), head n being -sigma theta} over the degree-k wedge basis."""
+    return {s: tuple((i, t, s ^ 1 << i) for t, i in enumerate(i for i in range(n) if s >> i & 1))
+            + ((n, 0, s),) for s in _mask_rows(n, k)}
+
+
+def _d_scaled(sc: Scaled, k, terms, sigma, width=1):
+    """den * (d - sigma theta ^), sigma in {0, 1, -1}, of the forms with the
+    (column, bitmask of s, c) of terms, s of degree k: the row-major entries of
+    a matrix of width columns, cancelled entries kept.  d e^s = sum_t (-1)^t
     d e^(s_t) ^ e^(s minus s_t), t the position of s_t in s (Leibniz), and
     sorting e^j ^ e^l ^ e^rest passes j and l over the members of rest below."""
-    rows, acc, n = _mask_rows(len(sc.d_cov), k + 1), {}, len(sc.d_cov)
-    theta = [(bit, 0, below, -sigma * c) for bit, below, c in sc.theta] if sigma else []
-    for s, *_, cs in terms:
-        if not cs:
-            continue
-        leibniz = [(s ^ 1 << i, t, sc.d_cov[i])
-                   for t, i in enumerate(i for i in range(n) if s >> i & 1)]
-        for rest, t, heads in leibniz + [(s, 0, theta)]:
-            for pair, below_j, below_l, c in heads:
+    rows, leibniz = _mask_rows(len(sc.d_cov), k + 1), _leibniz(len(sc.d_cov), k)
+    # no product by a unit or by sigma: over Q(params) each product runs a gcd
+    heads = sc.d_cov + [[(bit, 0, below, -c if sigma > 0 else c) for bit, below, c in sc.theta]
+                        if sigma else []]
+    out = [0] * (len(rows) * width)
+    for col, s, cs in terms:
+        for i, t, rest in leibniz[s]:
+            for pair, below_j, below_l, c in heads[i]:
                 if not rest & pair:
+                    p, c = rows[rest | pair] * width + col, c if cs == 1 else c * cs
                     odd = t + (rest & below_j).bit_count() + (rest & below_l).bit_count() & 1
-                    r, term = rows[rest | pair], -c * cs if odd else c * cs
-                    acc[r] = acc[r] + term if r in acc else term
-    return acc
+                    out[p] += -c if odd else c
+    return out
 
 
 def _d_sigma(model: LieAlgebraModel, form: InvariantForm, sigma) -> InvariantForm:
@@ -337,9 +344,8 @@ def _d_sigma(model: LieAlgebraModel, form: InvariantForm, sigma) -> InvariantFor
     nonzero coefficient divided by den.  A form of degree k >= dim maps to
     the form of degree k + 1, which has no coefficients."""
     n, k, sc = model.dim, form.degree, model.scaled
-    acc = _d_scaled(sc, k, zip(_mask_rows(n, k), form.coeffs), sigma)
-    return InvariantForm(n, k + 1, tuple(_unscale(acc.get(r, 0), sc.den)
-                                         for r in range(comb(n, k + 1))))
+    out = _d_scaled(sc, k, ((0, s, c) for s, c in zip(_mask_rows(n, k), form.coeffs) if c), sigma)
+    return InvariantForm(n, k + 1, tuple(_unscale(c, sc.den) for c in out))
 
 
 def d_apply(model: LieAlgebraModel, form: InvariantForm) -> InvariantForm:
@@ -395,8 +401,9 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
     where the identity fails are those where some d(d e^i) has a nonzero
     coefficient, reported in lexicographic order."""
     n, sc = model.dim, model.scaled
-    # den d applied to den d e^i: the scale moves no zero
-    failing = {r for terms in sc.d_cov for r, c in _d_scaled(sc, 2, terms, 0).items() if c}
+    # den d applied to den d e^i in column i: the scale moves no zero
+    dd = _d_scaled(sc, 2, ((i, t[0], t[-1]) for i, ts in enumerate(sc.d_cov) for t in ts), 0, n)
+    failing = {p // n for p, c in enumerate(dd) if c}
     violations = [("jacobi", tuple(x + 1 for x in wedge_basis(n, 3)[r]))
                   for r in sorted(failing)]
     if not model.theta_is_closed():
@@ -417,17 +424,16 @@ def validate(model: LieAlgebraModel) -> ValidationReport:
 
 # -- cohomology --------------------------------------------------------------
 
-def scaled_d_theta_matrix(model: LieAlgebraModel, k, sigma=1) -> Matrix:
-    """den * (d - sigma theta ^) from degree k to k+1 in the wedge bases, set
-    only at ``_d_scaled``'s entries: ints over Q, field elements over Q(params)
-    (den = 1).  Ranks and kernels are taken on it: a positive scale changes
-    no rank, pivot or ``nullspace`` basis."""
-    n, sc, width = model.dim, model.scaled, comb(model.dim, k)
-    entries = [0] * (comb(n, k + 1) * width)
-    for s, col in _mask_rows(n, k).items():
-        for r, c in _d_scaled(sc, k, ((s, 1),), sigma).items():
-            entries[r * width + col] = c
-    return Matrix(len(entries) // width, width, entries)
+def scaled_d_theta_matrix(model, k, sigma=1) -> Matrix:
+    """den * (d - sigma theta ^) from degree k to k+1 in the wedge bases, of a
+    model or of a ``Scaled``, by one ``_d_scaled`` pass over the unit forms:
+    ints over Q, field elements over Q(params) (den = 1).  Ranks and kernels
+    are taken on it: a positive scale changes no rank, pivot or ``nullspace``
+    basis."""
+    sc = model if isinstance(model, Scaled) else model.scaled
+    n, width = len(sc.d_cov), comb(len(sc.d_cov), k)
+    units = ((col, s, 1) for s, col in _mask_rows(n, k).items())
+    return Matrix(comb(n, k + 1), width, _d_scaled(sc, k, units, sigma, width))
 
 
 def d_theta_matrix(model: LieAlgebraModel, k) -> Matrix:
@@ -461,6 +467,20 @@ def _seeded_points(count):
                     for _ in range(count))
 
 
+def _scaled_at(model: LieAlgebraModel, point):
+    """den * d e^i and den * theta of ``model.scaled`` at a rational point of all
+    its parameters, as ints over one least denominator (no J); None at a pole."""
+    sub, sc = substitution(model.params, dict(zip(model.params, point))), model.scaled
+    try:
+        d_cov = [[(*bits, v) for *bits, c in terms if (v := sub(c))] for terms in sc.d_cov]
+        theta = [(bit, below, v) for bit, below, c in sc.theta if (v := sub(c))]
+    except ZeroDivisionError:
+        return None
+    den, scale = _over_one_denominator((), (t[-1] for t in chain(theta, *d_cov)))
+    return Scaled(den, [[(*bits, scale(c)) for *bits, c in terms] for terms in d_cov],
+                  tuple((bit, below, scale(c)) for bit, below, c in theta), 1, ())
+
+
 def _generic_ranks(model: LieAlgebraModel):
     """Ranks of d_theta on k-forms over Q(params), k = 0..dim-1.
 
@@ -474,20 +494,17 @@ def _generic_ranks(model: LieAlgebraModel):
     other ranks are eliminated over Q(params).  The point decides how much
     symbolic work is left, never the answer.  d_theta^2 = 0 holds on every
     model that passes ``validate`` (Jacobi, checked as d(d e^i) = 0 on
-    covectors, and d theta = 0).  The point is applied by
-    ``model.instantiate``; a point where a denominator vanishes is redrawn.
-    A model without parameters is its own point: one rank per degree."""
+    covectors, and d theta = 0).  The point is ``_scaled_at``'s, no second
+    model, redrawn where a denominator vanishes.  A model without parameters
+    is its own point: one rank per degree."""
     n = model.dim
-    for point in _seeded_points(len(model.params)):
-        try:
-            at = model.instantiate(dict(zip(model.params, point)))
-            break
-        except LieModelError:
-            pass
-    else:  # a pole at every point
+    at = model.scaled if not model.params else next(
+        (sc for point in _seeded_points(len(model.params))
+         if (sc := _scaled_at(model, point)) is not None), None)
+    if at is None:  # a pole at every point
         return [rank(scaled_d_theta_matrix(model, k)) for k in range(n)]
     r = [rank(scaled_d_theta_matrix(at, k)) for k in range(n)] + [0]  # r[-1] = r[n] = 0
-    return [r[k] if at is model
+    return [r[k] if not model.params
             or r[k] == min(comb(n, k + 1) - r[k + 1], comb(n, k) - r[k - 1])
             else rank(scaled_d_theta_matrix(model, k)) for k in range(n)]
 

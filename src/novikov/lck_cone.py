@@ -231,13 +231,13 @@ def _candidates(d):
 
 
 def _combination_is_positive_definite(mats, x):
-    """Whether sum x_i mats[i] is positive definite, for rational x, exactly:
-    x is scaled to integers and the sum, over the matrices with x_i != 0 and
-    row by row, goes to `is_positive_definite`."""
+    """Whether sum x_i mats[i] is positive definite, for rational x, exactly: x
+    is scaled to integers, a diagonal entry <= 0 refuses it, and the sum, over
+    the matrices with x_i != 0 and row by row, goes to `is_positive_definite`."""
     den = math.lcm(*(Fraction(c).denominator for c in x))
     terms = [(int(Fraction(c) * den), m) for c, m in zip(x, mats) if c]
-    if not terms:
-        return False  # the zero matrix
+    if not terms or any(sum(c * m[u][u] for c, m in terms) <= 0 for u in range(len(mats[0]))):
+        return False  # the zero matrix, or one that is not positive on some e_u
     return is_positive_definite(
         [list(map(sum, zip(*([c * e for e in m[u]] for c, m in terms))))
          for u in range(len(mats[0]))])
@@ -252,7 +252,7 @@ def _quadratic_form(m, v):
 def _rank_one_candidates(model):
     """The e_j (an empty basis needs e_1; a certificate may lie outside K), then
     ``isotropic_basis``: every d_theta-exact form vanishes on (v, Jv) if [v, Jv] = 0."""
-    units = ([Fraction(int(i == j)) for i in range(model.dim)] for j in range(model.dim))
+    units = ([int(i == j) for i in range(model.dim)] for j in range(model.dim))
     return chain(units, isotropic_basis(model))
 
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import pathlib
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -409,6 +410,35 @@ def test_models_load_without_sympify(monkeypatch, lie_docs):
 def test_json_numbers_are_read_as_written():
     assert _parse_expr(0.1, (), "coefficient") == Fraction(1, 10)
     assert _parse_expr(3, (), "coefficient") == 3
+
+
+INTEGER_STRINGS = {
+    "007": "leading zeros in decimal integer literals are not permitted",
+    "+5": 5, " 5": 5, "5 ": 5, "-0": 0, "-12": -12, "1_000": 1000,
+    "\u0663": "invalid character '\u0663' (U+0663)",  # int() reads it as 3
+    "9" * 1000: 10 ** 1000 - 1, "9" * 1001: "the cap is 1000",
+}
+
+
+@pytest.mark.parametrize("params", [(), ("a",)])
+@pytest.mark.parametrize("text", INTEGER_STRINGS, ids=lambda t: repr(t)[:12])
+def test_integer_strings_read_as_the_grammar_reads_them(monkeypatch, text, params):
+    """Strings the integer fast path reads give the grammar's value; those it
+    leaves give the grammar's value or SchemaError, message for message, with
+    the fast path switched off as the oracle."""
+    def read():
+        try:
+            return _parse_expr(text, params, "coefficient")
+        except SchemaError as exc:
+            return str(exc)
+
+    got, want = read(), INTEGER_STRINGS[text]
+    if isinstance(want, str):
+        assert want in got
+    else:
+        assert got == want and (type(got) is Fraction) == (not params)
+    monkeypatch.setattr(modelfile, "_INTEGER", re.compile("(?!)"))  # matches nothing
+    assert read() == got
 
 
 def test_bad_bracket_indices_rejected():
