@@ -2,12 +2,14 @@
 numbers, and linear algebra over Q, Q(params) and Q(lambda) (sympy's ``ANP``,
 which only the tests' oracles use)."""
 
-from .polynomials import IntPoly, count_roots, exterior_char_polys, multiplicity, sturm_sequence
+from .polynomials import (IntPoly, count_roots, exterior_char_polys, mirror, multiplicity,
+                          sturm_sequence)
 from .algebraic import (
     AlgebraicReal,
     isolate_real_roots,
     alg_eq,
     alg_cmp,
+    alg_neg,
     alg_power,
     alg_reciprocal,
 )
@@ -25,8 +27,8 @@ from .matrices import (
 )
 
 __all__ = [
-    "IntPoly", "count_roots", "exterior_char_polys", "multiplicity", "sturm_sequence",
-    "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp",
+    "IntPoly", "count_roots", "exterior_char_polys", "mirror", "multiplicity",
+    "sturm_sequence", "AlgebraicReal", "isolate_real_roots", "alg_eq", "alg_cmp", "alg_neg",
     "alg_power", "alg_reciprocal", "NumberField", "coefficient",
     "coefficient_field", "rational_conditions", "substitution",
     "Matrix", "char_poly", "companion", "exterior_powers",

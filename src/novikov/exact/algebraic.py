@@ -43,16 +43,17 @@ class AlgebraicReal:
     @staticmethod
     def from_poly(p: IntPoly, lo, hi) -> "AlgebraicReal":
         """Validated constructor: p must be irreducible and (lo, hi) isolate
-        exactly one of its real roots."""
+        exactly one of its real roots; one Sturm chain of p decides both and is kept."""
         p = p.primitive()
-        if not is_irreducible(p):
+        seq = sturm_sequence(p)
+        if not is_irreducible(p, seq):
             raise ValueError(f"{p!r} is not irreducible over Q")
         lo, hi = Fraction(lo), Fraction(hi)
         if not all(sign_at(p, x.numerator, x.denominator) for x in (lo, hi)):
             raise ValueError("interval endpoints must not be roots")
-        if count_roots(p, lo, hi) != 1:
+        if count_roots(p, lo, hi, seq) != 1:
             raise ValueError("interval does not isolate exactly one root")
-        return AlgebraicReal(p, (lo, hi))
+        return AlgebraicReal(p, (lo, hi), seq)
 
     def sturm(self):
         if self._sturm is None:
@@ -97,8 +98,8 @@ class AlgebraicReal:
 
     def sign(self):
         if self.is_rational():
-            q = self.as_rational()
-            return (q > 0) - (q < 0)
+            a, b = self.minpoly.coeffs  # the root of b*x + a
+            return (a < 0) - (a > 0) if b > 0 else (a > 0) - (a < 0)
         lo, hi = self.interval
         if lo < 0 < hi:
             # 0 is not a root of an irreducible minpoly of degree >= 2
@@ -219,6 +220,12 @@ def alg_reciprocal(lam: AlgebraicReal) -> AlgebraicReal:
     else:
         hi = min(hi, -cut)
     return AlgebraicReal(p, (1 / hi, 1 / lo))
+
+
+def alg_neg(lam: AlgebraicReal) -> AlgebraicReal:
+    """-lam: the minimal polynomial at -x, the interval negated."""
+    p = IntPoly([-c if i % 2 else c for i, c in enumerate(lam.minpoly.coeffs)]).primitive()
+    return AlgebraicReal(p, (-lam.interval[1], -lam.interval[0]))
 
 
 def alg_power(alpha: AlgebraicReal, k: int) -> AlgebraicReal:

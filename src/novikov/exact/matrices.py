@@ -98,8 +98,8 @@ def _one_like(x):
 
 def char_poly(m: Matrix) -> IntPoly:
     """det(xI - M) for a rational matrix, by Faddeev-LeVerrier in integer
-    arithmetic on D*M (D clears the entries' denominators), with denominators
-    cleared to an integer polynomial."""
+    arithmetic on D*M (D clears the entries' denominators), made primitive:
+    for an int matrix (D = 1) those integers are its coefficients."""
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.rows
@@ -113,11 +113,8 @@ def char_poly(m: Matrix) -> IntPoly:
         int_coeffs.append(ck)
         for i in range(n):
             mk[i][i] += ck
-    # det(xI - M) = D^-n det(DxI - D*M), so x^(n-k) has coefficient c_k / D^k
-    coeffs = [Fraction(c, d ** k) for k, c in enumerate(int_coeffs)]
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * lcm) for c in coeffs]
-    return IntPoly(list(reversed(ints)))
+    # det(xI - M) = D^-n det(DxI - D*M): D^n times it has c_(n-k) D^k at x^k
+    return IntPoly([c * d ** k for k, c in enumerate(reversed(int_coeffs))]).primitive()
 
 
 def companion(p: IntPoly) -> Matrix:

@@ -93,17 +93,20 @@ def factor_squarefree_irreducible(p: IntPoly):
     return [(IntPoly([int(c) for c in reversed(f)]).primitive(), int(m)) for f, m in factors]
 
 
-def is_irreducible(p: IntPoly):
-    """Irreducibility over Q: a quadratic is irreducible exactly when its
-    discriminant is not a square; other degrees go to the factorisation."""
-    if p.degree < 1:
-        return False
+def is_irreducible(p: IntPoly, seq=None):
+    """Irreducibility over Q: a quadratic's discriminant is not a square; from
+    degree 3 on, p is squarefree (its Sturm chain ``seq``) and one factor by Zassenhaus."""
+    if p.degree <= 1:
+        return p.degree == 1
     if p.degree == 2:
         c, b, a = p.coeffs
         disc = b * b - 4 * a * c
         return disc < 0 or math.isqrt(disc) ** 2 != disc
-    factors = factor_squarefree_irreducible(p)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == p.degree
+    if (seq or sturm_sequence(p))[-1].degree > 0:
+        return False
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_zz_zassenhaus
+    return len(dup_zz_zassenhaus([ZZ(c) for c in reversed(p.primitive().coeffs)], ZZ)) == 1
 
 
 def multiplicity(p: IntPoly, f: IntPoly) -> int:
@@ -132,18 +135,29 @@ def _newton(sums):
     return c
 
 
+def mirror(chi: IntPoly, d: int) -> IntPoly:
+    """x^N chi(d/x) / chi(0), N = deg chi, by exact division: det(x - d A^-1)
+    for chi = det(x - A), so chi_(n-k) for chi_k of a torus of det d."""
+    c0, top = chi.constant(), chi.degree
+    return IntPoly([c * d ** (top - j) // c0 for j, c in enumerate(reversed(chi.coeffs))])
+
+
 def exterior_char_polys(chi: IntPoly):
     """det(x - Lambda^k M), k = 0..n, from chi = det(x - M), monic: the j-th
     power sum of Lambda^k M is e_k(mu_1^j, ..., mu_n^j), by ``_newton`` from M's
-    p_j, p_2j, ..., p_kj (Macdonald, Symmetric Functions..., ch. I)."""
+    p_j, p_2j, ..., p_kj (Macdonald, Symmetric Functions..., ch. I); for k <= n/2
+    only if d = det M != 0, and then chi_(n-k) is ``mirror(chi_k, d)``."""
     n, c = chi.degree, chi.coeffs[::-1]
+    d = (-1) ** n * chi.constant()
+    half = n // 2 if d else n
     p = [n]  # p[m] is the m-th power sum of M's eigenvalues
-    for m in range(1, max(k * math.comb(n, k) for k in range(n + 1)) + 1):
+    for m in range(1, max(k * math.comb(n, k) for k in range(half + 1)) + 1):
         p.append((-m * c[m] if m <= n else 0)
                  - sum(c[i] * p[m - i] for i in range(1, min(m, n + 1))))
-    return [IntPoly(_newton([(-1) ** k * _newton(p[j::j][:k])[k]
-                             for j in range(1, math.comb(n, k) + 1)])[::-1])
-            for k in range(n + 1)]
+    low = [IntPoly(_newton([(-1) ** k * _newton(p[j::j][:k])[k]
+                            for j in range(1, math.comb(n, k) + 1)])[::-1])
+           for k in range(half + 1)]
+    return low + [mirror(low[n - k], d) for k in range(half + 1, n + 1)]
 
 
 # -- Sturm sequences in integers ---------------------------------------------

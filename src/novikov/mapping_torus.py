@@ -27,10 +27,13 @@ from .exact import (
     Matrix,
     alg_cmp,
     alg_eq,
+    alg_neg,
+    alg_reciprocal,
     char_poly,
     exterior_char_polys,
     exterior_powers,
     isolate_real_roots,
+    mirror,
     multiplicity,
     poly_at_matrix,
     rank,
@@ -158,12 +161,22 @@ def exceptional_lambdas(model: FiberModel):
     """The finite set of positive lam with a nonzero profile: lam * Phi_k - I
     is singular exactly at the positive real roots of the reversed chi_k (the
     reversal drops the eigenvalue 0); sorted, deduplicated, each distinct
-    chi_k isolated once."""
-    found = []
-    for chi in dict.fromkeys(model.charpolys):
-        for lam, _ in isolate_real_roots(chi.reversed()):
-            if lam.sign() > 0 and not any(alg_eq(lam, x) for x in found):
-                found.append(lam)
+    chi_k isolated once, except a chi_k, k > n/2, that is ``mirror(chi_(n-k), d)``
+    for d the action on H^n: its reversal's roots are the d/rho for chi_(n-k)'s."""
+    chis, n = model.charpolys, model.dim_fiber
+    d, found = -chis[n].constant(), []
+    roots = {}  # each distinct chi_k: the real roots of its reversal
+    for k, chi in enumerate(chis):
+        if chi in roots:
+            continue
+        # chi_(n-k)(0) = +-1 makes the mirror integral, as it is on a torus
+        if 2 * k > n and (dual := chis[n - k]).constant() in (1, -1) and chi == mirror(dual, d):
+            roots[chi] = [alg_reciprocal(rho if d == 1 else alg_neg(rho))
+                          for rho in roots[dual] if rho.sign() == d]
+        else:
+            roots[chi] = [lam for lam, _ in isolate_real_roots(chi.reversed())]
+        found += [lam for lam in roots[chi]  # distinct within one chi_k
+                  if lam.sign() > 0 and not any(alg_eq(lam, x) for x in found)]
     found.sort(key=cmp_to_key(alg_cmp))
     return found
 

@@ -140,8 +140,8 @@ _BINARY = {
     ast.Div: (operator.truediv, lambda xn, xd, yn, yd: max(xn * yd, xd * yn)),
 }
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-# an integer literal needs no parse; ASCII digits, as int reads others the grammar refuses
-_INTEGER = re.compile(r"-?(0|[1-9][0-9]*)")
+# an integer or a/b needs no parse; ASCII digits, as int reads others the grammar refuses
+_LITERAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 
 
 def _decimal(text):
@@ -209,8 +209,10 @@ def _evaluate(node, src, params, field, room):
 def _read(text, params, field):
     """text, a string of the grammar or a JSON number, as a Fraction or an
     element of field."""
-    if type(text) is int or isinstance(text, str) and _INTEGER.fullmatch(text):
-        return Fraction(int(text))
+    if type(text) is int:
+        return Fraction(text)
+    if isinstance(text, str) and _LITERAL.fullmatch(text):
+        return Fraction(*map(int, text.split("/")))
     if type(text) is float:  # as written: Fraction(0.1) is not 1/10
         return _decimal(repr(text))
     if not isinstance(text, str):

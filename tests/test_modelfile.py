@@ -25,7 +25,7 @@ from novikov.catalog import (
     splus_coframe_model,
 )
 from novikov.chevalley import twisted_ce_cohomology, validate
-from novikov.exact import AlgebraicReal, IntPoly, coefficient_field
+from novikov.exact import AlgebraicReal, IntPoly, coefficient, coefficient_field
 from novikov.mapping_torus import FiberModel, ModelError, twisted_betti
 from novikov.modelfile import (
     _PAIR,
@@ -437,7 +437,41 @@ def test_integer_strings_read_as_the_grammar_reads_them(monkeypatch, text, param
         assert want in got
     else:
         assert got == want and (type(got) is Fraction) == (not params)
-    monkeypatch.setattr(modelfile, "_INTEGER", re.compile("(?!)"))  # matches nothing
+    monkeypatch.setattr(modelfile, "_LITERAL", re.compile("(?!)"))  # matches nothing
+    assert read() == got
+
+
+RATIONAL_STRINGS = {
+    "1/2": Fraction(1, 2), "-1/2": Fraction(-1, 2), "-0/5": 0, "0/7": 0,
+    "1/0": "(division by zero)", "3/-4": Fraction(-3, 4),
+    "007/2": "leading zeros in decimal integer literals are not permitted",
+    "1/007": "leading zeros in decimal integer literals are not permitted",
+    "+1/2": Fraction(1, 2), " 1/2": Fraction(1, 2), "1 / 2": Fraction(1, 2),
+    "1/2 ": Fraction(1, 2), "1/2/3": Fraction(1, 6),
+    "\u0663/2": "invalid character '\u0663' (U+0663)",  # int() reads it as 3
+    "9" * 999 + "/7": "an expression of 1001 characters; the cap is 1000",
+    "9" * 997 + "/7": Fraction(10 ** 997 - 1, 7),
+    "-" + "9" * 996 + "/7": Fraction(1 - 10 ** 996, 7),
+}
+
+
+@pytest.mark.parametrize("params", [(), ("a",)])
+@pytest.mark.parametrize("text", RATIONAL_STRINGS, ids=lambda t: repr(t)[:12])
+def test_rational_strings_read_as_the_grammar_reads_them(monkeypatch, text, params):
+    """The same for the rational fast path, a quotient of integer literals."""
+    def read():
+        try:
+            return _parse_expr(text, params, "coefficient")
+        except SchemaError as exc:
+            return str(exc)
+
+    got, want = read(), RATIONAL_STRINGS[text]
+    if isinstance(want, str):
+        assert want in got
+    else:
+        assert got == coefficient(coefficient_field(params), Fraction(want))
+        assert (type(got) is Fraction) == (not params)
+    monkeypatch.setattr(modelfile, "_LITERAL", re.compile("(?!)"))  # matches nothing
     assert read() == got
 
 
