@@ -157,10 +157,10 @@ def _mat_mul(a, b):
 
 
 def _echelon(m: Matrix):
-    """Forward elimination: (rows, pivots), the rows in echelon form and the
-    pivot column of each of the first len(pivots) rows.  Row i is a nonzero
-    multiple of row i of Gaussian elimination over the entries' field with
-    the same row swaps, so the rank, the pivots and the kernel are the same.
+    """Forward elimination of m's nonzero rows: (rows, pivots), the rows in
+    echelon form and the pivot column of each of the first len(pivots) rows.
+    Row i is a nonzero multiple of row i of Gaussian elimination over the
+    entries' field with the same row swaps: the same rank, pivots and kernel.
 
     Over Q (int and Fraction entries) every row is kept primitive: scaled to
     ints and divided by the gcd of its entries, and where it has x != 0 in the
@@ -172,15 +172,15 @@ def _echelon(m: Matrix):
     rational = kinds <= {int, Fraction}
     if rational:
         ints = m.to_rows() if kinds <= {int} else _integer_rows(m)[1]
-        rows = [_primitive(r) for r in ints]
+        rows = [_primitive(r) for r in ints if any(r)]
     else:
-        rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows()]
+        rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows() if any(r)]
     pivots = []
     for col in range(m.cols):
         rk = len(pivots)
-        if rk == m.rows:
+        if rk == len(rows):
             break
-        pivot = next((r for r in range(rk, m.rows) if rows[r][col]), None)
+        pivot = next((r for r in range(rk, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
@@ -188,7 +188,7 @@ def _echelon(m: Matrix):
             _reduce_below(rows, rk, col)
         else:
             prow = rows[rk]
-            for r in range(rk + 1, m.rows):
+            for r in range(rk + 1, len(rows)):
                 if x := rows[r][col]:
                     factor = x / prow[col]
                     rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
@@ -240,8 +240,9 @@ def nullspace(m: Matrix):
     free = [c for c in range(m.cols) if c not in pivots]
     if not free:
         return []
-    # the rows of a rational matrix are ints; the vectors are Fractions
-    one = Fraction(1) if not rows or type(rows[0][0]) is int else _one_like(rows[0][0])
+    # Fractions over Q (the rows are ints), else the first row's field, or m's with no row
+    x = rows[0][0] if rows else next(iter(m.entries), 0)
+    one = _one_like(Fraction(x) if type(x) is int else x)
     zero = one - one
     basis = []
     for f in free:

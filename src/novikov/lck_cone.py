@@ -2,7 +2,7 @@
 
 Decides whether the kernel of d_theta on invariant 2-forms meets the open cone
 of J-taming (resp. J-compatible) positive forms.  The d_theta-closedness side
-is exact (the kernel basis is computed by rational elimination).  The cone is
+is exact: `kernel_basis` is one nullspace of an integer matrix.  The cone is
 held as the matrices S_i = Sym(omega_i(., J.)) of its basis forms: integers
 over one common denominator, read as floats only by the ascent and lambda_min.
 Infeasibility is first sought as an exact rank-one certificate: a vector v
@@ -87,45 +87,24 @@ class TamingCertificate:
         })
 
 
-def kernel_basis(model: LieAlgebraModel):
-    """Exact basis of ker d_theta on invariant 2-forms.  Parameters must be
-    instantiated to rationals beforehand."""
+def kernel_basis(model: LieAlgebraModel, kind="taming"):
+    """Exact basis of the forms the cone is searched in: ker d_theta on
+    invariant 2-forms, for 'lck' those with omega(J., J.) = omega, whose
+    coefficients are Lambda^2(J)^T applied to omega's.  One nullspace of ints:
+    den * d_theta, for 'lck' over j_den^2 I - Lambda^2(j_den J)^T.
+    Parameters must be instantiated to rationals beforehand."""
     if model.params:
         raise LieModelError("instantiate parameters before cone computations")
-    basis = nullspace(scaled_d_theta_matrix(model, 2))
-    return [InvariantForm(model.dim, 2, tuple(vec)) for vec in basis]
-
-
-def _j_invariant_subbasis(model, basis):
-    """Restrict a kernel basis to the J-invariant forms omega(J., J.) = omega,
-    exactly over Q.  The coefficients of omega(J., J.) are Lambda^2(J)^T
-    applied to those of omega, so the combinations sought span the kernel of
-    (Lambda^2(J)^T - I) B, where B holds the basis forms as columns.  It is
-    taken in ints, times j_den^2 (Lambda^2(j_den J) = j_den^2 Lambda^2(J)) and
-    the lcm of B's denominators, which leaves the kernel as it is."""
-    if not basis:
-        return []
-    n, sc = model.dim, model.scaled
-    b = Matrix.from_rows(list(zip(*(form.coeffs for form in basis))))
-    scale = math.lcm(*(c.denominator for c in b.entries))
-    b_int = Matrix(b.rows, b.cols, [c.numerator * (scale // c.denominator) for c in b.entries])
-    j_int = Matrix(n, n, [dict(row).get(t, 0) for row in sc.j_rows for t in range(n)])
-    image = exterior_powers(j_int, 2)[2].transpose().matmul(b_int)
-    combo = nullspace(Matrix(b.rows, b.cols, [x - sc.j_den ** 2 * y
-                                              for x, y in zip(image.entries, b_int.entries)]))
-
-    def form(vec):  # B vec in ints, as B_int (den vec) / (scale den), den vec's lcm
-        den = math.lcm(*(c.denominator for c in vec))
-        col = b_int.matmul(Matrix(b.cols, 1, [c.numerator * (den // c.denominator) for c in vec]))
-        return InvariantForm(n, 2, tuple(Fraction(x, scale * den) for x in col.entries))
-    return [form(vec) for vec in combo]
-
-
-def _cone_basis(model, kind):
-    """The basis the cone is searched in, and certificate coefficients are
-    given in: the kernel basis, cut to its J-invariant forms for 'lck'."""
-    basis = kernel_basis(model)
-    return _j_invariant_subbasis(model, basis) if kind == "lck" else basis
+    m = scaled_d_theta_matrix(model, 2)
+    if kind == "lck":
+        if model.J is None:
+            raise LieModelError("the LCK cone needs a complex structure J")
+        n, w, sc = model.dim, m.cols, model.scaled
+        j_int = Matrix(n, n, [dict(row).get(t, 0) for row in sc.j_rows for t in range(n)])
+        image = exterior_powers(j_int, 2)[2]
+        m = Matrix(m.rows + w, w, m.entries + [sc.j_den ** 2 * (r == c) - image[c, r]
+                                               for r in range(w) for c in range(w)])
+    return [InvariantForm(model.dim, 2, tuple(vec)) for vec in nullspace(m)]
 
 
 def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None) -> TamingCertificate:
@@ -144,7 +123,7 @@ def taming_feasibility(model: LieAlgebraModel, kind="taming", theta=None) -> Tam
             raise LieModelError("theta is not closed, so d_theta^2 != 0")
     if model.J is None:
         raise LieModelError("cone feasibility needs a complex structure J")
-    mats, den = _integer_sym_matrices(model, _cone_basis(model, kind))
+    mats, den = _integer_sym_matrices(model, kernel_basis(model, kind))
     v = _rank_one_certificate(model, mats)
     if v is not None:
         shown = ", ".join(map(str, v))
@@ -303,15 +282,12 @@ def _ascent(mats, kind) -> TamingCertificate:
 
 
 def certificate_form(model: LieAlgebraModel, cert: TamingCertificate) -> InvariantForm:
-    """Exact reconstruction in the cone's basis: the certified coefficients of
-    a feasible verdict as they are, otherwise the float coefficients
-    rationalized.  The result is d_theta-closed exactly by construction."""
-    if cert.feasible and cert.certificate is not None:
-        coeffs = cert.certificate
-    else:
-        coeffs = [Fraction(c).limit_denominator(RATIONALISE_DENOMINATORS[-1])
-                  for c in cert.coefficients]
+    """The combination of the ``kernel_basis`` forms that a feasible verdict's
+    exact certificate gives: d_theta-closed, and J-invariant for 'lck', by
+    construction.  Any other verdict names no form: ValueError."""
+    if not cert.feasible or cert.certificate is None:
+        raise ValueError("only a feasible verdict with an exact certificate names a form")
     form = InvariantForm.zero(model.dim, 2)
-    for q, b in zip(coeffs, _cone_basis(model, cert.kind)):
+    for q, b in zip(cert.certificate, kernel_basis(model, cert.kind)):
         form = form + b.scale(q)
     return form

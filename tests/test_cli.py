@@ -13,7 +13,7 @@ from novikov import catalog, chevalley, cli, modelfile
 from novikov.cli import _instantiated_s0, build_parser, main, resolve_model
 from novikov.catalog import default_s0, ot_algebra
 from novikov.chevalley import wedge_basis
-from novikov.lck_cone import _cone_basis
+from novikov.lck_cone import kernel_basis
 from novikov.exact import AlgebraicReal, IntPoly, alg_eq, alg_power, alg_reciprocal
 
 
@@ -533,7 +533,7 @@ def assert_exact_s0_certificate(doc, kind):
     kernel (J-invariant for lck) at lambda = 1/alpha, by the forms'
     antisymmetric matrices and the model's J."""
     model, theta = _instantiated_s0(invert=True)
-    basis = _cone_basis(replace(model, theta=theta), kind)
+    basis = kernel_basis(replace(model, theta=theta), kind)
     n = model.dim
     v = [Fraction(c) for c in doc["certificate"]]
     jv = model.apply_J(v)

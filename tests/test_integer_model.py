@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from novikov import chevalley
@@ -28,7 +28,7 @@ from novikov.chevalley import (
     wedge_basis,
 )
 from novikov.exact import Matrix, exterior_powers, nullspace, rank
-from novikov.lck_cone import _cone_basis, _integer_sym_matrices, _j_invariant_subbasis
+from novikov.lck_cone import _integer_sym_matrices, kernel_basis
 from test_chevalley import (
     apply_j_by_fractions,
     assert_isotropic_basis_matches_sympy,
@@ -38,7 +38,7 @@ from test_chevalley import (
     three_stage_search,
     wedge_oracle_d_theta_matrix,
 )
-from test_lck_cone import float_sym_oracle
+from test_lck_cone import float_sym_oracle, h3_plus_r
 
 BRACKET = st.sampled_from((Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(2), -1))
 THETA = st.sampled_from((0, 0, 0, Fraction(1, 3), Fraction(-2, 5), Fraction(7, 9), 1))
@@ -214,12 +214,47 @@ def j_invariant_by_fractions(model, basis):
     return [tuple(b.matmul(Matrix(b.cols, 1, vec)).entries) for vec in combo]
 
 
+def j_invariant_in_two_stages(model, basis):
+    """The restriction the cone ran before its basis became one nullspace: the
+    combinations of the kernel basis in the kernel of (Lambda^2(J)^T - I) B,
+    B the basis forms as columns, taken in ints (times j_den^2 and the lcm of
+    B's denominators), and each form B vec formed in ints."""
+    if not basis:
+        return []
+    n, sc = model.dim, model.scaled
+    b = Matrix.from_rows(list(zip(*(form.coeffs for form in basis))))
+    scale = lcm(*(c.denominator for c in b.entries))
+    b_int = Matrix(b.rows, b.cols, [c.numerator * (scale // c.denominator) for c in b.entries])
+    j_int = Matrix(n, n, [dict(row).get(t, 0) for row in sc.j_rows for t in range(n)])
+    image = exterior_powers(j_int, 2)[2].transpose().matmul(b_int)
+    combo = nullspace(Matrix(b.rows, b.cols, [x - sc.j_den ** 2 * y
+                                              for x, y in zip(image.entries, b_int.entries)]))
+
+    def form(vec):
+        den = lcm(*(c.denominator for c in vec))
+        col = b_int.matmul(Matrix(b.cols, 1, [c.numerator * (den // c.denominator) for c in vec]))
+        return tuple(Fraction(x, scale * den) for x in col.entries)
+    return [form(vec) for vec in combo]
+
+
+# abelian4 with J0 conjugated by I + E_13 / 2: Lambda^2(J) is not symmetric, so
+# its fixed forms differ from those of its transpose, and j_den = 2
+SHEARED_J = ((0, -1, 0, Fraction(-1, 2)), (1, 0, Fraction(-1, 2), 0), (0, 0, 0, -1), (0, 0, 1, 0))
+
+
+@example(LieAlgebraModel(dim=4, J=SHEARED_J))
+@example(h3_plus_r((0, 0, 0, 1)))
+@example(h3_plus_r((0, 0, 0, -1)))
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(scaled_models())
 def test_cone_matrices_match_the_fraction_and_float_oracles(model):
-    taming = _cone_basis(model, "taming")
-    lck = _j_invariant_subbasis(model, taming)
-    assert [f.coeffs for f in lck] == (j_invariant_by_fractions(model, taming) if taming else [])
+    # the lck basis, one nullspace, is the J-invariant basis of the Fraction
+    # oracle and of the two-stage restriction, vector for vector
+    taming, lck = kernel_basis(model, "taming"), kernel_basis(model, "lck")
+    coeffs = [f.coeffs for f in lck]
+    assert coeffs == (j_invariant_by_fractions(model, taming) if taming else [])
+    assert coeffs == j_invariant_in_two_stages(model, taming)
+    assert all(type(c) is Fraction for f in coeffs for c in f)
     for basis in (taming, lck):
         mats, den = _integer_sym_matrices(model, basis)
         exact = [sym_by_fractions(model, form) for form in basis]

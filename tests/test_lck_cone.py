@@ -35,7 +35,6 @@ from novikov.lck_cone import (
     _ascent,
     _candidates,
     _combination_is_positive_definite,
-    _cone_basis,
     _integer_sym_matrices,
     _quadratic_form,
     _rank_one_candidates,
@@ -179,7 +178,7 @@ def test_empty_kernel_reports_infeasible(monkeypatch):
     with pytest.raises(LieModelError):
         taming_feasibility(LieAlgebraModel(dim=1), kind="taming")
     # with J, an empty span holds no positive form, and v = e_1 proves it
-    monkeypatch.setattr(lck_cone, "_cone_basis", lambda model, kind: [])
+    monkeypatch.setattr(lck_cone, "kernel_basis", lambda model, kind: [])
     for kind in ("taming", "lck"):
         cert = taming_feasibility(abelian_algebra(4), kind=kind)
         assert cert.verdict == "infeasible (certified)"
@@ -204,6 +203,8 @@ def test_requires_J():
     for kind in ("taming", "lck"):
         with pytest.raises(LieModelError):
             taming_feasibility(splus_coframe_model(), kind=kind)
+    with pytest.raises(LieModelError, match="complex structure J"):
+        kernel_basis(splus_coframe_model(), "lck")  # not a shape error
 
 
 def test_kind_validated():
@@ -281,9 +282,11 @@ def test_certificate_is_exact_on_s0_at_inverse_alpha():
         v = cert.certificate
         assert any(v)
         flipped = replace(model, theta=theta)
-        for form in _cone_basis(flipped, kind):
+        for form in kernel_basis(flipped, kind):
             assert d_theta_apply(flipped, form).is_zero()
             assert omega_v_jv(model, form, v) == 0
+        with pytest.raises(ValueError, match="exact certificate"):
+            certificate_form(flipped, cert)  # names no form
 
 
 def test_ascent_survives_a_step_onto_the_origin():
@@ -292,7 +295,7 @@ def test_ascent_survives_a_step_onto_the_origin():
     # lambda_min / |x| is undefined
     model, theta = s0_at_inverse_alpha()
     flipped = replace(model, theta=theta)
-    basis = _cone_basis(flipped, "lck")
+    basis = kernel_basis(flipped, "lck")
     assert len(basis) == 1
     cert = _ascent(float_matrices(flipped, basis), "lck")
     assert cert.verdict == "infeasible (evidence, not proof)"
@@ -386,7 +389,7 @@ def test_the_one_ascent_agrees_with_the_restarted_oracle_on_abelian6(theta, kind
 def test_the_ascent_is_one_bounded_run(monkeypatch):
     # an evidence verdict, where the restarted search ran all its restarts
     model = h3_plus_r((-1, 0, 0, 1))
-    mats, den = _integer_sym_matrices(model, _cone_basis(model, "taming"))
+    mats, den = _integer_sym_matrices(model, kernel_basis(model, "taming"))
     assert _rank_one_certificate(model, mats) is None
     calls = []
     eigh = np.linalg.eigh
@@ -430,7 +433,7 @@ def almost_abelian_with_j(draw):
 @given(almost_abelian_with_j())
 def test_rank_one_certificate_agrees_with_the_ascent(data):
     model, kind = data
-    basis = _cone_basis(model, kind)
+    basis = kernel_basis(model, kind)
     if not basis:
         return
     mats, den = _integer_sym_matrices(model, basis)
@@ -477,7 +480,7 @@ def catalog_point(draw):
 def test_exact_search_agrees_with_the_ascent_on_catalog_models(data):
     model, kind = data
     cert = taming_feasibility(model, kind=kind)
-    basis = _cone_basis(model, kind)
+    basis = kernel_basis(model, kind)
     if not basis:
         assert not cert.feasible
         return
@@ -540,6 +543,8 @@ def test_uncertified_feasible_verdict_says_so(monkeypatch):
     assert cert.verdict == "feasible" and cert.certificate is None
     assert "evidence, not proof" in cert.reason
     assert json.loads(cert.to_json())["certificate"] is None
+    with pytest.raises(ValueError, match="exact certificate"):
+        certificate_form(model, cert)
 
 
 def test_certified_infeasible_verdicts_build_no_float_j(monkeypatch):
@@ -569,7 +574,7 @@ def test_isotropic_vectors_of_theta_certify_abelian4(monkeypatch, theta):
         v = cert.certificate
         assert any(v)
         flipped = replace(model, theta=theta)
-        for form in _cone_basis(flipped, kind):
+        for form in kernel_basis(flipped, kind):
             assert omega_v_jv(model, form, v) == 0
 
 
@@ -589,7 +594,7 @@ def float_sym_oracle(model, basis):
 
 
 def assert_matrices_match_the_oracles(model, kind):
-    basis = _cone_basis(model, kind)
+    basis = kernel_basis(model, kind)
     mats, den = _integer_sym_matrices(model, basis)
     floats = _as_floats(mats, den)
     assert floats.shape == (len(basis), model.dim, model.dim)

@@ -358,19 +358,32 @@ def rank_deficient(rng, rows, cols, draw):
     return Matrix.from_rows(body)
 
 
-def assert_nullspace_parity(rng, count, max_rows, max_cols, draw):
+def assert_nullspace_parity(rng, count, max_rows, max_cols, draw, zero, kind):
+    """nullspace and rank against the rref oracle on rank-deficient matrices,
+    on each with zero rows put first, in between and last, and on the
+    all-zero matrix of its shape: the zero rows change no pivot, and every
+    nullspace entry is of type kind, the field's."""
     for _ in range(count):
         m = rank_deficient(rng, rng.randint(1, max_rows), rng.randint(1, max_cols), draw)
-        got = nullspace(m)
-        assert got == rref_nullspace(m)
-        assert len(got) == m.cols - rank(m)
+        rows, blank = m.to_rows(), [zero] * m.cols
+        padded = Matrix.from_rows([blank] + rows[:m.rows // 2] + [blank]
+                                  + rows[m.rows // 2:] + [blank])
+        zeros = Matrix(m.rows, m.cols, [zero] * (m.rows * m.cols))
+        for x in (m, padded, zeros):
+            got = nullspace(x)
+            assert got == rref_nullspace(x)
+            assert len(got) == x.cols - rank(x)
+            assert all(type(c) is kind for vec in got for c in vec)
+        assert _echelon(padded)[1] == _echelon(m)[1]
+        assert nullspace(padded) == nullspace(m)
+        assert rank(zeros) == 0 and len(nullspace(zeros)) == m.cols
 
 
 def test_nullspace_matches_rref_over_q():
     rng = random.Random(11)
     # sparse draws make zero pivots, row swaps and free columns between pivots
     assert_nullspace_parity(rng, 300, 6, 7, lambda: Fraction(
-        rng.choice((0, 0, 0, rng.randint(-5, 5))), rng.randint(1, 4)))
+        rng.choice((0, 0, 0, rng.randint(-5, 5))), rng.randint(1, 4)), 0, Fraction)
 
 
 def test_nullspace_matches_rref_over_a_number_field():
@@ -385,7 +398,7 @@ def test_nullspace_matches_rref_over_a_number_field():
         return nf.scalar(rng.randint(-3, 3)) + nf.scalar(rng.randint(-3, 3)) * x + \
             nf.scalar(Fraction(rng.randint(-3, 3), 2)) * x * x
 
-    assert_nullspace_parity(rng, 60, 4, 5, draw)
+    assert_nullspace_parity(rng, 60, 4, 5, draw, nf.zero(), type(nf.zero()))
 
 
 def test_nullspace_matches_rref_over_q_params():
@@ -400,7 +413,7 @@ def test_nullspace_matches_rref_over_q_params():
         return sum((rng.randint(-2, 2) * mono for mono in rng.sample(monomials, 2)),
                    coefficient(field, 0))
 
-    assert_nullspace_parity(rng, 40, 4, 5, draw)
+    assert_nullspace_parity(rng, 40, 4, 5, draw, coefficient(field, 0), type(a))
     # every entry is in Q(a, b), the unit and the zero entries too
     m = Matrix(1, 3, [a, b, coefficient(field, 0)])
     assert {type(x) for vec in nullspace(m) for x in vec} == {type(a)}
@@ -411,19 +424,20 @@ def test_nullspace_matches_rref_over_q_params():
 def fraction_echelon(m):
     """Oracle: Gaussian elimination over Q in Fractions (ints taken as
     Fractions), the forward elimination ``rank`` and ``nullspace`` ran on
-    rational matrices before it became fraction-free."""
-    rows = [[Fraction(x) for x in r] for r in m.to_rows()]
+    rational matrices before it became fraction-free, on the nonzero rows of
+    m, as ``_echelon`` takes them."""
+    rows = [[Fraction(x) for x in r] for r in m.to_rows() if any(r)]
     pivots = []
     for col in range(m.cols):
         rk = len(pivots)
-        if rk == m.rows:
+        if rk == len(rows):
             break
-        pivot = next((r for r in range(rk, m.rows) if rows[r][col]), None)
+        pivot = next((r for r in range(rk, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
         piv = rows[rk][col]
-        for r in range(rk + 1, m.rows):
+        for r in range(rk + 1, len(rows)):
             x = rows[r][col]
             if x:
                 factor = x / piv
