@@ -1,8 +1,9 @@
 """Real algebraic numbers as (irreducible minimal polynomial, isolating interval).
 
 Every decision (equality, sign, ordering) is made exactly by Sturm counts, root
-bounds and interval bisection; floating point appears only in ``to_float``, which
-is a convenience approximation, never a decision path.
+bounds and sign tests on the dyadic grid of an isolating interval; floating point
+appears only in ``to_float``, a convenience approximation, and in the estimate from
+which ``refined`` starts its grid search, never as a decision.
 """
 
 from __future__ import annotations
@@ -10,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .polynomials import (
     IntPoly,
     count_roots,
     factor_squarefree_irreducible,
     is_irreducible,
+    isolating_intervals,
+    refine_root,
     root_bound,
     sign_at,
     sturm_sequence,
@@ -28,7 +31,6 @@ class AlgebraicReal:
     minpoly: IntPoly
     interval: tuple  # open (lo, hi), Fractions
     _sturm: list = field(default=None, compare=False, repr=False)
-    _float: float = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -74,27 +76,25 @@ class AlgebraicReal:
     # -- interval refinement ----------------------------------------------
 
     def refined(self, width) -> "AlgebraicReal":
-        """Return self with isolating interval narrower than `width`, by
-        bisection in integers: the interval is (a/den, b/den), and p is
-        evaluated at each midpoint through `sign_at`."""
+        """Return self with isolating interval narrower than `width`, the cell
+        that halving the interval until it is that narrow reaches (``refine_root``)."""
         width = Fraction(width)
         if self.is_rational():
             q = self.as_rational()
             w = width / 4
             return AlgebraicReal(self.minpoly, (q - w, q + w), self._sturm)
-        lo, hi = self.interval
-        p = self.minpoly
-        den = math.lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-        slo = sign_at(p, a, den)
-        while (b - a) * width.denominator >= width.numerator * den:
-            mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-            # irreducible of degree >= 2 has no rational roots, so the sign != 0
-            if sign_at(p, mid, den) == slo:
-                a = mid
-            else:
-                b = mid
-        return AlgebraicReal(self.minpoly, (Fraction(a, den), Fraction(b, den)), self._sturm)
+        return AlgebraicReal(self.minpoly, refine_root(self.minpoly, *self.interval, width),
+                             self._sturm)
+
+    @cached_property
+    def fine_interval(self):
+        """The isolating interval refined below 2^-60, computed once."""
+        return self.refined(Fraction(1, 2**60)).interval
+
+    @cached_property
+    def reciprocal_minpoly(self) -> IntPoly:
+        """The minimal polynomial of 1/self, for self != 0, computed once."""
+        return self.minpoly.reversed().primitive()
 
     def sign(self):
         if self.is_rational():
@@ -107,19 +107,13 @@ class AlgebraicReal:
         return 1 if lo >= 0 else -1
 
     def to_float(self) -> float:
-        """An approximation for display, computed once; +-inf past the float range."""
-        if self._float is None:
-            if self.is_rational():
-                q = self.as_rational()
-            else:
-                lo, hi = self.refined(Fraction(1, 2**60)).interval
-                q = (lo + hi) / 2
-            try:
-                x = float(q)
-            except OverflowError:
-                x = float("inf") if q > 0 else float("-inf")
-            object.__setattr__(self, "_float", x)
-        return self._float
+        """An approximation for display, from the kept fine interval; +-inf past
+        the float range."""
+        q = self.as_rational() if self.is_rational() else sum(self.fine_interval) / 2
+        try:
+            return float(q)
+        except OverflowError:
+            return math.inf if q > 0 else -math.inf
 
     # -- arithmetic-free exact predicates ----------------------------------
 
@@ -158,21 +152,8 @@ def _isolate_irreducible(p: IntPoly):
     if p.degree == 1:
         return [AlgebraicReal.from_rational(Fraction(-p.coeffs[0], p.coeffs[1]))]
     seq = sturm_sequence(p)
-    bound = root_bound(p)
-    out = []
-    stack = [(-bound, bound)]
-    while stack:
-        lo, hi = stack.pop()
-        n = count_roots(p, lo, hi, seq)
-        if n == 0:
-            continue
-        if n == 1:  # p has no rational roots, so neither endpoint is one
-            out.append(AlgebraicReal(p, (lo, hi), seq))
-            continue
-        mid = (lo + hi) / 2
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    return out
+    # p has no rational roots, so neither end of an interval is one
+    return [AlgebraicReal(p, interval, seq) for interval in isolating_intervals(p, seq)]
 
 
 def alg_eq(a: AlgebraicReal, b: AlgebraicReal) -> bool:
@@ -190,17 +171,29 @@ def alg_eq(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     return count_roots(a.minpoly, lo, hi, a.sturm()) >= 1
 
 
+def _apart(x, y):
+    """-1 or 1 if the interval x lies left or right of the interval y, else 0."""
+    return -1 if x[1] <= y[0] else int(y[1] <= x[0])
+
+
 def alg_cmp(a: AlgebraicReal, b: AlgebraicReal) -> int:
-    if alg_eq(a, b):
-        return 0
-    while True:
-        if a.interval[1] <= b.interval[0]:
-            return -1
-        if b.interval[1] <= a.interval[0]:
-            return 1
-        w = min(a.interval[1] - a.interval[0], b.interval[1] - b.interval[0]) / 2
-        a = a.refined(w)
-        b = b.refined(w)
+    """-1, 0 or 1 as a < b, a = b or a > b: by the isolating intervals, then by
+    the kept fine intervals, then ``alg_eq``.  Two different numbers are then
+    roots of one squarefree p of degree n >= 2 (a's minimal polynomial, or the
+    product of both), at least Mahler's sqrt(3 |disc p|) n^-(n+2)/2 M(p)^-(n-1)
+    apart ("An inequality for the discriminant of a polynomial", 1964), where
+    |disc p| >= 1 and the Mahler measure M(p) is at most p's Euclidean norm, so
+    intervals narrower than half that bound are apart."""
+    order = _apart(a.interval, b.interval) or _apart(a.fine_interval, b.fine_interval)
+    if order or alg_eq(a, b):
+        return order
+    p = a.minpoly if a.minpoly == b.minpoly else a.minpoly * b.minpoly
+    n, norm = p.degree, math.isqrt(sum(c * c for c in p.coeffs)) + 1
+    w = Fraction(1, 2 * n ** ((n + 3) // 2) * norm ** (n - 1))
+    order = _apart(a.refined(w).interval, b.refined(w).interval)
+    if not order:
+        raise ArithmeticError("intervals below the root separation still overlap")
+    return order
 
 
 def alg_reciprocal(lam: AlgebraicReal) -> AlgebraicReal:
@@ -212,7 +205,7 @@ def alg_reciprocal(lam: AlgebraicReal) -> AlgebraicReal:
         if q == 0:
             raise ZeroDivisionError("reciprocal of zero")
         return AlgebraicReal.from_rational(1 / q)
-    p = lam.minpoly.reversed().primitive()
+    p = lam.reciprocal_minpoly
     cut = 1 / root_bound(p)
     lo, hi = lam.interval
     if lam.sign() > 0:

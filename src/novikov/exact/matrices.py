@@ -168,13 +168,15 @@ def _echelon(m: Matrix):
     to sign it is the primitive part of Bareiss's row, so no entry outgrows
     his.  Other entries (Q(lambda), Q(params)) are eliminated with field
     division, ints taken as Fractions."""
-    kinds = set(map(type, m.entries))
-    rational = kinds <= {int, Fraction}
-    if rational:
-        ints = m.to_rows() if kinds <= {int} else _integer_rows(m)[1]
-        rows = [_primitive(r) for r in ints if any(r)]
+    e, n = m.entries, m.cols
+    rows = [r for r in (e[i:i + n] for i in range(0, len(e), n or 1)) if any(r)]
+    kinds = {type(x) for r in rows for x in r}
+    if rational := kinds <= {int, Fraction}:
+        if Fraction in kinds:
+            rows = _integer_rows(Matrix.from_rows(rows))[1]
+        rows = [_primitive(r) for r in rows]
     else:
-        rows = [[Fraction(x) if type(x) is int else x for x in r] for r in m.to_rows() if any(r)]
+        rows = [[Fraction(x) if type(x) is int else x for x in r] for r in rows]
     pivots = []
     for col in range(m.cols):
         rk = len(pivots)

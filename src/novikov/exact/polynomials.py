@@ -2,7 +2,8 @@
 
 Polynomials are stored densely, lowest degree first.  ``IntPoly`` keeps
 arbitrary-precision integer coefficients; Sturm chains are primitive integer
-pseudo-remainder sequences, and every sign decision is ``sign_at`` in integers.
+pseudo-remainder sequences, and every sign decision is an evaluation in
+integers (``sign_at``, or a Newton step's ``_value_and_slope``).
 """
 
 from __future__ import annotations
@@ -80,12 +81,29 @@ class IntPoly:
 
 def factor_squarefree_irreducible(p: IntPoly):
     """Factor into irreducible primitive integer factors with multiplicities:
-    a constant has none and a linear p is its own; from degree 2 on, by
-    sympy's factorisation over Z of the coefficient list."""
+    a constant has none and a linear p is its own; what is left of degree 2 or
+    3 once its rational roots are divided out has none, so it is irreducible;
+    from degree 4 on, by sympy's factorisation over Z of the coefficient list."""
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.degree <= 1:
         return [(p.primitive(), 1)] if p.degree == 1 else []
+    if p.degree <= 3:  # by its rational roots, each divided out with its multiplicity
+        p, out = p.primitive(), []
+        seq, lc = sturm_sequence(p), p.leading()
+        if (g := seq[-1]).degree > 0:  # the root of gcd(p, p') leaves degree <= 1
+            linear = [IntPoly([g.coeffs[-2], g.degree * g.coeffs[-1]])]
+        else:  # m/lc for an integer m, one at most in a cell narrower than 1/lc
+            linear = []
+            for lo, hi in isolating_intervals(p, seq):
+                if sign_at(p, hi.numerator, hi.denominator):
+                    lo, hi = refine_root(p, lo, hi, Fraction(1, lc))
+                if (m := math.floor(hi * lc)) > lo * lc and not sign_at(p, m, lc):
+                    linear.append(IntPoly([-m, lc]))
+        for f in map(IntPoly.primitive, linear):
+            m, p = divide_out(f, p)
+            out.append((f, m))
+        return out + [(p.primitive(), 1)] * (p.degree > 0)
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_factor_list
 
@@ -95,7 +113,8 @@ def factor_squarefree_irreducible(p: IntPoly):
 
 def is_irreducible(p: IntPoly, seq=None):
     """Irreducibility over Q: a quadratic's discriminant is not a square; from
-    degree 3 on, p is squarefree (its Sturm chain ``seq``) and one factor by Zassenhaus."""
+    degree 3 on, p is squarefree (its Sturm chain ``seq``) and one factor: a
+    cubic has no rational root, a higher p one factor by Zassenhaus."""
     if p.degree <= 1:
         return p.degree == 1
     if p.degree == 2:
@@ -104,26 +123,34 @@ def is_irreducible(p: IntPoly, seq=None):
         return disc < 0 or math.isqrt(disc) ** 2 != disc
     if (seq or sturm_sequence(p))[-1].degree > 0:
         return False
+    if p.degree == 3:
+        return len(factor_squarefree_irreducible(p)) == 1
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_zz_zassenhaus
     return len(dup_zz_zassenhaus([ZZ(c) for c in reversed(p.primitive().coeffs)], ZZ)) == 1
 
 
-def multiplicity(p: IntPoly, f: IntPoly) -> int:
-    """The largest m with p^m | f, f nonzero and p primitive of degree >= 1, by
-    exact division in integers: by Gauss's lemma any quotient by p is integral."""
-    m, r, np_ = 0, list(f.coeffs), len(p.coeffs)
-    while len(r) >= np_:
-        q = []
+def divide_out(p: IntPoly, f: IntPoly):
+    """(m, f / p^m) for the largest m with p^m | f, f nonzero and p primitive
+    of degree >= 1, by exact division in integers: by Gauss's lemma any
+    quotient by p is integral."""
+    m, q, np_ = 0, list(f.coeffs), len(p.coeffs)
+    while len(q) >= np_:
+        r, quotient = q[:], []
         for i in range(len(r) - np_, -1, -1):
             c = r[i + np_ - 1] // p.leading()  # if inexact, r keeps a remainder
             for j, b in enumerate(p.coeffs):
                 r[i + j] -= c * b
-            q.append(c)
+            quotient.append(c)
         if any(r):
-            return m
-        m, r = m + 1, q[::-1]
-    return m
+            break
+        m, q = m + 1, quotient[::-1]
+    return m, IntPoly(q)
+
+
+def multiplicity(p: IntPoly, f: IntPoly) -> int:
+    """The largest m with p^m | f (``divide_out``)."""
+    return divide_out(p, f)[0]
 
 
 def _newton(sums):
@@ -213,6 +240,88 @@ def count_roots(p: IntPoly, lo: Fraction, hi: Fraction, seq=None):
     if seq is None:
         seq = sturm_sequence(p)
     return sign_variations(seq, lo) - sign_variations(seq, hi)
+
+
+def isolating_intervals(p: IntPoly, seq):
+    """Intervals (lo, hi], each holding one real root of the squarefree p (its
+    Sturm chain seq): halves of (-B, B], B the root bound, bisected as long as
+    they hold more; one Sturm count per bisection, on the left half."""
+    bound = root_bound(p)
+    out, stack = [], [(-bound, bound, count_roots(p, -bound, bound, seq))]
+    while stack:
+        lo, hi, n = stack.pop()
+        if n == 1:
+            out.append((lo, hi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            left = count_roots(p, lo, mid, seq)
+            stack += [(lo, mid, left), (mid, hi, n - left)]
+    return out
+
+
+def refine_root(p: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
+    """The cell narrower than `width` that holds p's one root in (lo, hi], p
+    not 0 at hi, of the grid that halving (lo, hi) until it is that narrow
+    makes.  Newton steps on the grid, from the ``_float_root`` estimate or the
+    middle, are exact evaluations of p and p' whose signs narrow a bracket of
+    grid points; a step that leaves the bracket or does not halve the one
+    before bisects it instead.  Near the root a step lands on the cell, and
+    its right neighbour confirms it."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    step = hi.numerator * (den // hi.denominator) - a
+    # k halvings leave cells of width step / (den 2^k), the first below width
+    k = (step * width.denominator // (width.numerator * den)).bit_length()
+    a, den, cells = a << k, den << k, 1 << k
+    end_sign, below, above = sign_at(p, a + cells * step, den), 0, cells
+    j, moved = cells // 2, cells
+    if (estimate := _float_root(p, a, a + cells * step, den, -end_sign, width)) is not None:
+        n, d = estimate.as_integer_ratio()
+        j = (n * den - a * d) // (step * d)
+    while above - below > 1:
+        j = min(max(j, below + 1), above - 1)
+        value, slope = _value_and_slope(p, a + j * step, den)
+        if value and (value > 0) != (end_sign > 0):
+            below = j
+        else:
+            above = j
+        new = j + -value // (step * slope) if slope else above + 1
+        if not below <= new <= above or 2 * abs(new - j) > moved:
+            new = (below + above) // 2
+        moved, j = abs(new - j), new
+    return Fraction(a + below * step, den), Fraction(a + (below + 1) * step, den)
+
+
+def _float_root(p: IntPoly, a, b, den, left, width):
+    """A float estimate of p's one root in (a/den, b/den), p of sign left
+    left of it, to within width/4 or 48 bits, or None past the float range:
+    Newton steps inside a bracket of the root that each step's sign narrows,
+    bisected where a step leaves it."""
+    try:
+        coeffs, a, b = [float(c) for c in reversed(p.coeffs)], a / den, b / den
+        tol = float(width) / 4
+    except OverflowError:
+        return None
+    x = (a + b) / 2
+    for _ in range(100):
+        fx = dfx = 0.0
+        for c in coeffs:
+            dfx, fx = dfx * x + fx, fx * x + c
+        a, b = (x, b) if (fx > 0) == (left > 0) else (a, x)
+        step = x - fx / dfx if dfx else a
+        if abs(step - x) <= max(tol, abs(x) * 2 ** -48):
+            return step
+        x = step if a < step < b else (a + b) / 2
+    return x
+
+
+def _value_and_slope(p: IntPoly, n, d):
+    """d^deg p(n/d) and d^(deg-1) p'(n/d), for d > 0, in integers."""
+    value = slope = 0
+    dpow = 1
+    for c in reversed(p.coeffs):
+        slope, value, dpow = slope * n + value, value * n + c * dpow, dpow * d
+    return value, slope
 
 
 def root_bound(p: IntPoly):

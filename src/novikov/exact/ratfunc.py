@@ -38,8 +38,8 @@ def coefficient(field, x):
         if field is None:
             return x if type(x) is Fraction else Fraction(x)
         ring = field.field.ring  # numerator and denominator in lowest terms
-        return field.field.raw_new(ring.ground_new(x.numerator),
-                                   ring.ground_new(x.denominator))
+        den = ring.one if x.denominator == 1 else ring.ground_new(x.denominator)
+        return field.field.raw_new(ring.ground_new(x.numerator), den)
     if field is not None and getattr(x, "field", None) is field.field:
         return x  # an element of field already, as substitution's images are
     from sympy import QQ

@@ -142,7 +142,7 @@ def kappa(model: FiberModel, lam: AlgebraicReal, k: int) -> int:
         raise ModelError(f"degree {k} out of range 0..{n}")
     if lam.sign() <= 0:
         raise ModelError("Lee parameter must be positive")
-    p = lam.minpoly.reversed().primitive()
+    p = lam.reciprocal_minpoly
     m = multiplicity(p, model.charpolys[k])
     if m <= 1 or model.actions is None:
         return m

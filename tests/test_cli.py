@@ -701,8 +701,9 @@ def _loads_sympy(*statements):
 
 
 def test_sympy_is_loaded_only_where_a_command_needs_it(tmp_path):
-    # Q(params) and factorisation from degree 2 on are sympy's; resolving a
-    # fiber, a model without parameters and every exit-2 path are not
+    # Q(params) and factorisation from degree 4 on are sympy's; resolving a
+    # fiber, factoring degree 2 and 3, a model without parameters and every
+    # exit-2 path are not
     torus = tmp_path / "torus.json"
     torus.write_text(json.dumps({"type": "torus_monodromy",
                                  "matrix": [[2, 1, 0], [1, 1, 1], [0, 1, 1]]}))
@@ -716,6 +717,11 @@ def test_sympy_is_loaded_only_where_a_command_needs_it(tmp_path):
     assert not _loads_sympy(f"assert cli.main(['cohomology', {missing!r}]) == 2")
     assert not _loads_sympy("assert cli.main(['cohomology', 'abelian4']) == 0")
     assert not _loads_sympy(f"assert cli.main(['cone', {str(algebra)!r}]) == 0")
+    assert not _loads_sympy("assert cli.main(['scan', 's0:default']) == 0")
+    assert not _loads_sympy("assert cli.main(['verify', 'splus:default']) == 0")
+    cubic = "poly:-1,-1,0,1@(1,2)"  # x^3 - x - 1
+    assert not _loads_sympy(f"assert cli.main(['cohomology', {str(torus)!r}, "
+                            f"'--lambda', {cubic!r}]) == 0")
     assert _loads_sympy("assert cli.main(['cohomology', 'ot:1']) == 0")
 
 
